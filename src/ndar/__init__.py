@@ -12,15 +12,14 @@ from .circuits import (DEFAULT_QUBIT_CAP, Circuit, DampingSpec, Gate, QaoaParams
                        build_qaoa_circuit, build_random_circuit, damping_gamma)
 from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT,
                      IterationRecord, NdarConfig, NdarResult, SamplerSpec,
-                     classical_bernoulli_sample, derive_seed, map_to_original_frame, run_ndar)
+                     classical_bernoulli_sample, derive_seed, run_ndar)
 from .errors import ConfigError, ResourceLimitError
 from .harness import (AggregateRow, ExperimentConfig, aggregate, params_search, report,
                       run_experiment)
 from .ising import (BRUTE_FORCE_CAP, IsingModel, MaxCutInstance, all_bitstrings, apply_mask,
-                    as_bits, bits_to_str, brute_force_best, compose_masks, cut_value,
-                    edge_density, energies, energy, gauge_transform, gen_unweighted,
-                    gen_weighted_dense, hamming_weight, maxcut_to_ising, read_instance,
-                    write_instance)
+                    as_bits, bits_to_str, brute_force_best, cut_value, edge_density, energies,
+                    energy, gauge_transform, gen_unweighted, gen_weighted_dense, hamming_weight,
+                    maxcut_to_ising, read_instance, write_instance)
 from .simulator import (DENSITY_MATRIX_CAP, apply_decay, density_matrix_reference,
                         optimize_params, qaoa_expectation, sample, simulate)
 
@@ -34,10 +33,9 @@ __all__ = [
     "QaoaParams", "ResourceLimitError", "SaConfig", "SamplerSpec",
     "aggregate", "all_bitstrings", "apply_decay", "apply_mask", "as_bits",
     "bits_to_str", "brute_force_best", "build_qaoa_circuit", "build_random_circuit",
-    "classical_bernoulli_sample", "compose_masks", "cut_value", "damping_gamma",
-    "density_matrix_reference", "derive_seed", "edge_density", "energies", "energy",
-    "gauge_transform", "gen_unweighted", "gen_weighted_dense", "hamming_weight",
-    "map_to_original_frame", "maxcut_to_ising", "optimize_params", "params_search",
-    "qaoa_expectation", "read_instance", "report", "run_experiment", "run_ndar",
-    "sa_solve", "sample", "simulate", "write_instance",
+    "classical_bernoulli_sample", "cut_value", "damping_gamma", "density_matrix_reference",
+    "derive_seed", "edge_density", "energies", "energy", "gauge_transform", "gen_unweighted",
+    "gen_weighted_dense", "hamming_weight", "maxcut_to_ising", "optimize_params",
+    "params_search", "qaoa_expectation", "read_instance", "report", "run_experiment",
+    "run_ndar", "sa_solve", "sample", "simulate", "write_instance",
 ]

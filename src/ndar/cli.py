@@ -5,10 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .annealing import SaConfig, sa_solve
+from .annealing import sa_solve
 from .errors import ConfigError, ResourceLimitError
 from .harness import (ExperimentConfig, load_instance, params_search, report,
-                      resolve_threads, run_experiment)
+                      resolve_threads, run_experiment, sa_config)
 from .ising import edge_density, gen_unweighted, gen_weighted_dense, maxcut_to_ising, write_instance
 
 _RUN_EPILOG = """\
@@ -71,8 +71,7 @@ def _cmd_run(args) -> int:
 def _cmd_sa_baseline(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
     model = maxcut_to_ising(load_instance(cfg))
-    sa_seed = cfg.sa_seed if cfg.sa_seed is not None else 0
-    sa_cfg = SaConfig(cfg.sa_reads, cfg.sa_sweeps, cfg.sa_beta_min, cfg.sa_beta_max, sa_seed)
+    sa_cfg = sa_config(cfg)
     _, energy_value = sa_solve(model, sa_cfg)
     print(f"n = {model.n}, reads = {sa_cfg.num_reads}, sweeps = {sa_cfg.sweeps_per_read}")
     print(f"E_SA cut = {-energy_value:.12g} (energy {energy_value:.12g})")

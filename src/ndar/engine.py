@@ -1,9 +1,10 @@
 """The noise-directed adaptive remapping loop and its classical variant.
 
-Each iteration draws shots from the current (gauge-transformed) model, picks the
-lowest-energy sample, and remaps the model so that sample becomes the all-zeros
-attractor of the next round. Under amplitude damping the sampler drifts toward
-the attractor, so the remapping steers noise toward ever better solutions.
+Each iteration draws shots in the current gauge frame, picks the lowest-energy
+sample, and remaps the frame so that sample becomes the all-zeros attractor of
+the next round. Under amplitude damping the sampler drifts toward the attractor,
+so the remapping steers noise toward ever better solutions. The frame is one
+cumulative bit mask m, and frame bits x score as energy(model0, x ^ m).
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import DampingSpec, QaoaParams, build_qaoa_circuit, build_random_circuit
-from .ising import (IsingModel, apply_mask, compose_masks, energies, energy,
-                    gauge_transform)
+from .ising import IsingModel, energies, energy
 from .simulator import apply_decay, sample, simulate
 
 KIND_QAOA = "qaoa"
@@ -88,10 +88,11 @@ class NdarConfig:
 class IterationRecord:
     """Outcome of one iteration, expressed in the frame that was sampled.
 
-    best_energy is exactly energy(sampled model, best_bits); cumulative_mask is
-    the XOR of all accepted bitstrings up to and including this iteration, which
-    is also the best bitstring of this iteration written in the original frame.
-    attractor_energy is the energy of all-zeros under the sampled model.
+    best_bits is the winning sample in the sampled frame; cumulative_mask is the
+    XOR of all accepted bitstrings up to and including this iteration, which is
+    also best_bits written in the original frame, and best_energy is exactly
+    energy(model0, cumulative_mask). attractor_energy is the energy of the sampled
+    frame's all-zeros string, i.e. energy(model0, previous cumulative mask).
     """
 
     iter_index: int
@@ -124,11 +125,6 @@ def classical_bernoulli_sample(n: int, q: float, shots: int, seed: int) -> np.nd
     return (u >= q).astype(np.uint8)
 
 
-def map_to_original_frame(x, mask) -> np.ndarray:
-    """Express a bitstring sampled in a gauge frame in the original frame (XOR the mask)."""
-    return apply_mask(mask, x)
-
-
 def _select_best(X: np.ndarray, E: np.ndarray) -> int:
     """Index of the minimum-energy row; ties prefer lower Hamming weight, then lexicographic."""
     cand = np.flatnonzero(E == E.min())
@@ -142,20 +138,26 @@ def _select_best(X: np.ndarray, E: np.ndarray) -> int:
     return int(cand[0])
 
 
-def _draw_samples(model: IsingModel, sampler: SamplerSpec, config: NdarConfig,
-                  iter_index: int, state_cache: dict) -> np.ndarray:
+def _draw_samples(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig,
+                  iter_index: int, mask: np.ndarray, state_cache: dict) -> np.ndarray:
+    """Shots drawn in the frame given by `mask`, as frame bits."""
     seed_sample = derive_seed(config.master_seed, _STREAM_SAMPLE, iter_index)
     if sampler.kind == KIND_CLASSICAL_BERNOULLI:
-        return classical_bernoulli_sample(model.n, sampler.q, config.shots, seed_sample)
+        return classical_bernoulli_sample(model0.n, sampler.q, config.shots, seed_sample)
     if sampler.kind == KIND_QAOA:
-        state = simulate(build_qaoa_circuit(model, sampler.params))
+        if not state_cache:
+            state_cache[0] = simulate(build_qaoa_circuit(model0, sampler.params))
+        # the frame-m QAOA state is the model0 state with its indices XORed by m
+        psi = state_cache[0]
+        m = int(mask.astype(np.int64) @ (1 << np.arange(model0.n, dtype=np.int64)))
+        state = psi[np.arange(psi.size) ^ m]
     else:
         # the random circuit encodes no Hamiltonian, so its state is reusable
         key = iter_index if sampler.fresh_circuit else 0
         if key not in state_cache:
             circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, key)
             state_cache.clear()
-            state_cache[key] = simulate(build_random_circuit(model.n, sampler.depth, circuit_seed))
+            state_cache[key] = simulate(build_random_circuit(model0.n, sampler.depth, circuit_seed))
         state = state_cache[key]
     X = sample(state, config.shots, seed_sample)
     gamma = sampler.damping.gamma_damp
@@ -167,29 +169,27 @@ def _draw_samples(model: IsingModel, sampler: SamplerSpec, config: NdarConfig,
 def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> NdarResult:
     """Run the adaptive remapping loop and return the per-iteration trace.
 
-    Per iteration: draw shots from the current model (QAOA rebuilds its cost
-    layers from the current model with fixed angles; the random circuit is drawn
-    once per run unless fresh_circuit is set), apply the damping channel for
-    circuit samplers, pick the best sample, record it, then gauge-transform the
-    model by that sample so it becomes the next all-zeros attractor. Stops early
-    only when `patience` consecutive iterations fail to improve the overall best.
+    Per iteration: draw shots in the current frame (QAOA simulates its circuit
+    for model0 once and permutes the state into the frame; the random circuit is
+    drawn once per run unless fresh_circuit is set), apply the damping channel
+    for circuit samplers, score the shots as energies(model0, X ^ mask), pick the
+    best sample, record it, then XOR it into the mask so it becomes the next
+    all-zeros attractor. Stops early only when `patience` consecutive iterations
+    fail to improve the overall best.
     """
-    model = model0
     n = model0.n
     mask = np.zeros(n, dtype=np.uint8)
-    zeros = np.zeros(n, dtype=np.uint8)
     state_cache: dict = {}
     records: list[IterationRecord] = []
     best_overall = np.inf
-    best_original = zeros
     stall = 0
     for j in range(config.max_iters):
-        X = _draw_samples(model, sampler, config, j, state_cache)
-        E = energies(model, X)
+        X = _draw_samples(model0, sampler, config, j, mask, state_cache)
+        E = energies(model0, X ^ mask)
         y_best = X[_select_best(X, E)].copy()
+        new_mask = y_best ^ mask
         # recompute through the scalar path so the stored value matches energy() exactly
-        e_best = energy(model, y_best)
-        new_mask = compose_masks(mask, y_best)
+        e_best = energy(model0, new_mask)
         energy_hist = None
         hamming_hist = None
         if config.record_distributions:
@@ -202,17 +202,16 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
             best_energy=e_best,
             best_cut=-e_best,
             cumulative_mask=new_mask,
-            attractor_energy=energy(model, zeros),
+            attractor_energy=energy(model0, mask),
             energy_histogram=energy_hist,
             hamming_histogram=hamming_hist,
         ))
         if e_best < best_overall:
             best_overall = e_best
-            best_original = map_to_original_frame(y_best, mask)
+            best_original = new_mask
             stall = 0
         else:
             stall += 1
-        model = gauge_transform(model, y_best)
         mask = new_mask
         if config.patience is not None and stall >= config.patience:
             break

@@ -187,6 +187,12 @@ def load_instance(config: ExperimentConfig) -> MaxCutInstance:
     return gen_weighted_dense(config.n, config.instance_seed)
 
 
+def sa_config(config: ExperimentConfig) -> SaConfig:
+    """Annealer settings; an unset sa.seed derives from ndar.seed, so all commands agree."""
+    seed = config.sa_seed if config.sa_seed is not None else derive_seed(config.seed, _STREAM_SA, 0)
+    return SaConfig(config.sa_reads, config.sa_sweeps, config.sa_beta_min, config.sa_beta_max, seed)
+
+
 def build_sampler(config: ExperimentConfig, model) -> SamplerSpec:
     """Assemble the sampler; QAOA angles fall back to a grid search on the original model."""
     damping = DampingSpec(config.t_delay, config.t1)
@@ -278,9 +284,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
     graph = load_instance(config)
     model = maxcut_to_ising(graph)
 
-    sa_seed = config.sa_seed if config.sa_seed is not None else derive_seed(config.seed, _STREAM_SA, 0)
-    sa_cfg = SaConfig(config.sa_reads, config.sa_sweeps, config.sa_beta_min,
-                      config.sa_beta_max, sa_seed)
+    sa_cfg = sa_config(config)
     _, sa_energy = sa_solve(model, sa_cfg)
     sa_cut = -sa_energy
 

@@ -88,6 +88,12 @@ def _canonical_triples(triples, n: int, what: str) -> tuple[tuple[int, int, floa
     return tuple(out)
 
 
+def _triple_arrays(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical (i, j, value) triples as int64 index arrays and a float64 value array."""
+    t = np.array(triples, dtype=np.float64).reshape(-1, 3)
+    return t[:, 0].astype(np.int64), t[:, 1].astype(np.int64), t[:, 2].copy()
+
+
 @dataclass(frozen=True)
 class IsingModel:
     """Cost model offset + sum_i h[i] s_i + sum_{i<j} J_ij s_i s_j with s_i = 1 - 2 x_i.
@@ -121,13 +127,7 @@ class IsingModel:
 
     @functools.cached_property
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.couplings:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), np.zeros(0, dtype=np.float64)
-        ci = np.array([c[0] for c in self.couplings], dtype=np.int64)
-        cj = np.array([c[1] for c in self.couplings], dtype=np.int64)
-        cw = np.array([c[2] for c in self.couplings], dtype=np.float64)
-        return ci, cj, cw
+        return _triple_arrays(self.couplings)
 
     @functools.cached_property
     def coupling_matrix(self) -> np.ndarray:
@@ -178,17 +178,10 @@ def gauge_transform(model: IsingModel, y) -> IsingModel:
 
 
 def apply_mask(y, x) -> np.ndarray:
-    """XOR a bit-flip mask into a bitstring; involution: applying y twice is the identity."""
+    """XOR a bit-flip mask into a bitstring (or compose two masks); applying y twice is a no-op."""
     yb = as_bits(y)
     xb = as_bits(x, yb.size)
     return np.bitwise_xor(yb, xb)
-
-
-def compose_masks(a, b) -> np.ndarray:
-    """Compose two bit-flip masks (XOR); associative, commutative, all-zeros identity."""
-    ab = as_bits(a)
-    bb = as_bits(b, ab.size)
-    return np.bitwise_xor(ab, bb)
 
 
 def hamming_weight(x) -> int:
@@ -210,13 +203,7 @@ class MaxCutInstance:
 
     @functools.cached_property
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.edges:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), np.zeros(0, dtype=np.float64)
-        ei = np.array([e[0] for e in self.edges], dtype=np.int64)
-        ej = np.array([e[1] for e in self.edges], dtype=np.int64)
-        ew = np.array([e[2] for e in self.edges], dtype=np.float64)
-        return ei, ej, ew
+        return _triple_arrays(self.edges)
 
 
 def cut_value(g: MaxCutInstance, x) -> float:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from ndar import (DampingSpec, NdarConfig, QaoaParams, SamplerSpec, brute_force_best,
-                  classical_bernoulli_sample, compose_masks, derive_seed, energy,
-                  gen_unweighted, map_to_original_frame, maxcut_to_ising, run_ndar)
-from ndar.engine import _select_best
+from ndar import (DampingSpec, NdarConfig, QaoaParams, SamplerSpec, apply_decay, apply_mask,
+                  brute_force_best, build_qaoa_circuit, classical_bernoulli_sample, derive_seed,
+                  energies, energy, gauge_transform, gen_unweighted, gen_weighted_dense,
+                  maxcut_to_ising, run_ndar, sample, simulate)
+from ndar.engine import _STREAM_DECAY, _STREAM_SAMPLE, _select_best
 
 Q95 = SamplerSpec("classical-bernoulli", q=0.95)
 
@@ -38,7 +39,6 @@ def test_classical_bernoulli_sample_properties():
 
 def test_bernoulli_matches_decayed_all_ones_distribution():
     # suppressing each bit with prob q is the same channel as full decay with gamma = q
-    from ndar import apply_decay
     n, shots, q = 4, 100000, 0.6
     probs = np.array([q ** (n - bin(z).count("1")) * (1 - q) ** bin(z).count("1")
                       for z in range(1 << n)])
@@ -94,7 +94,7 @@ def test_trace_invariants_hold_exactly():
     for j, rec in enumerate(result.trace):
         assert rec.iter_index == j
         assert rec.best_cut == -rec.best_energy
-        mask = compose_masks(mask, rec.best_bits)
+        mask = apply_mask(mask, rec.best_bits)
         assert np.array_equal(rec.cumulative_mask, mask)
         # the cumulative mask is the accepted bitstring in the original frame
         assert energy(model0, rec.cumulative_mask) == rec.best_energy
@@ -137,11 +137,12 @@ def test_reaches_optimum_on_small_instances():
 
 
 def test_map_to_original_frame_round_trip():
+    # the map from frame bits to the original frame is the XOR with the cumulative mask
     rng = np.random.default_rng(9)
     x, mask = rng.integers(0, 2, 12).astype(np.uint8), rng.integers(0, 2, 12).astype(np.uint8)
-    y = map_to_original_frame(x, mask)
+    y = apply_mask(mask, x)
     assert np.array_equal(y, np.bitwise_xor(x, mask))
-    assert np.array_equal(map_to_original_frame(y, mask), x)
+    assert np.array_equal(apply_mask(mask, y), x)
 
 
 def test_run_is_deterministic_in_master_seed():
@@ -190,3 +191,62 @@ def test_random_circuit_sampler_fresh_flag_changes_draws():
     assert diffs >= 1
     for rec in reused.trace:
         assert energy(model0, rec.cumulative_mask) == rec.best_energy
+
+
+def reference_ndar(model0, sampler, config):
+    """Test oracle: the loop that gauge-transforms the model each iteration and scores there.
+
+    QAOA simulates the circuit of each transformed model. Returns one (iter_index,
+    best_bits, best_energy, cumulative_mask, attractor_energy, energy_histogram,
+    hamming_histogram) tuple per iteration.
+    """
+    n = model0.n
+    model, mask, zeros = model0, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+    trace = []
+    for j in range(config.max_iters):
+        seed = derive_seed(config.master_seed, _STREAM_SAMPLE, j)
+        if sampler.kind == "qaoa":
+            X = sample(simulate(build_qaoa_circuit(model, sampler.params)), config.shots, seed)
+            X = apply_decay(X, sampler.damping.gamma_damp,
+                            derive_seed(config.master_seed, _STREAM_DECAY, j))
+        else:
+            X = classical_bernoulli_sample(n, sampler.q, config.shots, seed)
+        E = energies(model, X)
+        y = X[_select_best(X, E)].copy()
+        mask = apply_mask(mask, y)
+        vals, counts = np.unique(E, return_counts=True)
+        trace.append((j, y, energy(model, y), mask, energy(model, zeros),
+                      tuple(zip(vals.tolist(), counts.tolist())),
+                      tuple(np.bincount(X.sum(axis=1), minlength=n + 1).tolist())))
+        model = gauge_transform(model, y)
+    return trace
+
+
+def assert_matches_reference(model0, sampler, cfg):
+    result = run_ndar(model0, sampler, cfg)
+    expected = reference_ndar(model0, sampler, cfg)
+    assert len(result.trace) == len(expected)
+    for rec, (j, y, e, mask, e_attr, e_hist, w_hist) in zip(result.trace, expected):
+        assert rec.iter_index == j
+        assert np.array_equal(rec.best_bits, y)
+        assert rec.best_energy == e and rec.best_cut == -e
+        assert np.array_equal(rec.cumulative_mask, mask)
+        assert rec.attractor_energy == e_attr
+        assert rec.energy_histogram == e_hist
+        assert rec.hamming_histogram == w_hist
+    assert np.array_equal(result.final_mask, expected[-1][3])
+    assert result.best_energy_overall == min(t[2] for t in expected)
+
+
+def test_mask_loop_matches_gauge_transform_loop_dense_300():
+    # n = 300 with thousands of shots takes the blocked BLAS path in energies
+    model0 = maxcut_to_ising(gen_weighted_dense(300, seed=5))
+    cfg = NdarConfig(shots=3000, max_iters=4, master_seed=11, record_distributions=True)
+    assert_matches_reference(model0, Q95, cfg)
+
+
+def test_mask_loop_matches_gauge_transform_loop_qaoa():
+    sampler = SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)),
+                          damping=DampingSpec(100.0, 180.0))
+    cfg = NdarConfig(shots=400, max_iters=6, master_seed=12, record_distributions=True)
+    assert_matches_reference(small_model(10, 0.6, seed=7), sampler, cfg)

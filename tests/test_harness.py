@@ -289,6 +289,35 @@ sampler.grid_steps = 4
     assert "best gamma" in capsys.readouterr().out
 
 
+WEAK_SA = """\
+instance.family = weighted-dense
+instance.n = 40
+instance.seed = 2
+sampler.kind = classical-bernoulli
+sampler.q = 0.9
+ndar.shots = 20
+ndar.iters = 1
+runs = 1
+sa.reads = 1
+sa.sweeps = 2
+"""
+
+
+def test_cli_sa_baseline_reports_the_run_e_sa(tmp_path, capsys):
+    # a weak annealer makes E_SA depend on its seed, so a seed mismatch between commands shows
+    path = write_config(tmp_path, WEAK_SA)
+    cuts = set()
+    for k, extra in enumerate(([], ["--seed", "3"], ["--seed", "4"])):
+        out = tmp_path / f"run{k}"
+        assert main(["run", "--config", str(path), "--out", str(out), *extra]) == 0
+        capsys.readouterr()
+        meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+        assert main(["sa-baseline", "--config", str(path), *extra]) == 0
+        assert f"E_SA cut = {meta['e_sa_cut']} (" in capsys.readouterr().out
+        cuts.add(meta["e_sa_cut"])
+    assert len(cuts) == 3  # --seed reaches the annealer
+
+
 def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2
     assert "config error" in capsys.readouterr().err
