@@ -20,8 +20,8 @@ from .ising import (BRUTE_FORCE_CAP, IsingModel, MaxCutInstance, all_bitstrings,
                     as_bits, bits_to_str, brute_force_best, cut_value, edge_density, energies,
                     energy, gauge_transform, gen_unweighted, gen_weighted_dense, hamming_weight,
                     maxcut_to_ising, read_instance, write_instance)
-from .simulator import (DENSITY_MATRIX_CAP, apply_decay, density_matrix_reference,
-                        optimize_params, qaoa_expectation, sample, simulate)
+from .simulator import (DENSITY_MATRIX_CAP, apply_decay, density_matrix_reference, grid_scan,
+                        optimize_params, qaoa_expectation, qaoa_state, sample, simulate)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "bits_to_str", "brute_force_best", "build_qaoa_circuit", "build_random_circuit",
     "classical_bernoulli_sample", "cut_value", "damping_gamma", "density_matrix_reference",
     "derive_seed", "edge_density", "energies", "energy", "gauge_transform", "gen_unweighted",
-    "gen_weighted_dense", "hamming_weight", "maxcut_to_ising", "optimize_params",
-    "params_search", "qaoa_expectation", "read_instance", "report", "run_experiment",
+    "gen_weighted_dense", "grid_scan", "hamming_weight", "maxcut_to_ising", "optimize_params",
+    "params_search", "qaoa_expectation", "qaoa_state", "read_instance", "report", "run_experiment",
     "run_ndar", "sa_solve", "sample", "simulate", "write_instance",
 ]

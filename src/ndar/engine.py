@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import DampingSpec, QaoaParams, build_qaoa_circuit, build_random_circuit
+from .circuits import DampingSpec, QaoaParams, build_random_circuit
 from .ising import IsingModel, energies, energy
-from .simulator import apply_decay, sample, simulate
+from .simulator import apply_decay, qaoa_state, sample, simulate
 
 KIND_QAOA = "qaoa"
 KIND_RANDOM_CIRCUIT = "random-circuit"
@@ -146,7 +146,7 @@ def _draw_samples(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig,
         return classical_bernoulli_sample(model0.n, sampler.q, config.shots, seed_sample)
     if sampler.kind == KIND_QAOA:
         if not state_cache:
-            state_cache[0] = simulate(build_qaoa_circuit(model0, sampler.params))
+            state_cache[0] = qaoa_state(model0, sampler.params)
         # the frame-m QAOA state is the model0 state with its indices XORed by m
         psi = state_cache[0]
         m = int(mask.astype(np.int64) @ (1 << np.arange(model0.n, dtype=np.int64)))
@@ -169,8 +169,8 @@ def _draw_samples(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig,
 def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> NdarResult:
     """Run the adaptive remapping loop and return the per-iteration trace.
 
-    Per iteration: draw shots in the current frame (QAOA simulates its circuit
-    for model0 once and permutes the state into the frame; the random circuit is
+    Per iteration: draw shots in the current frame (QAOA builds the model0 state
+    once from its cost diagonal and permutes it into the frame; the random circuit is
     drawn once per run unless fresh_circuit is set), apply the damping channel
     for circuit samplers, score the shots as energies(model0, X ^ mask), pick the
     best sample, record it, then XOR it into the mask so it becomes the next

@@ -5,6 +5,8 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,13 +14,13 @@ import numpy as np
 
 from . import svgplot
 from .annealing import SaConfig, sa_solve
-from .circuits import DampingSpec, QaoaParams
+from .circuits import DEFAULT_QUBIT_CAP, DampingSpec, QaoaParams
 from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT,
                      NdarConfig, NdarResult, SamplerSpec, derive_seed, run_ndar)
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 from .ising import (BRUTE_FORCE_CAP, MaxCutInstance, brute_force_best, edge_density,
                     gen_unweighted, gen_weighted_dense, maxcut_to_ising, read_instance)
-from .simulator import qaoa_expectation
+from .simulator import grid_scan
 
 FAMILY_UNWEIGHTED = "unweighted-sparse"
 FAMILY_WEIGHTED = "weighted-dense"
@@ -194,10 +196,16 @@ def sa_config(config: ExperimentConfig) -> SaConfig:
 
 
 def build_sampler(config: ExperimentConfig, model) -> SamplerSpec:
-    """Assemble the sampler; QAOA angles fall back to a grid search on the original model."""
+    """Assemble the sampler; QAOA angles fall back to a grid search on the original model.
+
+    Circuit samplers refuse models beyond the qubit cap here, before any statevector exists.
+    """
     damping = DampingSpec(config.t_delay, config.t1)
     if config.sampler_kind == KIND_CLASSICAL_BERNOULLI:
         return SamplerSpec(KIND_CLASSICAL_BERNOULLI, q=config.q, damping=damping)
+    if model.n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"{config.sampler_kind} sampler simulates n <= {DEFAULT_QUBIT_CAP} "
+                                 f"qubits, got n = {model.n}")
     if config.sampler_kind == KIND_RANDOM_CIRCUIT:
         return SamplerSpec(KIND_RANDOM_CIRCUIT, depth=config.depth, damping=damping,
                            fresh_circuit=config.fresh_circuit)
@@ -209,21 +217,11 @@ def build_sampler(config: ExperimentConfig, model) -> SamplerSpec:
 
 
 def grid_search(model, config: ExperimentConfig):
-    """Scan the (gamma, beta) grid; returns (best params, best value, landscape rows)."""
+    """The configured grid_scan; returns (best params, best value, landscape rows)."""
     if config.grid_steps < 1:
         raise ConfigError("empty parameter grid: sampler.grid_steps must be >= 1")
-    rows = []
-    best_val = math.inf
-    best = None
-    for gamma in np.linspace(config.gamma_min, config.gamma_max, config.grid_steps):
-        for beta in np.linspace(config.beta_min, config.beta_max, config.grid_steps):
-            params = QaoaParams((float(gamma),), (float(beta),))
-            val = qaoa_expectation(model, params)
-            rows.append((float(gamma), float(beta), val))
-            if val < best_val:
-                best_val = val
-                best = params
-    return best, best_val, rows
+    return grid_scan(model, (config.gamma_min, config.gamma_max),
+                     (config.beta_min, config.beta_max), config.grid_steps)
 
 
 @dataclass(frozen=True)
@@ -269,45 +267,13 @@ def _write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> dict:
-    """Run the full experiment and write its output files; returns a summary dict.
-
-    Output layout: trajectory.csv (one AggregateRow per iteration), runs/run_XXX.csv
-    per-run traces, meta.txt (instance, sampler, and baseline facts), and when
-    distribution recording is on, cost_dist.csv and hamming_dist.csv holding the
-    first- and last-iteration histograms of every run. Files are byte-identical
-    across re-executions and thread counts.
-    """
-    out = Path(out_dir if out_dir is not None else (config.output_dir or ""))
-    if str(out) in ("", "."):
-        raise ConfigError("no output directory: set output_dir or pass --out")
-    graph = load_instance(config)
-    model = maxcut_to_ising(graph)
-
-    sa_cfg = sa_config(config)
-    _, sa_energy = sa_solve(model, sa_cfg)
-    sa_cut = -sa_energy
-
-    bf_energy = None
-    if model.n <= BRUTE_FORCE_CAP:
-        _, bf_energy = brute_force_best(model)
-
-    sampler = build_sampler(config, model)
-    ndar_cfgs = [NdarConfig(config.shots, config.iters, derive_seed(config.seed, _STREAM_RUN, r),
-                            config.record_distributions, config.patience)
-                 for r in range(config.runs)]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: run_ndar(model, sampler, c), ndar_cfgs))
-    else:
-        results = [run_ndar(model, sampler, c) for c in ndar_cfgs]
-
-    rows = aggregate(results, sa_cut)
-
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "runs").mkdir(exist_ok=True)
+def _write_outputs(d: Path, config: ExperimentConfig, graph: MaxCutInstance,
+                   sampler: SamplerSpec, sa_cfg: SaConfig, sa_energy: float, bf_energy,
+                   rows: list[AggregateRow], results: list[NdarResult]) -> None:
+    """Write every output file of a run into directory d, meta.txt last."""
+    (d / "runs").mkdir()
     header = "iter_index,mean_best_cut,sem_best_cut,mean_ratio,sem_ratio,mean_cumulative_ratio"
-    _write_lines(out / "trajectory.csv", [header] + [
+    _write_lines(d / "trajectory.csv", [header] + [
         ",".join([str(r.iter_index)] + [_fmt(v) for v in (
             r.mean_best_cut, r.sem_best_cut, r.mean_ratio, r.sem_ratio, r.mean_cumulative_ratio)])
         for r in rows])
@@ -321,7 +287,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
                 str(rec.iter_index), _fmt(rec.best_cut), _fmt(rec.best_energy),
                 _fmt(best_so_far), _fmt(rec.attractor_energy),
                 str(int(rec.best_bits.sum()))]))
-        _write_lines(out / "runs" / f"run_{r:03d}.csv", lines)
+        _write_lines(d / "runs" / f"run_{r:03d}.csv", lines)
 
     if config.record_distributions:
         cost_lines = ["run_index,iter_index,energy,count"]
@@ -334,8 +300,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
                 for w, c in enumerate(rec.hamming_histogram):
                     if c:
                         ham_lines.append(f"{r},{rec.iter_index},{w},{c}")
-        _write_lines(out / "cost_dist.csv", cost_lines)
-        _write_lines(out / "hamming_dist.csv", ham_lines)
+        _write_lines(d / "cost_dist.csv", cost_lines)
+        _write_lines(d / "hamming_dist.csv", ham_lines)
 
     meta = [
         ("instance", config.instance_file or config.family),
@@ -360,12 +326,72 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
         ("sa.beta_min", sa_cfg.beta_min),
         ("sa.beta_max", sa_cfg.beta_max),
         ("sa.seed", sa_cfg.seed),
-        ("e_sa_cut", sa_cut),
+        ("e_sa_cut", -sa_energy),
         ("e_sa_energy", sa_energy),
         ("brute_force_energy", "-" if bf_energy is None else bf_energy),
         ("brute_force_cut", "-" if bf_energy is None else -bf_energy),
     ]
-    _write_lines(out / "meta.txt", [f"{k} = {_fmt(v)}" for k, v in meta])
+    _write_lines(d / "meta.txt", [f"{k} = {_fmt(v)}" for k, v in meta])
+
+
+def _publish(tmp: Path, out: Path) -> None:
+    """Move a finished run directory to `out`; into an existing `out`, meta.txt moves last."""
+    if not out.exists():
+        os.rename(tmp, out)
+        return
+    (out / "meta.txt").unlink(missing_ok=True)
+    (out / "runs").mkdir(exist_ok=True)
+    for path in sorted(tmp.rglob("*"), key=lambda p: p.name == "meta.txt"):
+        if path.is_file():
+            os.replace(path, out / path.relative_to(tmp))
+
+
+def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> dict:
+    """Run the full experiment and write its output files; returns a summary dict.
+
+    Output layout: trajectory.csv (one AggregateRow per iteration), runs/run_XXX.csv
+    per-run traces, meta.txt (instance, sampler, and baseline facts), and when
+    distribution recording is on, cost_dist.csv and hamming_dist.csv holding the
+    first- and last-iteration histograms of every run. Files are byte-identical
+    across re-executions and thread counts. A run that fails leaves `out` as it was.
+    """
+    out = Path(out_dir if out_dir is not None else (config.output_dir or ""))
+    if str(out) in ("", "."):
+        raise ConfigError("no output directory: set output_dir or pass --out")
+    graph = load_instance(config)
+    model = maxcut_to_ising(graph)
+
+    # the sampler comes first so an over-cap circuit fails before the baselines run
+    sampler = build_sampler(config, model)
+
+    sa_cfg = sa_config(config)
+    _, sa_energy = sa_solve(model, sa_cfg)
+    sa_cut = -sa_energy
+
+    bf_energy = None
+    if model.n <= BRUTE_FORCE_CAP:
+        _, bf_energy = brute_force_best(model)
+
+    ndar_cfgs = [NdarConfig(config.shots, config.iters, derive_seed(config.seed, _STREAM_RUN, r),
+                            config.record_distributions, config.patience)
+                 for r in range(config.runs)]
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda c: run_ndar(model, sampler, c), ndar_cfgs))
+    else:
+        results = [run_ndar(model, sampler, c) for c in ndar_cfgs]
+
+    rows = aggregate(results, sa_cut)
+
+    # a crash must not leave a directory that looks like a result, so files go to a
+    # hidden sibling that moves to `out` only once meta.txt is written
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", suffix=".partial", dir=out.parent))
+    try:
+        _write_outputs(tmp, config, graph, sampler, sa_cfg, sa_energy, bf_energy, rows, results)
+        _publish(tmp, out)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
     final = rows[-1]
     return {

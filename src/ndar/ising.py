@@ -57,12 +57,28 @@ def all_bitstrings(n: int) -> np.ndarray:
 
     Index convention is little-endian: bit i of row k equals (k >> i) & 1.
     """
+    _check_enumerable(n)
+    return _index_bits(np.arange(1 << n, dtype=np.int64), n)
+
+
+def _check_enumerable(n: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > BRUTE_FORCE_CAP:
         raise ResourceLimitError(f"refusing to enumerate 2^{n} bitstrings (cap {BRUTE_FORCE_CAP})")
-    idx = np.arange(1 << n, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
+def _index_bits(idx: np.ndarray, n: int) -> np.ndarray:
+    """Rows of little-endian bits for the given indices: bit i of row k is (idx[k] >> i) & 1."""
+    return ((idx[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
+
+
+def _energy_chunks(model: IsingModel):
+    """Yield (start, bits, energies) for consecutive _ENUM_CHUNK-row blocks of all 2^n bitstrings."""
+    total = 1 << model.n
+    for start in range(0, total, _ENUM_CHUNK):
+        X = _index_bits(np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64), model.n)
+        yield start, X, energies(model, X)
 
 
 def _canonical_triples(triples, n: int, what: str) -> tuple[tuple[int, int, float], ...]:
@@ -137,6 +153,15 @@ class IsingModel:
         m[ci, cj] = cw
         m[cj, ci] = cw
         return m
+
+    @functools.cached_property
+    def cost_diagonal(self) -> np.ndarray:
+        """Energies of all 2^n bitstrings (offset included), indexed like a statevector."""
+        _check_enumerable(self.n)
+        diag = np.empty(1 << self.n, dtype=np.float64)
+        for start, _, E in _energy_chunks(self):
+            diag[start:start + E.size] = E
+        return diag
 
 
 def energy(model: IsingModel, x) -> float:
@@ -263,22 +288,16 @@ def brute_force_best(model: IsingModel) -> tuple[np.ndarray, float]:
     Lexicographic order treats bit 0 as the most significant position. Refuses n
     beyond the enumeration cap.
     """
-    if model.n > BRUTE_FORCE_CAP:
-        raise ResourceLimitError(f"brute force capped at n <= {BRUTE_FORCE_CAP}, got n = {model.n}")
     n = model.n
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.int64)
+    if n > BRUTE_FORCE_CAP:
+        raise ResourceLimitError(f"brute force capped at n <= {BRUTE_FORCE_CAP}, got n = {n}")
     # key for lexicographic comparison: bit 0 weighted highest
-    lexw = 1 << (n - 1 - shifts)
+    lexw = 1 << (n - 1 - np.arange(n, dtype=np.int64))
     best_e = np.inf
     best_key = None
     best_idx = 0
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        X = ((idx[:, None] >> shifts) & 1).astype(np.uint8)
-        E = energies(model, X)
-        k = int(np.argmin(E))
-        emin = E[k]
+    for start, X, E in _energy_chunks(model):
+        emin = E.min()
         if emin > best_e:
             continue
         cand = np.flatnonzero(E == emin)
@@ -287,8 +306,8 @@ def brute_force_best(model: IsingModel) -> tuple[np.ndarray, float]:
         if emin < best_e or keys[kk] < best_key:
             best_e = emin
             best_key = int(keys[kk])
-            best_idx = int(idx[cand[kk]])
-    bits = ((np.int64(best_idx) >> shifts) & 1).astype(np.uint8)
+            best_idx = start + int(cand[kk])
+    bits = _index_bits(np.array([best_idx], dtype=np.int64), n)[0]
     return bits, energy(model, bits)
 
 

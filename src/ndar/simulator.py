@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from .circuits import DEFAULT_QUBIT_CAP, Circuit, DampingSpec, QaoaParams, build_qaoa_circuit
+from .circuits import DEFAULT_QUBIT_CAP, Circuit, QaoaParams
 from .errors import ResourceLimitError
-from .ising import IsingModel, all_bitstrings, energies
+from .ising import IsingModel
 
 DENSITY_MATRIX_CAP = 6
 
@@ -151,12 +151,63 @@ def _embed_one_qubit(u: np.ndarray, q: int, n: int) -> np.ndarray:
     return np.kron(left, np.kron(u, right))
 
 
+def qaoa_state(model: IsingModel, params: QaoaParams,
+               qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+    """QAOA statevector from the model's cost diagonal; equals simulate(build_qaoa_circuit(...)).
+
+    Each layer multiplies by exp(i gamma (E(x) - offset)), the phase the circuit's
+    RZ/RZZ gates apply, then rotates every qubit by RX(2 beta) = cos(beta) I -
+    i sin(beta) X in place on a (-1, 2, 2^q) view of the state.
+    """
+    n = model.n
+    if n > qubit_cap:
+        raise ResourceLimitError(f"QAOA state needs n <= {qubit_cap}, got n = {n}")
+    shifted = model.cost_diagonal - model.offset
+    psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=np.complex128)
+    for gamma, beta in zip(params.gammas, params.betas):
+        psi *= np.exp(1j * gamma * shifted)
+        c, s = math.cos(beta), -1j * math.sin(beta)
+        for q in range(n):
+            v = psi.reshape(-1, 2, 1 << q)
+            a, b = v[:, 0, :], v[:, 1, :]
+            sb = s * b
+            b *= c
+            b += s * a
+            a *= c
+            a += sb
+    return psi
+
+
 def qaoa_expectation(model: IsingModel, params: QaoaParams,
                      qubit_cap: int = DEFAULT_QUBIT_CAP) -> float:
     """Exact mean energy of the QAOA output distribution (offset included)."""
-    psi = simulate(build_qaoa_circuit(model, params, qubit_cap), qubit_cap)
-    p = np.abs(psi) ** 2
-    return float(p @ energies(model, all_bitstrings(model.n)))
+    psi = qaoa_state(model, params, qubit_cap)
+    return float((psi.real ** 2 + psi.imag ** 2) @ model.cost_diagonal)
+
+
+def grid_scan(model: IsingModel,
+              gamma_range: tuple[float, float] = (-math.pi / 2.0, math.pi / 2.0),
+              beta_range: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0),
+              steps: int = 20,
+              qubit_cap: int = DEFAULT_QUBIT_CAP) -> tuple[QaoaParams, float, list]:
+    """Single-layer grid scan of qaoa_expectation over steps x steps points.
+
+    Grid points are inclusive linspaces over the two ranges, scanned gamma-major.
+    Returns (best params, best value, landscape rows of (gamma, beta, value)).
+    Symmetric grids hold exact ties (every gamma = 0 or beta = 0 point gives the
+    uniform distribution), so the best point is the first in scan order within
+    1e-12 * max(1, |min|) of the minimum, a choice rounding noise cannot flip.
+    """
+    if steps < 1:
+        raise ValueError("empty parameter grid: steps must be >= 1")
+    rows = [(float(g), float(b), qaoa_expectation(model, QaoaParams((float(g),), (float(b),)),
+                                                   qubit_cap))
+            for g in np.linspace(gamma_range[0], gamma_range[1], steps)
+            for b in np.linspace(beta_range[0], beta_range[1], steps)]
+    values = np.array([r[2] for r in rows])
+    lowest = values.min()
+    k = int(np.argmax(values <= lowest + 1e-12 * max(1.0, abs(lowest))))
+    return QaoaParams((rows[k][0],), (rows[k][1],)), rows[k][2], rows
 
 
 def optimize_params(model: IsingModel,
@@ -164,21 +215,5 @@ def optimize_params(model: IsingModel,
                     beta_range: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0),
                     steps: int = 20,
                     qubit_cap: int = DEFAULT_QUBIT_CAP) -> QaoaParams:
-    """Single-layer grid search minimizing qaoa_expectation over steps x steps points.
-
-    Grid points are inclusive linspaces over the two ranges; ties keep the
-    lexicographically smallest (gamma, beta), which the ascending scan with a
-    strict comparison provides for free.
-    """
-    if steps < 1:
-        raise ValueError("empty parameter grid: steps must be >= 1")
-    best_val = math.inf
-    best = None
-    for gamma in np.linspace(gamma_range[0], gamma_range[1], steps):
-        for beta in np.linspace(beta_range[0], beta_range[1], steps):
-            params = QaoaParams((float(gamma),), (float(beta),))
-            val = qaoa_expectation(model, params, qubit_cap)
-            if val < best_val:
-                best_val = val
-                best = params
-    return best
+    """Best single-layer angles of grid_scan over the same grid."""
+    return grid_scan(model, gamma_range, beta_range, steps, qubit_cap)[0]

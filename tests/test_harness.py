@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ndar import ConfigError, ExperimentConfig, aggregate, maxcut_to_ising, optimize_params
+from ndar import harness
 from ndar.cli import main
 from ndar.harness import (build_sampler, grid_search, load_instance, params_search, report,
                           resolve_threads, run_experiment)
@@ -346,6 +347,58 @@ runs = 1
     cfg_path = write_config(tmp_path, SMOKE, name="ok.cfg")
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "never")]) == 2
     monkeypatch.delenv("NDAR_THREADS")
+
+
+OVER_CAP = """\
+instance.family = unweighted-sparse
+instance.n = 23
+instance.seed = 0
+sampler.kind = qaoa
+sampler.grid_steps = 2
+ndar.shots = 10
+ndar.iters = 1
+runs = 1
+"""
+
+
+@pytest.mark.parametrize("angles", ["", "sampler.gammas = 0.4\nsampler.betas = 0.2\n"])
+def test_over_cap_qaoa_fails_before_the_baselines(tmp_path, capsys, monkeypatch, angles):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the annealer ran before the qubit cap was checked")
+
+    monkeypatch.setattr(harness, "sa_solve", forbidden)
+    monkeypatch.setattr(harness, "brute_force_best", forbidden)
+    path = write_config(tmp_path, OVER_CAP + angles)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "resource limit" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch):
+    path = write_config(tmp_path, SMOKE)
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig.from_file(path), out_dir=out)
+    before = snapshot(out)
+    write_lines = harness._write_lines
+
+    def failing_meta(target, lines):
+        if target.name == "meta.txt":
+            raise OSError("disk full")
+        write_lines(target, lines)
+
+    monkeypatch.setattr(harness, "_write_lines", failing_meta)
+    other_seed = ExperimentConfig.from_file(path, seed_override=6)
+    for target in (out, tmp_path / "fresh"):
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(other_seed, out_dir=target)
+    assert snapshot(out) == before
+    assert not (tmp_path / "fresh" / "trajectory.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "out"]
+    # a later run that succeeds replaces the earlier result in the existing directory
+    monkeypatch.setattr(harness, "_write_lines", write_lines)
+    run_experiment(other_seed, out_dir=out)
+    run_experiment(other_seed, out_dir=tmp_path / "fresh")
+    assert snapshot(out) == snapshot(tmp_path / "fresh") != before
 
 
 def test_missing_output_dir_is_config_error(tmp_path):

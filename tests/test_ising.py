@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ndar import ising
 from ndar import (IsingModel, MaxCutInstance, ResourceLimitError, all_bitstrings, apply_mask,
                   as_bits, bits_to_str, brute_force_best, cut_value, edge_density,
                   energies, energy, gauge_transform, gen_unweighted, gen_weighted_dense,
@@ -237,6 +238,28 @@ def test_brute_force_matches_slow_scan():
     assert best_e == scanned[0]
     assert tuple(best_bits) == scanned[1]
     assert energy(model, best_bits) == best_e
+
+
+def test_chunked_scans_match_one_block(monkeypatch):
+    # tiny chunks push both scans of the shared enumerator across many chunk borders
+    rng = np.random.default_rng(19)
+    models = [random_int_model(rng, 9)] + [maxcut_to_ising(gen_unweighted(9, 0.5, s))
+                                           for s in range(3)]
+    monkeypatch.setattr(ising, "_ENUM_CHUNK", 32)
+    for model in models:
+        X = all_bitstrings(9)
+        assert np.array_equal(model.cost_diagonal, energies(model, X))
+        # MaxCut models tie x with its complement in another chunk; bit 0 first decides
+        scanned = min((slow_energy(model, x), tuple(x)) for x in X)
+        bits, e = brute_force_best(model)
+        assert (e, tuple(bits)) == scanned
+
+
+def test_cost_diagonal_is_cached_and_capped():
+    model = maxcut_to_ising(gen_unweighted(6, 0.5, 1))
+    assert model.cost_diagonal is model.cost_diagonal
+    with pytest.raises(ResourceLimitError):
+        IsingModel(25, (0.0,) * 25, ()).cost_diagonal
 
 
 def test_brute_force_refuses_large_n():
