@@ -8,8 +8,8 @@ harness with deterministic CSV output.
 """
 
 from .annealing import SaConfig, sa_solve
-from .circuits import (DEFAULT_QUBIT_CAP, Circuit, DampingSpec, Gate, QaoaParams,
-                       build_qaoa_circuit, build_random_circuit, damping_gamma)
+from .circuits import (DEFAULT_QUBIT_CAP, Circuit, DampingSpec, Gate, QaoaCircuit,
+                       QaoaParams, build_qaoa_circuit, build_random_circuit, damping_gamma)
 from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT,
                      IterationRecord, NdarConfig, NdarResult, SamplerSpec,
                      classical_bernoulli_sample, derive_seed, run_ndar)
@@ -30,7 +30,7 @@ __all__ = [
     "DEFAULT_QUBIT_CAP", "DENSITY_MATRIX_CAP", "ExperimentConfig", "Gate",
     "IsingModel", "IterationRecord", "KIND_CLASSICAL_BERNOULLI", "KIND_QAOA",
     "KIND_RANDOM_CIRCUIT", "MaxCutInstance", "NdarConfig", "NdarResult",
-    "QaoaParams", "ResourceLimitError", "SaConfig", "SamplerSpec",
+    "QaoaCircuit", "QaoaParams", "ResourceLimitError", "SaConfig", "SamplerSpec",
     "aggregate", "all_bitstrings", "apply_decay", "apply_mask", "as_bits",
     "bits_to_str", "brute_force_best", "build_qaoa_circuit", "build_random_circuit",
     "classical_bernoulli_sample", "cut_value", "damping_gamma", "density_matrix_reference",

@@ -95,6 +95,21 @@ class QaoaParams:
 
 
 @dataclass(frozen=True)
+class QaoaCircuit:
+    """The circuit build_qaoa_circuit(model, params) spells out gate by gate, kept as its inputs.
+
+    simulate runs it from the model's cost diagonal, so no gate list is built.
+    """
+
+    model: IsingModel
+    params: QaoaParams
+
+    @property
+    def n(self) -> int:
+        return self.model.n
+
+
+@dataclass(frozen=True)
 class DampingSpec:
     """Amplitude damping induced by a delay of t_delay before measurement.
 

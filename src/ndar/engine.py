@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import DampingSpec, QaoaParams, build_random_circuit
+from .circuits import DampingSpec, QaoaCircuit, QaoaParams, build_random_circuit
 from .ising import IsingModel, energies, energy
-from .simulator import apply_decay, qaoa_state, sample, simulate
+from .simulator import apply_decay, sample, simulate
 
 KIND_QAOA = "qaoa"
 KIND_RANDOM_CIRCUIT = "random-circuit"
@@ -146,7 +146,7 @@ def _draw_samples(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig,
         return classical_bernoulli_sample(model0.n, sampler.q, config.shots, seed_sample)
     if sampler.kind == KIND_QAOA:
         if not state_cache:
-            state_cache[0] = qaoa_state(model0, sampler.params)
+            state_cache[0] = simulate(QaoaCircuit(model0, sampler.params))
         # the frame-m QAOA state is the model0 state with its indices XORed by m
         psi = state_cache[0]
         m = int(mask.astype(np.int64) @ (1 << np.arange(model0.n, dtype=np.int64)))

@@ -6,7 +6,6 @@ import concurrent.futures
 import math
 import os
 import shutil
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -335,7 +334,11 @@ def _write_outputs(d: Path, config: ExperimentConfig, graph: MaxCutInstance,
 
 
 def _publish(tmp: Path, out: Path) -> None:
-    """Move a finished run directory to `out`; into an existing `out`, meta.txt moves last."""
+    """Move a finished run directory to `out` in one rename.
+
+    An existing `out` keeps its other files: the new files replace the old ones one
+    by one after meta.txt is removed, and meta.txt moves in last.
+    """
     if not out.exists():
         os.rename(tmp, out)
         return
@@ -353,7 +356,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
     per-run traces, meta.txt (instance, sampler, and baseline facts), and when
     distribution recording is on, cost_dist.csv and hamming_dist.csv holding the
     first- and last-iteration histograms of every run. Files are byte-identical
-    across re-executions and thread counts. A run that fails leaves `out` as it was.
+    across re-executions and thread counts. A run that fails before its files are
+    written leaves `out` as it was; a new `out` appears whole, but writing into an
+    existing `out` is not atomic (see _publish) and keeps files the new run does not write.
     """
     out = Path(out_dir if out_dir is not None else (config.output_dir or ""))
     if str(out) in ("", "."):
@@ -386,7 +391,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
     # a crash must not leave a directory that looks like a result, so files go to a
     # hidden sibling that moves to `out` only once meta.txt is written
     out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", suffix=".partial", dir=out.parent))
+    # a plain mkdir, unlike mkdtemp's 0700, gives `out` the mode out.mkdir() would
+    tmp = out.parent / f".{out.name}.{os.urandom(8).hex()}.partial"
+    tmp.mkdir()
     try:
         _write_outputs(tmp, config, graph, sampler, sa_cfg, sa_energy, bf_energy, rows, results)
         _publish(tmp, out)

@@ -75,6 +75,7 @@ def _index_bits(idx: np.ndarray, n: int) -> np.ndarray:
 
 def _energy_chunks(model: IsingModel):
     """Yield (start, bits, energies) for consecutive _ENUM_CHUNK-row blocks of all 2^n bitstrings."""
+    _check_enumerable(model.n)
     total = 1 << model.n
     for start in range(0, total, _ENUM_CHUNK):
         X = _index_bits(np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64), model.n)
@@ -157,11 +158,7 @@ class IsingModel:
     @functools.cached_property
     def cost_diagonal(self) -> np.ndarray:
         """Energies of all 2^n bitstrings (offset included), indexed like a statevector."""
-        _check_enumerable(self.n)
-        diag = np.empty(1 << self.n, dtype=np.float64)
-        for start, _, E in _energy_chunks(self):
-            diag[start:start + E.size] = E
-        return diag
+        return np.concatenate([E for _, _, E in _energy_chunks(self)])
 
 
 def energy(model: IsingModel, x) -> float:
@@ -289,8 +286,6 @@ def brute_force_best(model: IsingModel) -> tuple[np.ndarray, float]:
     beyond the enumeration cap.
     """
     n = model.n
-    if n > BRUTE_FORCE_CAP:
-        raise ResourceLimitError(f"brute force capped at n <= {BRUTE_FORCE_CAP}, got n = {n}")
     # key for lexicographic comparison: bit 0 weighted highest
     lexw = 1 << (n - 1 - np.arange(n, dtype=np.int64))
     best_e = np.inf

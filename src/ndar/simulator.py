@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .circuits import DEFAULT_QUBIT_CAP, Circuit, QaoaParams
+from .circuits import DEFAULT_QUBIT_CAP, Circuit, QaoaCircuit, QaoaParams
 from .errors import ResourceLimitError
 from .ising import IsingModel
 
@@ -47,8 +47,13 @@ def _diag_phases(kind: str, theta: float | None) -> np.ndarray:
     raise ValueError(f"not a diagonal one-qubit gate: {kind}")
 
 
-def simulate(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    """Apply the circuit to |0...0> and return the 2^n statevector (complex128)."""
+def simulate(circuit: Circuit | QaoaCircuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+    """Apply the circuit to |0...0> and return the 2^n statevector (complex128).
+
+    A QaoaCircuit runs from its model's cost diagonal (qaoa_state); a Circuit runs gate by gate.
+    """
+    if isinstance(circuit, QaoaCircuit):
+        return qaoa_state(circuit.model, circuit.params, qubit_cap)
     n = circuit.n
     if n > qubit_cap:
         raise ResourceLimitError(f"statevector simulation capped at n <= {qubit_cap}, got {n}")
@@ -181,7 +186,7 @@ def qaoa_state(model: IsingModel, params: QaoaParams,
 def qaoa_expectation(model: IsingModel, params: QaoaParams,
                      qubit_cap: int = DEFAULT_QUBIT_CAP) -> float:
     """Exact mean energy of the QAOA output distribution (offset included)."""
-    psi = qaoa_state(model, params, qubit_cap)
+    psi = simulate(QaoaCircuit(model, params), qubit_cap)
     return float((psi.real ** 2 + psi.imag ** 2) @ model.cost_diagonal)
 
 

@@ -1,5 +1,8 @@
 """Experiment harness: config parsing, deterministic outputs, reports, CLI."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -399,6 +402,18 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch)
     run_experiment(other_seed, out_dir=out)
     run_experiment(other_seed, out_dir=tmp_path / "fresh")
     assert snapshot(out) == snapshot(tmp_path / "fresh") != before
+
+
+def test_fresh_output_directory_gets_the_mode_of_a_plain_mkdir(tmp_path):
+    path = write_config(tmp_path, SMOKE)
+    old = os.umask(0o022)
+    try:
+        run_experiment(ExperimentConfig.from_file(path), out_dir=tmp_path / "out")
+        (tmp_path / "probe").mkdir()
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "out").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "probe").stat().st_mode) == 0o755
 
 
 def test_missing_output_dir_is_config_error(tmp_path):

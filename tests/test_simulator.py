@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ndar import (Circuit, Gate, IsingModel, QaoaParams, ResourceLimitError, all_bitstrings,
-                  apply_decay, build_qaoa_circuit, build_random_circuit,
+from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLimitError,
+                  all_bitstrings, apply_decay, build_qaoa_circuit, build_random_circuit,
                   density_matrix_reference, energies, gen_unweighted, grid_scan, maxcut_to_ising,
                   optimize_params, qaoa_expectation, qaoa_state, sample, simulate)
 
@@ -325,6 +325,20 @@ def test_qaoa_state_refuses_over_cap_before_allocating():
     assert "cost_diagonal" not in model.__dict__  # no 2^n array was built
     with pytest.raises(ResourceLimitError):
         qaoa_state(IsingModel(5, (1.0,) * 5, ()), QaoaParams((0.1,), (0.2,)), qubit_cap=4)
+
+
+def test_simulate_runs_a_qaoa_circuit_from_the_cost_diagonal():
+    model = random_field_model(np.random.default_rng(45), 5)
+    params = QaoaParams((0.7, -0.3), (0.2, 0.5))
+    psi = simulate(QaoaCircuit(model, params))
+    assert np.array_equal(psi, qaoa_state(model, params))
+    assert max_err(psi, simulate(build_qaoa_circuit(model, params))) <= 1e-12
+    with pytest.raises(ResourceLimitError):
+        simulate(QaoaCircuit(model, params), qubit_cap=4)
+    big = IsingModel(23, (0.0,) * 23, ((0, 1, 1.0),))
+    with pytest.raises(ResourceLimitError):
+        simulate(QaoaCircuit(big, params))
+    assert "cost_diagonal" not in big.__dict__
 
 
 def first_minimum(values):
