@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import IsingModel, energy
+from .ising import IsingModel, energy, lex_first
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class SaConfig:
 
 
 def sa_solve(model: IsingModel, config: SaConfig = SaConfig()) -> tuple[np.ndarray, float]:
-    """Best (bitstring, energy) across all reads; ties pick the lexicographically smallest bits.
+    """Best (bitstring, energy) across all reads; ties go to ising.lex_first.
 
     Each read starts from random spins and performs sweeps of single-spin
     Metropolis updates at geometrically increasing beta. Reads are evolved in
@@ -69,10 +69,7 @@ def sa_solve(model: IsingModel, config: SaConfig = SaConfig()) -> tuple[np.ndarr
             best_e[improved] = e[improved]
             best_spins[improved] = spins[improved]
 
-    cand = np.flatnonzero(best_e == best_e.min())
-    bits = ((1.0 - best_spins[cand]) / 2.0).astype(np.uint8)
-    if cand.size > 1:
-        order = np.lexsort(bits[:, ::-1].T)
-        bits = bits[order[:1]]
-    winner = bits[0]
+    # bit i of a read is 1 where its spin i is -1
+    k = lex_first(np.flatnonzero(best_e == best_e.min()), lambda c, i: best_spins[c, i] < 0, n)
+    winner = ((1.0 - best_spins[k]) / 2.0).astype(np.uint8)
     return winner, energy(model, winner)

@@ -32,6 +32,7 @@ config file keys (flat `key = value` lines, `#` comments):
   ndar.seed                  experiment seed (default 0)
   ndar.record_distributions  write first/last iteration histograms (default true)
   ndar.patience              optional early stop after this many stalled iterations
+                             (trajectory.csv carries a stopped run's best cut forward)
   sa.reads, sa.sweeps        annealing effort (defaults 100, 1000)
   sa.beta_min, sa.beta_max   schedule bounds (defaults 0.01, 10)
   sa.seed                    annealer seed (default: derived from ndar.seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import DampingSpec, QaoaCircuit, QaoaParams, build_random_circuit
-from .ising import IsingModel, energies, energy
+from .ising import IsingModel, energies, energy, lex_first
 from .simulator import apply_decay, sample, simulate
 
 KIND_QAOA = "qaoa"
@@ -126,16 +126,12 @@ def classical_bernoulli_sample(n: int, q: float, shots: int, seed: int) -> np.nd
 
 
 def _select_best(X: np.ndarray, E: np.ndarray) -> int:
-    """Index of the minimum-energy row; ties prefer lower Hamming weight, then lexicographic."""
+    """Index of the minimum-energy row; ties prefer lower Hamming weight, then lex_first."""
     cand = np.flatnonzero(E == E.min())
     if cand.size > 1:
         weights = X[cand].sum(axis=1)
         cand = cand[weights == weights.min()]
-        if cand.size > 1:
-            # lexsort keys: last key is primary, so feed bit 0 last
-            order = np.lexsort(X[cand, ::-1].T)
-            cand = cand[order[:1]]
-    return int(cand[0])
+    return lex_first(cand, lambda c, i: X[c, i], X.shape[1])
 
 
 def _draw_samples(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig,

@@ -28,18 +28,38 @@ FAMILY_WEIGHTED = "weighted-dense"
 _STREAM_RUN = 10
 _STREAM_SA = 11
 
-_DEFAULT_GAMMA_RANGE = (-math.pi / 2.0, math.pi / 2.0)
-_DEFAULT_BETA_RANGE = (-math.pi / 4.0, math.pi / 4.0)
-
-_KNOWN_KEYS = {
-    "instance.file", "instance.family", "instance.n", "instance.density", "instance.seed",
-    "sampler.kind", "sampler.q", "sampler.depth", "sampler.fresh_circuit",
-    "sampler.gammas", "sampler.betas", "sampler.grid_steps",
-    "sampler.gamma_min", "sampler.gamma_max", "sampler.beta_min", "sampler.beta_max",
-    "sampler.t_delay", "sampler.t1",
-    "ndar.shots", "ndar.iters", "ndar.seed", "ndar.record_distributions", "ndar.patience",
-    "sa.reads", "sa.sweeps", "sa.beta_min", "sa.beta_max", "sa.seed",
-    "runs", "output_dir",
+# config key -> (ExperimentConfig field, parser); the defaults live on the dataclass
+_CONFIG_KEYS = {
+    "instance.file": ("instance_file", str),
+    "instance.family": ("family", str),
+    "instance.n": ("n", int),
+    "instance.density": ("density", float),
+    "instance.seed": ("instance_seed", int),
+    "sampler.kind": ("sampler_kind", str),
+    "sampler.q": ("q", float),
+    "sampler.depth": ("depth", int),
+    "sampler.fresh_circuit": ("fresh_circuit", bool),
+    "sampler.gammas": ("gammas", tuple),
+    "sampler.betas": ("betas", tuple),
+    "sampler.grid_steps": ("grid_steps", int),
+    "sampler.gamma_min": ("gamma_min", float),
+    "sampler.gamma_max": ("gamma_max", float),
+    "sampler.beta_min": ("beta_min", float),
+    "sampler.beta_max": ("beta_max", float),
+    "sampler.t_delay": ("t_delay", float),
+    "sampler.t1": ("t1", float),
+    "ndar.shots": ("shots", int),
+    "ndar.iters": ("iters", int),
+    "ndar.seed": ("seed", int),
+    "ndar.record_distributions": ("record_distributions", bool),
+    "ndar.patience": ("patience", int),
+    "sa.reads": ("sa_reads", int),
+    "sa.sweeps": ("sa_sweeps", int),
+    "sa.beta_min": ("sa_beta_min", float),
+    "sa.beta_max": ("sa_beta_max", float),
+    "sa.seed": ("sa_seed", int),
+    "runs": ("runs", int),
+    "output_dir": ("output_dir", str),
 }
 
 
@@ -63,7 +83,7 @@ def _parse_kv_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -71,10 +91,7 @@ def _parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-def _conv(kv, key, cast, default):
-    if key not in kv:
-        return default
-    raw = kv[key]
+def _conv(key, raw, cast):
     try:
         if cast is bool:
             low = raw.lower()
@@ -104,10 +121,10 @@ class ExperimentConfig:
     gammas: tuple[float, ...] | None = None
     betas: tuple[float, ...] | None = None
     grid_steps: int = 20
-    gamma_min: float = _DEFAULT_GAMMA_RANGE[0]
-    gamma_max: float = _DEFAULT_GAMMA_RANGE[1]
-    beta_min: float = _DEFAULT_BETA_RANGE[0]
-    beta_max: float = _DEFAULT_BETA_RANGE[1]
+    gamma_min: float = -math.pi / 2.0
+    gamma_max: float = math.pi / 2.0
+    beta_min: float = -math.pi / 4.0
+    beta_max: float = math.pi / 4.0
     t_delay: float = 0.0
     t1: float = 180.0
     shots: int = 1000
@@ -143,40 +160,15 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, seed_override: int | None = None,
                   out_override: str | None = None) -> "ExperimentConfig":
+        overrides = {"seed": seed_override, "output_dir": out_override}
         kv = _parse_kv_file(path)
-        cfg = cls(
-            instance_file=kv.get("instance.file"),
-            family=kv.get("instance.family"),
-            n=_conv(kv, "instance.n", int, None),
-            density=_conv(kv, "instance.density", float, 0.3),
-            instance_seed=_conv(kv, "instance.seed", int, 0),
-            sampler_kind=kv.get("sampler.kind", KIND_CLASSICAL_BERNOULLI),
-            q=_conv(kv, "sampler.q", float, None),
-            depth=_conv(kv, "sampler.depth", int, 2),
-            fresh_circuit=_conv(kv, "sampler.fresh_circuit", bool, False),
-            gammas=_conv(kv, "sampler.gammas", tuple, None),
-            betas=_conv(kv, "sampler.betas", tuple, None),
-            grid_steps=_conv(kv, "sampler.grid_steps", int, 20),
-            gamma_min=_conv(kv, "sampler.gamma_min", float, _DEFAULT_GAMMA_RANGE[0]),
-            gamma_max=_conv(kv, "sampler.gamma_max", float, _DEFAULT_GAMMA_RANGE[1]),
-            beta_min=_conv(kv, "sampler.beta_min", float, _DEFAULT_BETA_RANGE[0]),
-            beta_max=_conv(kv, "sampler.beta_max", float, _DEFAULT_BETA_RANGE[1]),
-            t_delay=_conv(kv, "sampler.t_delay", float, 0.0),
-            t1=_conv(kv, "sampler.t1", float, 180.0),
-            shots=_conv(kv, "ndar.shots", int, 1000),
-            iters=_conv(kv, "ndar.iters", int, 12),
-            seed=seed_override if seed_override is not None else _conv(kv, "ndar.seed", int, 0),
-            record_distributions=_conv(kv, "ndar.record_distributions", bool, True),
-            patience=_conv(kv, "ndar.patience", int, None),
-            sa_reads=_conv(kv, "sa.reads", int, 100),
-            sa_sweeps=_conv(kv, "sa.sweeps", int, 1000),
-            sa_beta_min=_conv(kv, "sa.beta_min", float, 0.01),
-            sa_beta_max=_conv(kv, "sa.beta_max", float, 10.0),
-            sa_seed=_conv(kv, "sa.seed", int, None),
-            runs=_conv(kv, "runs", int, 10),
-            output_dir=out_override if out_override is not None else kv.get("output_dir"),
-        )
-        return cfg
+        values = {}
+        for key, (field, cast) in _CONFIG_KEYS.items():
+            if overrides.get(field) is not None:
+                values[field] = overrides[field]
+            elif key in kv:
+                values[field] = _conv(key, kv[key], cast)
+        return cls(**values)
 
 
 def load_instance(config: ExperimentConfig) -> MaxCutInstance:
@@ -242,11 +234,16 @@ def _sem(values: np.ndarray) -> float:
 
 
 def aggregate(results: list[NdarResult], sa_cut: float) -> list[AggregateRow]:
-    """Fold per-run traces into per-iteration rows; ratios divide by the reference cut."""
+    """Fold per-run traces into per-iteration rows; ratios divide by the reference cut.
+
+    A run that `patience` stopped early counts with its cumulative best cut at every
+    iteration after its last, up to the length of the longest run.
+    """
     if sa_cut == 0.0:
         raise ConfigError("reference cut is zero; ratios are undefined for this instance")
-    iters = min(len(r.trace) for r in results)
-    cuts = np.array([[r.trace[j].best_cut for j in range(iters)] for r in results])
+    iters = max(len(r.trace) for r in results)
+    traces = [[rec.best_cut for rec in r.trace] for r in results]
+    cuts = np.array([c + [max(c)] * (iters - len(c)) for c in traces])
     cum = np.maximum.accumulate(cuts, axis=1)
     rows = []
     for j in range(iters):
@@ -259,6 +256,10 @@ def aggregate(results: list[NdarResult], sa_cut: float) -> list[AggregateRow]:
             mean_cumulative_ratio=float((cum[:, j] / sa_cut).mean()),
         ))
     return rows
+
+
+# the top-level files a run writes, meta.txt first so a half-replaced `out` never looks complete
+_RUN_FILES = ("meta.txt", "trajectory.csv", "cost_dist.csv", "hamming_dist.csv")
 
 
 def _write_lines(path, lines) -> None:
@@ -336,14 +337,17 @@ def _write_outputs(d: Path, config: ExperimentConfig, graph: MaxCutInstance,
 def _publish(tmp: Path, out: Path) -> None:
     """Move a finished run directory to `out` in one rename.
 
-    An existing `out` keeps its other files: the new files replace the old ones one
-    by one after meta.txt is removed, and meta.txt moves in last.
+    An existing `out` keeps the files a run does not write (e.g. landscape.csv): the
+    earlier run's files go, meta.txt first, then the new files move in, meta.txt last.
     """
     if not out.exists():
         os.rename(tmp, out)
         return
-    (out / "meta.txt").unlink(missing_ok=True)
+    for name in _RUN_FILES:
+        (out / name).unlink(missing_ok=True)
     (out / "runs").mkdir(exist_ok=True)
+    for old in (out / "runs").glob("run_*.csv"):
+        old.unlink()
     for path in sorted(tmp.rglob("*"), key=lambda p: p.name == "meta.txt"):
         if path.is_file():
             os.replace(path, out / path.relative_to(tmp))
@@ -358,7 +362,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
     first- and last-iteration histograms of every run. Files are byte-identical
     across re-executions and thread counts. A run that fails before its files are
     written leaves `out` as it was; a new `out` appears whole, but writing into an
-    existing `out` is not atomic (see _publish) and keeps files the new run does not write.
+    existing `out` is not atomic (see _publish): the earlier run's files are replaced,
+    other files stay.
     """
     out = Path(out_dir if out_dir is not None else (config.output_dir or ""))
     if str(out) in ("", "."):

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,50 +74,61 @@ def _index_bits(idx: np.ndarray, n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
 
 
-def _energy_chunks(model: IsingModel):
-    """Yield (start, bits, energies) for consecutive _ENUM_CHUNK-row blocks of all 2^n bitstrings."""
-    _check_enumerable(model.n)
-    total = 1 << model.n
-    for start in range(0, total, _ENUM_CHUNK):
-        X = _index_bits(np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64), model.n)
-        yield start, X, energies(model, X)
+def lex_first(cand: np.ndarray, bit: Callable[[np.ndarray, int], np.ndarray], n: int) -> int:
+    """The lexicographically smallest candidate (bit 0 first, 0 before 1): the one tie-break rule.
+
+    `bit(cand, i)` reads bit i of every candidate in `cand`. For i = 0, 1, ..., n - 1
+    only the candidates whose bit i is 0 are kept, whenever any of them has a 0 there;
+    of identical candidates the first in `cand` wins.
+    """
+    for i in range(n):
+        if cand.size == 1:
+            break
+        zero = bit(cand, i) == 0
+        if zero.any():
+            cand = cand[zero]
+    return int(cand[0])
 
 
-def _canonical_triples(triples, n: int, what: str) -> tuple[tuple[int, int, float], ...]:
-    """Validate (i, j, value) triples: indices in range, i < j, no duplicates, finite values."""
-    out = []
-    for t in triples:
-        if len(t) != 3:
-            raise ValueError(f"{what} entries must be (i, j, value) triples, got {t!r}")
-        i, j, w = int(t[0]), int(t[1]), float(t[2])
-        if i == j:
-            raise ValueError(f"{what} ({i}, {j}) is a self-loop")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"{what} ({i}, {j}) has an index outside [0, {n})")
-        if i > j:
-            raise ValueError(f"{what} ({i}, {j}) must be ordered i < j")
-        if not np.isfinite(w):
-            raise ValueError(f"{what} ({i}, {j}) has non-finite value {w}")
-        out.append((i, j, w))
-    if out:
-        keys = np.array([i * n + j for i, j, _ in out], dtype=np.int64)
-        if np.unique(keys).size != keys.size:
-            raise ValueError(f"duplicate {what} pair")
-    return tuple(out)
+def _canonical_triples(triples, n: int, what: str):
+    """Validate (i, j, value) triples in one numpy pass; return them and their arrays.
 
-
-def _triple_arrays(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical (i, j, value) triples as int64 index arrays and a float64 value array."""
-    t = np.array(triples, dtype=np.float64).reshape(-1, 3)
-    return t[:, 0].astype(np.int64), t[:, 1].astype(np.int64), t[:, 2].copy()
+    `triples` is a sequence of triples or an (m, 3) array. Indices must be integers in
+    [0, n) with i < j, pairs unique, values finite. The result is the tuple of
+    (int, int, float) triples and its (i, j, value) arrays.
+    """
+    try:
+        t = np.array(triples, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} entries must be (i, j, value) triples") from None
+    if t.size == 0:
+        t = t.reshape(0, 3)
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise ValueError(f"{what} entries must be (i, j, value) triples, got shape {t.shape}")
+    fi, fj, w = t[:, 0], t[:, 1], t[:, 2]
+    for bad, problem in (
+            (~(np.isfinite(t[:, :2]) & (t[:, :2] == np.floor(t[:, :2]))).all(axis=1),
+             "has a non-integer index"),
+            (fi == fj, "is a self-loop"),
+            ((fi < 0) | (fj < 0) | (fi >= n) | (fj >= n), f"has an index outside [0, {n})"),
+            (fi > fj, "must be ordered i < j"),
+            (~np.isfinite(w), "has a non-finite value")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"{what} ({fi[k]:g}, {fj[k]:g}) {problem}")
+    i, j, w = fi.astype(np.int64), fj.astype(np.int64), w.copy()
+    if np.unique(i * n + j).size != i.size:
+        raise ValueError(f"duplicate {what} pair")
+    return tuple(zip(i.tolist(), j.tolist(), w.tolist())), (i, j, w)
 
 
 @dataclass(frozen=True)
 class IsingModel:
     """Cost model offset + sum_i h[i] s_i + sum_{i<j} J_ij s_i s_j with s_i = 1 - 2 x_i.
 
-    `couplings` holds (i, j, J_ij) triples with i < j; the constant offset is part of
-    every energy so that MaxCut-derived models satisfy energy == -cut exactly.
+    `couplings` holds (i, j, J_ij) triples with i < j (an (m, 3) array is accepted and
+    stored as a tuple of triples); the constant offset is part of every energy so
+    that MaxCut-derived models satisfy energy == -cut exactly.
     """
 
     n: int
@@ -136,15 +148,14 @@ class IsingModel:
             raise ValueError("offset must be finite")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "couplings", _canonical_triples(self.couplings, self.n, "coupling"))
+        couplings, arrays = _canonical_triples(self.couplings, self.n, "coupling")
+        object.__setattr__(self, "couplings", couplings)
+        # (i, j, J_ij) as int64/int64/float64 arrays, in the order of `couplings`
+        object.__setattr__(self, "_edge_arrays", arrays)
 
     @functools.cached_property
     def _fields(self) -> np.ndarray:
         return np.array(self.h, dtype=np.float64)
-
-    @functools.cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _triple_arrays(self.couplings)
 
     @functools.cached_property
     def coupling_matrix(self) -> np.ndarray:
@@ -157,8 +168,19 @@ class IsingModel:
 
     @functools.cached_property
     def cost_diagonal(self) -> np.ndarray:
-        """Energies of all 2^n bitstrings (offset included), indexed like a statevector."""
-        return np.concatenate([E for _, _, E in _energy_chunks(self)])
+        """Energies of all 2^n bitstrings (offset included), indexed like a statevector.
+
+        Filled in _ENUM_CHUNK-row blocks, so the scan holds one copy of the diagonal;
+        refuses n beyond the enumeration cap before allocating.
+        """
+        _check_enumerable(self.n)
+        total = 1 << self.n
+        diag = np.empty(total)
+        for start in range(0, total, _ENUM_CHUNK):
+            stop = min(start + _ENUM_CHUNK, total)
+            X = _index_bits(np.arange(start, stop, dtype=np.int64), self.n)
+            diag[start:stop] = energies(self, X)
+        return diag
 
 
 def energy(model: IsingModel, x) -> float:
@@ -195,8 +217,7 @@ def gauge_transform(model: IsingModel, y) -> IsingModel:
     new_h = (model._fields * sign).tolist()
     ci, cj, cw = model._edge_arrays
     new_w = cw * sign[ci] * sign[cj]
-    new_couplings = tuple(zip(ci.tolist(), cj.tolist(), new_w.tolist()))
-    return IsingModel(model.n, tuple(new_h), new_couplings, model.offset)
+    return IsingModel(model.n, tuple(new_h), np.column_stack((ci, cj, new_w)), model.offset)
 
 
 def apply_mask(y, x) -> np.ndarray:
@@ -213,7 +234,7 @@ def hamming_weight(x) -> int:
 
 @dataclass(frozen=True)
 class MaxCutInstance:
-    """Weighted graph for MaxCut: n nodes and (i, j, w_ij) edges with i < j."""
+    """Weighted graph for MaxCut: n nodes and (i, j, w_ij) edges with i < j, stored as a tuple."""
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
@@ -221,11 +242,9 @@ class MaxCutInstance:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("MaxCut instance needs n >= 2")
-        object.__setattr__(self, "edges", _canonical_triples(self.edges, self.n, "edge"))
-
-    @functools.cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _triple_arrays(self.edges)
+        edges, arrays = _canonical_triples(self.edges, self.n, "edge")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_edge_arrays", arrays)
 
 
 def cut_value(g: MaxCutInstance, x) -> float:
@@ -252,9 +271,8 @@ def maxcut_to_ising(g: MaxCutInstance) -> IsingModel:
     minimizing the energy maximizes the cut.
     """
     ei, ej, ew = g._edge_arrays
-    couplings = tuple(zip(ei.tolist(), ej.tolist(), (ew / 2.0).tolist()))
     offset = -0.5 * float(ew.sum()) if ew.size else 0.0
-    return IsingModel(g.n, (0.0,) * g.n, couplings, offset)
+    return IsingModel(g.n, (0.0,) * g.n, np.column_stack((ei, ej, ew / 2.0)), offset)
 
 
 def gen_unweighted(n: int, d: float, seed: int) -> MaxCutInstance:
@@ -265,8 +283,7 @@ def gen_unweighted(n: int, d: float, seed: int) -> MaxCutInstance:
         raise ValueError(f"edge density must lie in [0, 1], got {d}")
     iu, ju = np.triu_indices(n, k=1)
     keep = np.random.default_rng(seed).random(iu.size) < d
-    edges = tuple((int(i), int(j), 1.0) for i, j in zip(iu[keep], ju[keep]))
-    return MaxCutInstance(n, edges)
+    return MaxCutInstance(n, np.column_stack((iu, ju, np.ones(iu.size)))[keep])
 
 
 def gen_weighted_dense(n: int, seed: int) -> MaxCutInstance:
@@ -275,34 +292,18 @@ def gen_weighted_dense(n: int, seed: int) -> MaxCutInstance:
         raise ValueError("n must be >= 2")
     iu, ju = np.triu_indices(n, k=1)
     w = np.random.default_rng(seed).integers(0, 2, iu.size) * 2.0 - 1.0
-    edges = tuple(zip(iu.tolist(), ju.tolist(), w.tolist()))
-    return MaxCutInstance(n, edges)
+    return MaxCutInstance(n, np.column_stack((iu, ju, w)))
 
 
 def brute_force_best(model: IsingModel) -> tuple[np.ndarray, float]:
-    """Global minimum-energy bitstring by exhaustive scan; ties break lexicographically.
+    """Global minimum-energy bitstring, read off the cost diagonal; ties go to lex_first.
 
     Lexicographic order treats bit 0 as the most significant position. Refuses n
     beyond the enumeration cap.
     """
-    n = model.n
-    # key for lexicographic comparison: bit 0 weighted highest
-    lexw = 1 << (n - 1 - np.arange(n, dtype=np.int64))
-    best_e = np.inf
-    best_key = None
-    best_idx = 0
-    for start, X, E in _energy_chunks(model):
-        emin = E.min()
-        if emin > best_e:
-            continue
-        cand = np.flatnonzero(E == emin)
-        keys = (X[cand].astype(np.int64) * lexw).sum(axis=1)
-        kk = int(np.argmin(keys))
-        if emin < best_e or keys[kk] < best_key:
-            best_e = emin
-            best_key = int(keys[kk])
-            best_idx = start + int(cand[kk])
-    bits = _index_bits(np.array([best_idx], dtype=np.int64), n)[0]
+    diag = model.cost_diagonal
+    best = lex_first(np.flatnonzero(diag == diag.min()), lambda c, i: (c >> i) & 1, model.n)
+    bits = _index_bits(np.array([best], dtype=np.int64), model.n)[0]
     return bits, energy(model, bits)
 
 

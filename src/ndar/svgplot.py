@@ -11,10 +11,6 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 46
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def _bounds(values, pad_frac=0.06):
     lo, hi = min(values), max(values)
     if hi == lo:
@@ -52,9 +48,9 @@ class _Canvas:
             fy = self.y0 + (self.y1 - self.y0) * k / 4
             px, py = self.px(fx), self.py(fy)
             self.parts.append(f'<line x1="{px:.1f}" y1="{bottom}" x2="{px:.1f}" y2="{bottom + 4}" stroke="#333"/>')
-            self.parts.append(f'<text x="{px:.1f}" y="{bottom + 17}" text-anchor="middle">{_fmt(fx)}</text>')
+            self.parts.append(f'<text x="{px:.1f}" y="{bottom + 17}" text-anchor="middle">{fx:.6g}</text>')
             self.parts.append(f'<line x1="{left - 4}" y1="{py:.1f}" x2="{left}" y2="{py:.1f}" stroke="#333"/>')
-            self.parts.append(f'<text x="{left - 7}" y="{py + 4:.1f}" text-anchor="end">{_fmt(fy)}</text>')
+            self.parts.append(f'<text x="{left - 7}" y="{py + 4:.1f}" text-anchor="end">{fy:.6g}</text>')
         self.parts.append(
             f'<text x="{(left + right) / 2}" y="{HEIGHT - 8}" text-anchor="middle">{xlabel}</text>')
         self.parts.append(

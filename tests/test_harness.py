@@ -172,6 +172,23 @@ def test_aggregate_guards_and_sem():
     assert [r.iter_index for r in rows] == [0, 1, 2]
 
 
+def test_aggregate_carries_stopped_runs_forward():
+    from ndar import NdarResult
+    from ndar.engine import IterationRecord
+
+    def result(cuts):
+        zero = np.zeros(2, dtype=np.uint8)
+        trace = tuple(IterationRecord(j, zero, -c, c, zero, 0.0) for j, c in enumerate(cuts))
+        return NdarResult(trace, zero, -max(cuts), zero)
+
+    # the first run stops after two iterations, the second after four, the third after three
+    rows = aggregate([result([3.0, 5.0]), result([1.0, 2.0, 4.0, 3.0]), result([2.0, 6.0, 1.0])],
+                     10.0)
+    assert [r.iter_index for r in rows] == [0, 1, 2, 3]
+    assert [r.mean_best_cut for r in rows] == [2.0, 13.0 / 3.0, 10.0 / 3.0, 14.0 / 3.0]
+    assert rows[3].mean_cumulative_ratio == pytest.approx((5.0 + 4.0 + 6.0) / 30.0)
+
+
 def test_report_text_and_svg(tmp_path):
     cfg = ExperimentConfig.from_file(write_config(tmp_path, SMOKE))
     out = tmp_path / "out"
@@ -402,6 +419,29 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch)
     run_experiment(other_seed, out_dir=out)
     run_experiment(other_seed, out_dir=tmp_path / "fresh")
     assert snapshot(out) == snapshot(tmp_path / "fresh") != before
+
+
+def test_run_into_an_existing_directory_removes_the_earlier_run(tmp_path):
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig.from_file(write_config(tmp_path, SMOKE)), out_dir=out)
+    assert (out / "runs" / "run_002.csv").is_file() and (out / "cost_dist.csv").is_file()
+    (out / "landscape.csv").write_text("kept\n")
+    one_run = SMOKE.replace("runs = 3", "runs = 1") + "ndar.record_distributions = false\n"
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, one_run, "one.cfg"))
+    run_experiment(cfg, out_dir=out)
+    run_experiment(cfg, out_dir=tmp_path / "fresh")
+    assert snapshot(out) == {**snapshot(tmp_path / "fresh"), "landscape.csv": b"kept\n"}
+    assert sorted(p.name for p in (out / "runs").iterdir()) == ["run_000.csv"]
+    assert not (out / "cost_dist.csv").exists() and not (out / "hamming_dist.csv").exists()
+
+
+def test_config_table_leaves_defaults_to_the_dataclass(tmp_path):
+    import dataclasses
+    required = "instance.family = unweighted-sparse\ninstance.n = 12\nsampler.q = 0.9\n"
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, required))
+    assert cfg == ExperimentConfig(family="unweighted-sparse", n=12, q=0.9)
+    assert sorted(f for f, _ in harness._CONFIG_KEYS.values()) == sorted(
+        f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def test_fresh_output_directory_gets_the_mode_of_a_plain_mkdir(tmp_path):

@@ -262,6 +262,34 @@ def test_cost_diagonal_is_cached_and_capped():
         IsingModel(25, (0.0,) * 25, ()).cost_diagonal
 
 
+def test_brute_force_reads_the_cached_diagonal(monkeypatch):
+    model = maxcut_to_ising(gen_unweighted(10, 0.5, 4))
+    expected = brute_force_best(model)
+    assert "cost_diagonal" in model.__dict__
+
+    def forbidden(*args):
+        raise AssertionError("brute force rescanned the 2^n energies")
+
+    monkeypatch.setattr(ising, "energies", forbidden)
+    bits, e = brute_force_best(model)
+    assert np.array_equal(bits, expected[0]) and e == expected[1]
+
+
+def test_cost_diagonal_build_holds_one_copy(monkeypatch):
+    import tracemalloc
+    monkeypatch.setattr(ising, "_ENUM_CHUNK", 256)
+    model = maxcut_to_ising(gen_unweighted(18, 0.5, 2))
+    tracemalloc.start()
+    try:
+        diag = model.cost_diagonal
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 2^18 float64 array plus a few chunk-sized temporaries; a list of chunks
+    # joined by concatenate would peak at two copies
+    assert diag.nbytes <= peak < 1.25 * diag.nbytes
+
+
 def test_brute_force_refuses_large_n():
     with pytest.raises(ResourceLimitError):
         brute_force_best(IsingModel(25, (0.0,) * 25, ()))
@@ -282,6 +310,19 @@ def test_model_validation():
         IsingModel(2, (np.inf, 0.0), ())
     with pytest.raises(ValueError):
         MaxCutInstance(1, ())
+
+
+def test_validation_rejects_non_integer_indices():
+    with pytest.raises(ValueError, match="non-integer index"):
+        MaxCutInstance(3, ((0.5, 2, 1.0),))
+    with pytest.raises(ValueError, match="non-integer index"):
+        IsingModel(3, (0.0,) * 3, ((0, np.nan, 1.0),))
+    with pytest.raises(ValueError, match="triples"):
+        MaxCutInstance(3, ((0, 1, 1.0), (1, 2)))
+    # integer-valued floats and (m, 3) arrays are canonicalized to (int, int, float)
+    g = MaxCutInstance(3, np.array([[0.0, 2.0, 1.0], [1.0, 2.0, -2.0]]))
+    assert g.edges == ((0, 2, 1.0), (1, 2, -2.0))
+    assert all(type(v) is t for e in g.edges for v, t in zip(e, (int, int, float)))
 
 
 def test_as_bits_coercion_and_errors():
