@@ -16,10 +16,10 @@ from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT,
 from .errors import ConfigError, ResourceLimitError
 from .harness import (AggregateRow, ExperimentConfig, aggregate, params_search, report,
                       run_experiment)
-from .ising import (BRUTE_FORCE_CAP, IsingModel, MaxCutInstance, all_bitstrings, apply_mask,
-                    as_bits, bits_to_str, brute_force_best, cut_value, edge_density, energies,
-                    energy, gauge_transform, gen_unweighted, gen_weighted_dense, hamming_weight,
-                    maxcut_to_ising, read_instance, write_instance)
+from .ising import (BRUTE_FORCE_CAP, NODE_CAP, IsingModel, MaxCutInstance, all_bitstrings,
+                    apply_mask, as_bits, bits_to_str, brute_force_best, cut_value, edge_density,
+                    energies, energy, gauge_transform, gen_unweighted, gen_weighted_dense,
+                    hamming_weight, maxcut_to_ising, read_instance, write_instance)
 from .simulator import (DENSITY_MATRIX_CAP, apply_decay, density_matrix_reference, grid_scan,
                         optimize_params, qaoa_expectation, qaoa_state, sample, simulate)
 
@@ -29,7 +29,7 @@ __all__ = [
     "AggregateRow", "BRUTE_FORCE_CAP", "Circuit", "ConfigError", "DampingSpec",
     "DEFAULT_QUBIT_CAP", "DENSITY_MATRIX_CAP", "ExperimentConfig", "Gate",
     "IsingModel", "IterationRecord", "KIND_CLASSICAL_BERNOULLI", "KIND_QAOA",
-    "KIND_RANDOM_CIRCUIT", "MaxCutInstance", "NdarConfig", "NdarResult",
+    "KIND_RANDOM_CIRCUIT", "MaxCutInstance", "NODE_CAP", "NdarConfig", "NdarResult",
     "QaoaCircuit", "QaoaParams", "ResourceLimitError", "SaConfig", "SamplerSpec",
     "aggregate", "all_bitstrings", "apply_decay", "apply_mask", "as_bits",
     "bits_to_str", "brute_force_best", "build_qaoa_circuit", "build_random_circuit",

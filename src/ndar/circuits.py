@@ -140,8 +140,7 @@ def damping_gamma(spec: DampingSpec) -> float:
     return min(1.0, max(0.0, g))
 
 
-def build_qaoa_circuit(model: IsingModel, params: QaoaParams,
-                       qubit_cap: int = DEFAULT_QUBIT_CAP) -> Circuit:
+def build_qaoa_circuit(model: IsingModel, params: QaoaParams) -> Circuit:
     """QAOA circuit for the model: Hadamard wall, then p alternating cost/mixer layers.
 
     The cost layer applies exp(+i gamma E(x)) as diagonal phases, which with
@@ -149,8 +148,8 @@ def build_qaoa_circuit(model: IsingModel, params: QaoaParams,
     orientation makes the single-spin expectation equal -sin(2 beta) sin(2 gamma).
     The mixer applies RX(2 beta) on every qubit.
     """
-    if model.n > qubit_cap:
-        raise ResourceLimitError(f"QAOA circuit needs n <= {qubit_cap}, got n = {model.n}")
+    if model.n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"QAOA circuit needs n <= {DEFAULT_QUBIT_CAP}, got n = {model.n}")
     gates = [Gate("H", (q,)) for q in range(model.n)]
     for gamma, beta in zip(params.gammas, params.betas):
         for q, hq in enumerate(model.h):

@@ -7,8 +7,8 @@ import sys
 
 from .annealing import sa_solve
 from .errors import ConfigError, ResourceLimitError
-from .harness import (ExperimentConfig, load_instance, params_search, report,
-                      resolve_threads, run_experiment, sa_config)
+from .harness import (ExperimentConfig, load_instance, params_search, report, run_experiment,
+                      sa_config)
 from .ising import edge_density, gen_unweighted, gen_weighted_dense, maxcut_to_ising, write_instance
 
 _RUN_EPILOG = """\
@@ -63,8 +63,7 @@ def _cmd_gen_instance(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed, out_override=args.out)
-    threads = resolve_threads(args.threads)
-    summary = run_experiment(cfg, threads=threads)
+    summary = run_experiment(cfg)
     print(report(summary["out_dir"], svg=args.svg))
     return 0
 
@@ -111,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory (overrides output_dir)")
     p.add_argument("--seed", type=int, default=None, help="override ndar.seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel runs (NDAR_THREADS env var wins)")
+    p.add_argument("--threads", default=None,
+                   help="has no effect: runs execute one after another")
     p.add_argument("--svg", action="store_true", help="also emit SVG figures")
     p.set_defaults(func=_cmd_run)
 

@@ -6,4 +6,4 @@ class ConfigError(Exception):
 
 
 class ResourceLimitError(Exception):
-    """Problem size exceeds a hard resource guard (qubit cap, enumeration cap)."""
+    """Problem size exceeds a hard resource guard (node cap, qubit cap, enumeration cap)."""

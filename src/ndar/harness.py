@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import os
 import shutil
@@ -258,8 +257,10 @@ def aggregate(results: list[NdarResult], sa_cut: float) -> list[AggregateRow]:
     return rows
 
 
-# the top-level files a run writes, meta.txt first so a half-replaced `out` never looks complete
-_RUN_FILES = ("meta.txt", "trajectory.csv", "cost_dist.csv", "hamming_dist.csv")
+# the top-level files a run writes and the figures `report(svg=True)` draws from them,
+# meta.txt first so a half-replaced `out` never looks complete
+_RUN_FILES = ("meta.txt", "trajectory.csv", "cost_dist.csv", "hamming_dist.csv",
+              "ratio_trajectory.svg", "cost_dist.svg", "hamming_dist.svg")
 
 
 def _write_lines(path, lines) -> None:
@@ -337,8 +338,9 @@ def _write_outputs(d: Path, config: ExperimentConfig, graph: MaxCutInstance,
 def _publish(tmp: Path, out: Path) -> None:
     """Move a finished run directory to `out` in one rename.
 
-    An existing `out` keeps the files a run does not write (e.g. landscape.csv): the
-    earlier run's files go, meta.txt first, then the new files move in, meta.txt last.
+    An existing `out` keeps the files that do not belong to a run (e.g. landscape.csv):
+    the earlier run's files and figures go, meta.txt first, then the new files move in,
+    meta.txt last.
     """
     if not out.exists():
         os.rename(tmp, out)
@@ -353,17 +355,16 @@ def _publish(tmp: Path, out: Path) -> None:
             os.replace(path, out / path.relative_to(tmp))
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> dict:
+def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Run the full experiment and write its output files; returns a summary dict.
 
     Output layout: trajectory.csv (one AggregateRow per iteration), runs/run_XXX.csv
     per-run traces, meta.txt (instance, sampler, and baseline facts), and when
     distribution recording is on, cost_dist.csv and hamming_dist.csv holding the
     first- and last-iteration histograms of every run. Files are byte-identical
-    across re-executions and thread counts. A run that fails before its files are
-    written leaves `out` as it was; a new `out` appears whole, but writing into an
-    existing `out` is not atomic (see _publish): the earlier run's files are replaced,
-    other files stay.
+    across re-executions. A run that fails before its files are written leaves `out`
+    as it was; a new `out` appears whole, but writing into an existing `out` is not
+    atomic (see _publish): the earlier run's files are replaced, other files stay.
     """
     out = Path(out_dir if out_dir is not None else (config.output_dir or ""))
     if str(out) in ("", "."):
@@ -385,11 +386,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
     ndar_cfgs = [NdarConfig(config.shots, config.iters, derive_seed(config.seed, _STREAM_RUN, r),
                             config.record_distributions, config.patience)
                  for r in range(config.runs)]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: run_ndar(model, sampler, c), ndar_cfgs))
-    else:
-        results = [run_ndar(model, sampler, c) for c in ndar_cfgs]
+    results = [run_ndar(model, sampler, c) for c in ndar_cfgs]
 
     rows = aggregate(results, sa_cut)
 
@@ -498,20 +495,3 @@ def params_search(config: ExperimentConfig, out_dir=None) -> tuple[QaoaParams, f
             ",".join(_fmt(v) for v in row) for row in rows])
     return best, best_val
 
-
-def resolve_threads(cli_threads: int | None) -> int:
-    """Thread count: NDAR_THREADS env var wins over the CLI flag; default 1."""
-    env = os.environ.get("NDAR_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"NDAR_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ConfigError("NDAR_THREADS must be >= 1")
-        return value
-    if cli_threads is None:
-        return 1
-    if cli_threads < 1:
-        raise ConfigError("--threads must be >= 1")
-    return cli_threads

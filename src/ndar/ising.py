@@ -19,6 +19,10 @@ from .errors import ResourceLimitError
 
 BRUTE_FORCE_CAP = 24
 
+# largest graph accepted; the paper's instances have 300 nodes, and the complete graph on
+# NODE_CAP nodes has 523,776 edges and an 8 MB coupling matrix
+NODE_CAP = 1024
+
 # chunk size for exhaustive scans; bounds peak memory at ~50 MB for n = 24
 _ENUM_CHUNK = 1 << 18
 
@@ -60,6 +64,11 @@ def all_bitstrings(n: int) -> np.ndarray:
     """
     _check_enumerable(n)
     return _index_bits(np.arange(1 << n, dtype=np.int64), n)
+
+
+def _check_node_count(n: int) -> None:
+    if n > NODE_CAP:
+        raise ResourceLimitError(f"graph has n = {n} nodes, beyond the node cap {NODE_CAP}")
 
 
 def _check_enumerable(n: int) -> None:
@@ -242,6 +251,7 @@ class MaxCutInstance:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("MaxCut instance needs n >= 2")
+        _check_node_count(self.n)
         edges, arrays = _canonical_triples(self.edges, self.n, "edge")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_edge_arrays", arrays)
@@ -279,6 +289,7 @@ def gen_unweighted(n: int, d: float, seed: int) -> MaxCutInstance:
     """Random unweighted graph: each node pair is an edge of weight 1 with probability d."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_node_count(n)
     if not (0.0 <= d <= 1.0):
         raise ValueError(f"edge density must lie in [0, 1], got {d}")
     iu, ju = np.triu_indices(n, k=1)
@@ -290,6 +301,7 @@ def gen_weighted_dense(n: int, seed: int) -> MaxCutInstance:
     """Complete graph with weights drawn uniformly from {-1, +1}."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_node_count(n)
     iu, ju = np.triu_indices(n, k=1)
     w = np.random.default_rng(seed).integers(0, 2, iu.size) * 2.0 - 1.0
     return MaxCutInstance(n, np.column_stack((iu, ju, w)))
@@ -308,10 +320,15 @@ def brute_force_best(model: IsingModel) -> tuple[np.ndarray, float]:
 
 
 def write_instance(g: MaxCutInstance, path) -> None:
-    """Write a graph as text: one 'n m' header line, then 'i j w' per edge, sorted by (i, j)."""
+    """Write a graph as text: one 'n m' header line, then 'i j w' per edge, sorted by (i, j).
+
+    A weight is printed with 12 significant digits when that reads back exactly (so
+    integer weights print as '1'), otherwise as its shortest exact repr.
+    """
     lines = [f"{g.n} {len(g.edges)}"]
     for i, j, w in sorted(g.edges):
-        lines.append(f"{i} {j} {w:.12g}")
+        text = f"{w:.12g}"
+        lines.append(f"{i} {j} {text if float(text) == w else repr(w)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

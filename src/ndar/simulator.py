@@ -47,16 +47,16 @@ def _diag_phases(kind: str, theta: float | None) -> np.ndarray:
     raise ValueError(f"not a diagonal one-qubit gate: {kind}")
 
 
-def simulate(circuit: Circuit | QaoaCircuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
     """Apply the circuit to |0...0> and return the 2^n statevector (complex128).
 
     A QaoaCircuit runs from its model's cost diagonal (qaoa_state); a Circuit runs gate by gate.
     """
     if isinstance(circuit, QaoaCircuit):
-        return qaoa_state(circuit.model, circuit.params, qubit_cap)
+        return qaoa_state(circuit.model, circuit.params)
     n = circuit.n
-    if n > qubit_cap:
-        raise ResourceLimitError(f"statevector simulation capped at n <= {qubit_cap}, got {n}")
+    if n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"statevector simulation capped at n <= {DEFAULT_QUBIT_CAP}, got {n}")
     psi = np.zeros((2,) * n, dtype=np.complex128)
     psi.flat[0] = 1.0
     for gate in circuit.gates:
@@ -156,8 +156,7 @@ def _embed_one_qubit(u: np.ndarray, q: int, n: int) -> np.ndarray:
     return np.kron(left, np.kron(u, right))
 
 
-def qaoa_state(model: IsingModel, params: QaoaParams,
-               qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
     """QAOA statevector from the model's cost diagonal; equals simulate(build_qaoa_circuit(...)).
 
     Each layer multiplies by exp(i gamma (E(x) - offset)), the phase the circuit's
@@ -165,8 +164,8 @@ def qaoa_state(model: IsingModel, params: QaoaParams,
     i sin(beta) X in place on a (-1, 2, 2^q) view of the state.
     """
     n = model.n
-    if n > qubit_cap:
-        raise ResourceLimitError(f"QAOA state needs n <= {qubit_cap}, got n = {n}")
+    if n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"QAOA state needs n <= {DEFAULT_QUBIT_CAP}, got n = {n}")
     shifted = model.cost_diagonal - model.offset
     psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=np.complex128)
     for gamma, beta in zip(params.gammas, params.betas):
@@ -183,18 +182,16 @@ def qaoa_state(model: IsingModel, params: QaoaParams,
     return psi
 
 
-def qaoa_expectation(model: IsingModel, params: QaoaParams,
-                     qubit_cap: int = DEFAULT_QUBIT_CAP) -> float:
+def qaoa_expectation(model: IsingModel, params: QaoaParams) -> float:
     """Exact mean energy of the QAOA output distribution (offset included)."""
-    psi = simulate(QaoaCircuit(model, params), qubit_cap)
+    psi = simulate(QaoaCircuit(model, params))
     return float((psi.real ** 2 + psi.imag ** 2) @ model.cost_diagonal)
 
 
 def grid_scan(model: IsingModel,
               gamma_range: tuple[float, float] = (-math.pi / 2.0, math.pi / 2.0),
               beta_range: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0),
-              steps: int = 20,
-              qubit_cap: int = DEFAULT_QUBIT_CAP) -> tuple[QaoaParams, float, list]:
+              steps: int = 20) -> tuple[QaoaParams, float, list]:
     """Single-layer grid scan of qaoa_expectation over steps x steps points.
 
     Grid points are inclusive linspaces over the two ranges, scanned gamma-major.
@@ -205,8 +202,7 @@ def grid_scan(model: IsingModel,
     """
     if steps < 1:
         raise ValueError("empty parameter grid: steps must be >= 1")
-    rows = [(float(g), float(b), qaoa_expectation(model, QaoaParams((float(g),), (float(b),)),
-                                                   qubit_cap))
+    rows = [(float(g), float(b), qaoa_expectation(model, QaoaParams((float(g),), (float(b),))))
             for g in np.linspace(gamma_range[0], gamma_range[1], steps)
             for b in np.linspace(beta_range[0], beta_range[1], steps)]
     values = np.array([r[2] for r in rows])
@@ -218,7 +214,6 @@ def grid_scan(model: IsingModel,
 def optimize_params(model: IsingModel,
                     gamma_range: tuple[float, float] = (-math.pi / 2.0, math.pi / 2.0),
                     beta_range: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0),
-                    steps: int = 20,
-                    qubit_cap: int = DEFAULT_QUBIT_CAP) -> QaoaParams:
+                    steps: int = 20) -> QaoaParams:
     """Best single-layer angles of grid_scan over the same grid."""
-    return grid_scan(model, gamma_range, beta_range, steps, qubit_cap)[0]
+    return grid_scan(model, gamma_range, beta_range, steps)[0]

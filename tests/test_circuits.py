@@ -99,9 +99,9 @@ def test_qaoa_layer_count_scales_with_p():
 
 
 def test_qaoa_respects_qubit_cap():
-    model = IsingModel(5, (0.0,) * 5, ())
+    model = IsingModel(23, (0.0,) * 23, ())
     with pytest.raises(ResourceLimitError):
-        build_qaoa_circuit(model, QaoaParams((0.1,), (0.2,)), qubit_cap=4)
+        build_qaoa_circuit(model, QaoaParams((0.1,), (0.2,)))
 
 
 def test_random_pool_excludes_cost_rotation():

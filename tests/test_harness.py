@@ -2,6 +2,7 @@
 
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ndar import ConfigError, ExperimentConfig, aggregate, maxcut_to_ising, opti
 from ndar import harness
 from ndar.cli import main
 from ndar.harness import (build_sampler, grid_search, load_instance, params_search, report,
-                          resolve_threads, run_experiment)
+                          run_experiment)
 
 SMOKE = """\
 # small throwaway experiment
@@ -154,7 +155,7 @@ def test_outputs_byte_identical_across_reruns_and_threads(tmp_path):
     cfg = ExperimentConfig.from_file(path)
     run_experiment(cfg, out_dir=dirs[0])
     run_experiment(cfg, out_dir=dirs[1])
-    run_experiment(cfg, threads=3, out_dir=dirs[2])
+    run_experiment(cfg, out_dir=dirs[2])
     base = snapshot(dirs[0])
     assert base == snapshot(dirs[1])
     assert base == snapshot(dirs[2])
@@ -245,22 +246,6 @@ sampler.beta_max = 0.5
                                             grid_steps=0))
 
 
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("NDAR_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(4) == 4
-    with pytest.raises(ConfigError):
-        resolve_threads(0)
-    monkeypatch.setenv("NDAR_THREADS", "2")
-    assert resolve_threads(8) == 2  # env wins
-    monkeypatch.setenv("NDAR_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        resolve_threads(1)
-    monkeypatch.setenv("NDAR_THREADS", "-3")
-    with pytest.raises(ConfigError):
-        resolve_threads(1)
-
-
 def test_cli_gen_instance_and_run(tmp_path, capsys):
     inst = tmp_path / "g.txt"
     assert main(["gen-instance", "--family", "unweighted-sparse", "--n", "10",
@@ -339,7 +324,7 @@ def test_cli_sa_baseline_reports_the_run_e_sa(tmp_path, capsys):
     assert len(cuts) == 3  # --seed reaches the annealer
 
 
-def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
+def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2
     assert "config error" in capsys.readouterr().err
     bad = write_config(tmp_path, SMOKE + "mystery = 1\n", name="bad.cfg")
@@ -363,10 +348,24 @@ runs = 1
 """, name="big.cfg")
     assert main(["run", "--config", str(big), "--out", str(tmp_path / "big_out")]) == 3
     assert "resource limit" in capsys.readouterr().err
-    monkeypatch.setenv("NDAR_THREADS", "junk")
-    cfg_path = write_config(tmp_path, SMOKE, name="ok.cfg")
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "never")]) == 2
-    monkeypatch.delenv("NDAR_THREADS")
+
+
+def test_node_cap_refuses_huge_graphs_before_allocating(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("100000000 0\n")
+    sources = (f"instance.file = {huge}\n",
+               "instance.family = unweighted-sparse\ninstance.n = 1000000\n")
+    for k, source in enumerate(sources):
+        path = write_config(tmp_path, source + "sampler.q = 0.9\n", name=f"huge{k}.cfg")
+        tracemalloc.start()
+        try:
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "node cap" in capsys.readouterr().err
+        assert peak < 1 << 20
 
 
 OVER_CAP = """\
@@ -424,6 +423,7 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch)
 def test_run_into_an_existing_directory_removes_the_earlier_run(tmp_path):
     out = tmp_path / "out"
     run_experiment(ExperimentConfig.from_file(write_config(tmp_path, SMOKE)), out_dir=out)
+    report(out, svg=True)  # the figures of the earlier run go with it
     assert (out / "runs" / "run_002.csv").is_file() and (out / "cost_dist.csv").is_file()
     (out / "landscape.csv").write_text("kept\n")
     one_run = SMOKE.replace("runs = 3", "runs = 1") + "ndar.record_distributions = false\n"

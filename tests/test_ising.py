@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ndar import ising
-from ndar import (IsingModel, MaxCutInstance, ResourceLimitError, all_bitstrings, apply_mask,
-                  as_bits, bits_to_str, brute_force_best, cut_value, edge_density,
+from ndar import (NODE_CAP, IsingModel, MaxCutInstance, ResourceLimitError, all_bitstrings,
+                  apply_mask, as_bits, bits_to_str, brute_force_best, cut_value, edge_density,
                   energies, energy, gauge_transform, gen_unweighted, gen_weighted_dense,
                   hamming_weight, maxcut_to_ising, read_instance, write_instance)
 
@@ -345,6 +345,14 @@ def test_instance_file_roundtrip(tmp_path):
     pairs = [tuple(map(int, ln.split()[:2])) for ln in lines[1:]]
     assert pairs == sorted(pairs)
     assert read_instance(path) == g
+
+
+def test_node_cap_bounds_instances_and_generators():
+    assert MaxCutInstance(NODE_CAP, ()).n == NODE_CAP
+    for make in (lambda n: MaxCutInstance(n, ()), lambda n: gen_unweighted(n, 0.5, 0),
+                 lambda n: gen_weighted_dense(n, 0)):
+        with pytest.raises(ResourceLimitError, match="node cap"):
+            make(NODE_CAP + 1)
 
 
 def test_instance_file_rejects_bad_content(tmp_path):
