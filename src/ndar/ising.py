@@ -307,14 +307,27 @@ def gen_weighted_dense(n: int, seed: int) -> MaxCutInstance:
     return MaxCutInstance(n, np.column_stack((iu, ju, w)))
 
 
+def _index_bit(c: np.ndarray, i: int) -> np.ndarray:
+    """Bit i of each statevector index in c."""
+    return (c >> i) & 1
+
+
 def brute_force_best(model: IsingModel) -> tuple[np.ndarray, float]:
     """Global minimum-energy bitstring, read off the cost diagonal; ties go to lex_first.
 
-    Lexicographic order treats bit 0 as the most significant position. Refuses n
-    beyond the enumeration cap.
+    Lexicographic order treats bit 0 as the most significant position. The rule runs
+    on each _ENUM_CHUNK block of the diagonal, then over the block winners, so the
+    candidate arrays stay one block long however many strings tie. Refuses n beyond
+    the enumeration cap.
     """
     diag = model.cost_diagonal
-    best = lex_first(np.flatnonzero(diag == diag.min()), lambda c, i: (c >> i) & 1, model.n)
+    low = diag.min()
+    winners = []
+    for start in range(0, diag.size, _ENUM_CHUNK):
+        cand = start + np.flatnonzero(diag[start:start + _ENUM_CHUNK] == low)
+        if cand.size:
+            winners.append(lex_first(cand, _index_bit, model.n))
+    best = lex_first(np.array(winners, dtype=np.int64), _index_bit, model.n)
     bits = _index_bits(np.array([best], dtype=np.int64), model.n)[0]
     return bits, energy(model, bits)
 

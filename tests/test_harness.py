@@ -2,11 +2,15 @@
 
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ndar
 from ndar import ConfigError, ExperimentConfig, aggregate, maxcut_to_ising, optimize_params
 from ndar import harness
 from ndar.cli import main
@@ -159,6 +163,34 @@ def test_outputs_byte_identical_across_reruns_and_threads(tmp_path):
     base = snapshot(dirs[0])
     assert base == snapshot(dirs[1])
     assert base == snapshot(dirs[2])
+
+
+@pytest.mark.parametrize("family", ["weighted-dense", "unweighted-sparse"])
+def test_outputs_byte_identical_across_openblas_thread_counts(tmp_path, family):
+    # +-1 and integer weights make every BLAS sum exact, whatever its blocking; the
+    # sparse graph's annealer classes hold many spins, so its field updates sum products
+    path = write_config(tmp_path, f"""\
+instance.family = {family}
+instance.n = 150
+instance.seed = 5
+sampler.kind = classical-bernoulli
+sampler.q = 0.9
+ndar.shots = 4000
+ndar.iters = 3
+sa.reads = 40
+sa.sweeps = 30
+runs = 2
+""")
+    src = str(Path(ndar.__file__).resolve().parents[1])
+    dirs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        dirs.append(tmp_path / f"blas{threads}")
+        subprocess.run([sys.executable, "-m", "ndar.cli", "run", "--config", str(path),
+                        "--out", str(dirs[-1])], env=env, check=True, capture_output=True,
+                       timeout=300)
+    assert snapshot(dirs[0]) == snapshot(dirs[1])
 
 
 def test_aggregate_guards_and_sem():

@@ -8,6 +8,7 @@ from ndar import (NODE_CAP, IsingModel, MaxCutInstance, ResourceLimitError, all_
                   apply_mask, as_bits, bits_to_str, brute_force_best, cut_value, edge_density,
                   energies, energy, gauge_transform, gen_unweighted, gen_weighted_dense,
                   hamming_weight, maxcut_to_ising, read_instance, write_instance)
+from ndar.ising import lex_first
 
 
 def slow_energy(model: IsingModel, x) -> float:
@@ -253,6 +254,41 @@ def test_chunked_scans_match_one_block(monkeypatch):
         scanned = min((slow_energy(model, x), tuple(x)) for x in X)
         bits, e = brute_force_best(model)
         assert (e, tuple(bits)) == scanned
+
+
+def unchunked_brute_force_index(model):
+    """The tie-break over every tied index at once, which the per-block rule replaced."""
+    diag = model.cost_diagonal
+    return lex_first(np.flatnonzero(diag == diag.min()), lambda c, i: (c >> i) & 1, model.n)
+
+
+def test_blockwise_tie_break_matches_the_unchunked_rule(monkeypatch):
+    rng = np.random.default_rng(23)
+    models = [IsingModel(10, (0.0,) * 10, ()), IsingModel(9, (0.0,) * 8 + (1.0,), ()),
+              maxcut_to_ising(gen_unweighted(10, 0.0, 0)), random_int_model(rng, 10)]
+    models += [maxcut_to_ising(gen_unweighted(10, d, s)) for s, d in enumerate((0.2, 0.5, 0.9))]
+    monkeypatch.setattr(ising, "_ENUM_CHUNK", 8)
+    for model in models:
+        bits, _ = brute_force_best(model)
+        index = int(bits.astype(np.int64) @ (1 << np.arange(model.n, dtype=np.int64)))
+        assert index == unchunked_brute_force_index(model)
+
+
+def test_all_tie_brute_force_holds_a_few_blocks(monkeypatch):
+    import tracemalloc
+    monkeypatch.setattr(ising, "_ENUM_CHUNK", 1 << 16)
+    model = IsingModel(20, (0.0,) * 20, ())  # all 2^20 strings tie
+    model.cost_diagonal  # built and cached outside the measurement
+    tracemalloc.start()
+    try:
+        bits, _ = brute_force_best(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not bits.any()
+    # the candidates, one bit column and a mask of one block; the unchunked rule holds
+    # 2^20 int64 candidates (8 MB) and a bit array as large
+    assert peak < 4 * 8 * ising._ENUM_CHUNK < (1 << 20) * 8
 
 
 def test_cost_diagonal_is_cached_and_capped():

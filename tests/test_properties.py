@@ -1,12 +1,18 @@
 """Property tests: exact identities and oracles checked on generated models and inputs."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndar import (IsingModel, MaxCutInstance, all_bitstrings, brute_force_best, energies, energy,
-                  gauge_transform, maxcut_to_ising, read_instance, write_instance)
+from ndar import (ConfigError, ExperimentConfig, IsingModel, MaxCutInstance, all_bitstrings,
+                  brute_force_best, energies, energy, gauge_transform, maxcut_to_ising,
+                  read_instance, write_instance)
+from ndar.cli import main
+from ndar.harness import _CONFIG_KEYS
 from ndar.ising import _canonical_triples, lex_first
 
 # fixed example streams keep the suite reproducible; no example database is written
@@ -140,3 +146,109 @@ def test_vectorized_validation_matches_the_loop(data):
     for fault in ((j, i, w), (i, i, w), (i, j + n, w), (i - n, j, w), (i, j, bad_value)):
         assert_validation_matches_the_loop(triples[:k] + [fault] + triples[k + 1:], n)
     assert_validation_matches_the_loop(triples + [(i, j, -w)], n)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# text that survives the parser's strip and holds no line break or comment marker
+plain_text = st.text("abcXYZ019._-/", min_size=1, max_size=12)
+# keys whose values decide whether the config is valid; the rest take any value of their type
+_STRUCTURAL = {"instance.file", "instance.family", "instance.n", "sampler.kind", "sampler.q",
+               "sampler.gammas", "sampler.betas", "runs"}
+
+
+@st.composite
+def typed_value(draw, cast):
+    """(text, parsed value) for one config value of the given parser type."""
+    if cast is int:
+        v = draw(st.integers(-10**9, 10**9))
+        return str(v), v
+    if cast is float:
+        v = draw(finite)
+        return repr(v), v
+    if cast is bool:
+        text = draw(st.sampled_from(["true", "false", "True", "FALSE", "tRuE"]))
+        return text, text.lower() == "true"
+    if cast is tuple:
+        v = tuple(draw(st.lists(finite, min_size=1, max_size=4)))
+        return ",".join(map(repr, v)), v
+    v = draw(plain_text)
+    return v, v
+
+
+@st.composite
+def valid_config_entries(draw):
+    """A valid config as {key: (text, parsed value)}."""
+    entries = {}
+    if draw(st.booleans()):
+        entries["instance.file"] = draw(typed_value(str))
+    else:
+        family = draw(st.sampled_from(["unweighted-sparse", "weighted-dense"]))
+        entries["instance.family"] = (family, family)
+        entries["instance.n"] = draw(typed_value(int))
+    kind = draw(st.sampled_from(["classical-bernoulli", "qaoa", "random-circuit", None]))
+    if kind is not None:
+        entries["sampler.kind"] = (kind, kind)
+    if kind in ("classical-bernoulli", None) or draw(st.booleans()):
+        entries["sampler.q"] = draw(typed_value(float))
+    if draw(st.booleans()):
+        entries["sampler.gammas"] = draw(typed_value(tuple))
+        entries["sampler.betas"] = draw(typed_value(tuple))
+    if draw(st.booleans()):
+        runs = draw(st.integers(1, 1000))
+        entries["runs"] = (str(runs), runs)
+    for key, (_, cast) in _CONFIG_KEYS.items():
+        if key not in _STRUCTURAL and draw(st.booleans()):
+            entries[key] = draw(typed_value(cast))
+    return entries
+
+
+def config_text(draw, entries):
+    """Render the entries in a drawn order, with drawn padding, comments and blank lines."""
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    lines = []
+    for key in draw(st.permutations(sorted(entries))):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# a comment", "   # indented = comment"])))
+        lines.append(f"{draw(pad)}{key}{draw(pad)}={draw(pad)}{entries[key][0]}{draw(pad)}")
+    return "\n".join(lines) + "\n"
+
+
+@examples
+@given(st.data())
+def test_valid_config_files_fill_the_fields_the_table_names(tmp_path_factory, data):
+    entries = data.draw(valid_config_entries())
+    path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+    path.write_text(config_text(data.draw, entries))
+    cfg = ExperimentConfig.from_file(path)
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for key, (field, _) in _CONFIG_KEYS.items():
+        expected = entries[key][1] if key in entries else defaults[field]
+        assert getattr(cfg, field) == expected, key
+
+
+@examples
+@given(st.data())
+def test_unknown_keys_and_malformed_values_exit_with_code_2(tmp_path_factory, data):
+    entries = data.draw(valid_config_entries())
+    typed = [key for key, (_, cast) in _CONFIG_KEYS.items() if cast is not str]
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(typed))
+        cast = _CONFIG_KEYS[key][1]
+        bad = {int: st.sampled_from(["1.5", "ten", "0x10", "", "1e3"]),
+               float: st.sampled_from(["one", "1,5", "", "--1"]),
+               bool: st.sampled_from(["yes", "1", "", "on"]),
+               tuple: st.sampled_from(["", "a,b", "0.1,,0.2", "0.1;0.2"])}[cast]
+        entries[key] = (data.draw(bad), None)
+        message = f"config key {key!r}: cannot parse"
+    else:
+        unknown = data.draw(st.text("abcdefgh._", min_size=1, max_size=10).filter(
+            lambda k: k not in _CONFIG_KEYS))
+        entries[unknown] = ("1", None)
+        message = f"unknown key {unknown!r}"
+    root = tmp_path_factory.mktemp("bad")
+    path = root / "exp.cfg"
+    path.write_text(config_text(data.draw, entries))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_file(path)
+    assert main(["run", "--config", str(path), "--out", str(root / "out")]) == 2
+    assert not (root / "out").exists()
