@@ -1,4 +1,4 @@
-"""Gate-level circuit description plus QAOA and random-circuit builders."""
+"""Gate-level circuit description, QAOA parameters, damping, and the random-circuit builder."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .ising import IsingModel
 
 DEFAULT_QUBIT_CAP = 22
@@ -96,7 +95,8 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class QaoaCircuit:
-    """The circuit build_qaoa_circuit(model, params) spells out gate by gate, kept as its inputs.
+    """A QAOA circuit on the model, kept as its inputs: a Hadamard wall, then per layer the
+    cost phase exp(+i gamma E(x)) and RX(2 beta) on every qubit.
 
     simulate runs it from the model's cost diagonal, so no gate list is built.
     """
@@ -138,28 +138,6 @@ def damping_gamma(spec: DampingSpec) -> float:
     """Decay probability of a 1-bit during the delay: 1 - exp(-t_delay / t1), in [0, 1]."""
     g = 1.0 - math.exp(-spec.t_delay / spec.t1)
     return min(1.0, max(0.0, g))
-
-
-def build_qaoa_circuit(model: IsingModel, params: QaoaParams) -> Circuit:
-    """QAOA circuit for the model: Hadamard wall, then p alternating cost/mixer layers.
-
-    The cost layer applies exp(+i gamma E(x)) as diagonal phases, which with
-    RZ(t) = exp(-i t Z / 2) means RZ(-2 gamma h_i) and RZZ(-2 gamma J_ij); this
-    orientation makes the single-spin expectation equal -sin(2 beta) sin(2 gamma).
-    The mixer applies RX(2 beta) on every qubit.
-    """
-    if model.n > DEFAULT_QUBIT_CAP:
-        raise ResourceLimitError(f"QAOA circuit needs n <= {DEFAULT_QUBIT_CAP}, got n = {model.n}")
-    gates = [Gate("H", (q,)) for q in range(model.n)]
-    for gamma, beta in zip(params.gammas, params.betas):
-        for q, hq in enumerate(model.h):
-            if hq != 0.0:
-                gates.append(Gate("RZ", (q,), -2.0 * gamma * hq))
-        for i, j, w in model.couplings:
-            gates.append(Gate("RZZ", (i, j), -2.0 * gamma * w))
-        for q in range(model.n):
-            gates.append(Gate("RX", (q,), 2.0 * beta))
-    return Circuit(model.n, tuple(gates))
 
 
 def build_random_circuit(n: int, depth: int, seed: int) -> Circuit:

@@ -179,6 +179,8 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
     records: list[IterationRecord] = []
     best_overall = np.inf
     stall = 0
+    # energy of the sampled frame's all-zeros string: the previous iteration's best
+    e_attractor = energy(model0, mask)
     for j in range(config.max_iters):
         X = _draw_samples(model0, sampler, config, j, mask, state_cache)
         E = energies(model0, X ^ mask)
@@ -198,7 +200,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
             best_energy=e_best,
             best_cut=-e_best,
             cumulative_mask=new_mask,
-            attractor_energy=energy(model0, mask),
+            attractor_energy=e_attractor,
             energy_histogram=energy_hist,
             hamming_histogram=hamming_hist,
         ))
@@ -209,6 +211,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
         else:
             stall += 1
         mask = new_mask
+        e_attractor = e_best
         if config.patience is not None and stall >= config.patience:
             break
     return NdarResult(

@@ -232,14 +232,18 @@ def _sem(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+def _check_reference_cut(sa_cut: float) -> None:
+    if sa_cut == 0.0:
+        raise ConfigError("reference cut is zero; ratios are undefined for this instance")
+
+
 def aggregate(results: list[NdarResult], sa_cut: float) -> list[AggregateRow]:
     """Fold per-run traces into per-iteration rows; ratios divide by the reference cut.
 
     A run that `patience` stopped early counts with its cumulative best cut at every
     iteration after its last, up to the length of the longest run.
     """
-    if sa_cut == 0.0:
-        raise ConfigError("reference cut is zero; ratios are undefined for this instance")
+    _check_reference_cut(sa_cut)
     iters = max(len(r.trace) for r in results)
     traces = [[rec.best_cut for rec in r.trace] for r in results]
     cuts = np.array([c + [max(c)] * (iters - len(c)) for c in traces])
@@ -372,20 +376,23 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     graph = load_instance(config)
     model = maxcut_to_ising(graph)
 
-    # the sampler comes first so an over-cap circuit fails before the baselines run
+    # the loop settings and the sampler come first, so a bad ndar value or an over-cap
+    # circuit fails before the baselines run
+    ndar_cfgs = [NdarConfig(config.shots, config.iters, derive_seed(config.seed, _STREAM_RUN, r),
+                            config.record_distributions, config.patience)
+                 for r in range(config.runs)]
     sampler = build_sampler(config, model)
 
     sa_cfg = sa_config(config)
     _, sa_energy = sa_solve(model, sa_cfg)
     sa_cut = -sa_energy
+    # a zero reference cut (an edgeless graph, say) fails here, not after every NDAR run
+    _check_reference_cut(sa_cut)
 
     bf_energy = None
     if model.n <= BRUTE_FORCE_CAP:
         _, bf_energy = brute_force_best(model)
 
-    ndar_cfgs = [NdarConfig(config.shots, config.iters, derive_seed(config.seed, _STREAM_RUN, r),
-                            config.record_distributions, config.patience)
-                 for r in range(config.runs)]
     results = [run_ndar(model, sampler, c) for c in ndar_cfgs]
 
     rows = aggregate(results, sa_cut)

@@ -1,10 +1,11 @@
-"""Ising/MaxCut problem model: energies, gauge transforms, instance generators, exact oracles.
+"""Ising/MaxCut problem model: energies, instance generators, brute force, instance files.
 
 Conventions used throughout the package:
 
 * a bitstring x is a numpy uint8 array of 0/1 values; spin i is s_i = 1 - 2 x_i
 * model energy is offset + sum_i h_i s_i + sum_{i<j} J_ij s_i s_j
-* cut values of MaxCut-derived models satisfy energy(x) == -cut_value(x) exactly
+* MaxCut-derived models satisfy energy(x) == -cut(x) exactly, cut(x) being the weight
+  of the edges whose endpoints x puts on different sides
 """
 
 from __future__ import annotations
@@ -50,20 +51,6 @@ def as_bits(x, n: int | None = None) -> np.ndarray:
     if n is not None and arr.size != n:
         raise ValueError(f"bitstring length {arr.size} does not match n = {n}")
     return arr.astype(np.uint8)
-
-
-def bits_to_str(x) -> str:
-    """Render a bitstring as a compact '0101...' string, bit 0 first."""
-    return "".join("1" if b else "0" for b in as_bits(x))
-
-
-def all_bitstrings(n: int) -> np.ndarray:
-    """All 2^n bitstrings as a (2^n, n) uint8 matrix; row k holds the bits of index k.
-
-    Index convention is little-endian: bit i of row k equals (k >> i) & 1.
-    """
-    _check_enumerable(n)
-    return _index_bits(np.arange(1 << n, dtype=np.int64), n)
 
 
 def _check_node_count(n: int) -> None:
@@ -215,32 +202,6 @@ def energies(model: IsingModel, xs) -> np.ndarray:
     return out
 
 
-def gauge_transform(model: IsingModel, y) -> IsingModel:
-    """Remap the model by the bit-flip mask y: h_i -> (-1)^{y_i} h_i, J_ij -> (-1)^{y_i + y_j} J_ij.
-
-    The offset is untouched and the energy spectrum is preserved; only sign flips
-    occur, so the transform is exact in floating point.
-    """
-    yb = as_bits(y, model.n)
-    sign = 1.0 - 2.0 * yb.astype(np.float64)
-    new_h = (model._fields * sign).tolist()
-    ci, cj, cw = model._edge_arrays
-    new_w = cw * sign[ci] * sign[cj]
-    return IsingModel(model.n, tuple(new_h), np.column_stack((ci, cj, new_w)), model.offset)
-
-
-def apply_mask(y, x) -> np.ndarray:
-    """XOR a bit-flip mask into a bitstring (or compose two masks); applying y twice is a no-op."""
-    yb = as_bits(y)
-    xb = as_bits(x, yb.size)
-    return np.bitwise_xor(yb, xb)
-
-
-def hamming_weight(x) -> int:
-    """Number of 1-bits."""
-    return int(as_bits(x).sum())
-
-
 @dataclass(frozen=True)
 class MaxCutInstance:
     """Weighted graph for MaxCut: n nodes and (i, j, w_ij) edges with i < j, stored as a tuple."""
@@ -257,16 +218,6 @@ class MaxCutInstance:
         object.__setattr__(self, "_edge_arrays", arrays)
 
 
-def cut_value(g: MaxCutInstance, x) -> float:
-    """Total weight of edges crossing the partition encoded by bitstring x."""
-    xb = as_bits(x, g.n)
-    ei, ej, ew = g._edge_arrays
-    if not ew.size:
-        return 0.0
-    crossing = xb[ei] != xb[ej]
-    return float(ew @ crossing.astype(np.float64))
-
-
 def edge_density(g: MaxCutInstance) -> float:
     """|E| divided by the number of node pairs n(n-1)/2."""
     if g.n < 2:
@@ -277,7 +228,7 @@ def edge_density(g: MaxCutInstance) -> float:
 def maxcut_to_ising(g: MaxCutInstance) -> IsingModel:
     """Encode MaxCut as an Ising model: h = 0, J_ij = w_ij / 2, offset = -(1/2) sum w.
 
-    With this encoding energy(model, x) == -cut_value(g, x) for every x, so
+    With this encoding energy(model, x) equals minus the cut weight of x for every x, so
     minimizing the energy maximizes the cut.
     """
     ei, ej, ew = g._edge_arrays

@@ -1,4 +1,5 @@
-"""Exact statevector simulation, Born sampling, and the amplitude-damping channel.
+"""Exact statevector simulation, Born sampling, the amplitude-damping channel as bit decay,
+and the QAOA grid search.
 
 Statevector indexing is little-endian: the amplitude at flat index x describes
 the bitstring whose bit i (qubit i) equals (x >> i) & 1.
@@ -13,8 +14,6 @@ import numpy as np
 from .circuits import DEFAULT_QUBIT_CAP, Circuit, QaoaCircuit, QaoaParams
 from .errors import ResourceLimitError
 from .ising import IsingModel
-
-DENSITY_MATRIX_CAP = 6
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -125,43 +124,12 @@ def apply_decay(samples: np.ndarray, gamma: float, seed: int) -> np.ndarray:
     return np.where((X == 1) & flips, 0, X).astype(np.uint8)
 
 
-def density_matrix_reference(circuit: Circuit, gamma: float) -> np.ndarray:
-    """Outcome distribution after per-qubit amplitude damping, via the density matrix.
-
-    Kraus operators K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma) |0><1| are
-    applied to every qubit before a computational-basis measurement. Exact but
-    O(4^n); intended as a small-n oracle for the classical bit-decay fast path.
-    """
-    if circuit.n > DENSITY_MATRIX_CAP:
-        raise ResourceLimitError(
-            f"density matrix reference capped at n <= {DENSITY_MATRIX_CAP}, got {circuit.n}")
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    n = circuit.n
-    psi = simulate(circuit)
-    rho = np.outer(psi, psi.conj())
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=np.complex128)
-    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
-    for q in range(n):
-        a = _embed_one_qubit(k0, q, n)
-        b = _embed_one_qubit(k1, q, n)
-        rho = a @ rho @ a.conj().T + b @ rho @ b.conj().T
-    return np.real(np.diag(rho)).copy()
-
-
-def _embed_one_qubit(u: np.ndarray, q: int, n: int) -> np.ndarray:
-    # little-endian: qubit 0 is the rightmost kron factor
-    left = np.eye(1 << (n - 1 - q), dtype=np.complex128)
-    right = np.eye(1 << q, dtype=np.complex128)
-    return np.kron(left, np.kron(u, right))
-
-
 def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
-    """QAOA statevector from the model's cost diagonal; equals simulate(build_qaoa_circuit(...)).
+    """QAOA statevector from the model's cost diagonal, starting from the uniform superposition.
 
-    Each layer multiplies by exp(i gamma (E(x) - offset)), the phase the circuit's
-    RZ/RZZ gates apply, then rotates every qubit by RX(2 beta) = cos(beta) I -
-    i sin(beta) X in place on a (-1, 2, 2^q) view of the state.
+    Each layer multiplies by exp(i gamma (E(x) - offset)), the phase that RZ(-2 gamma h_i)
+    and RZZ(-2 gamma J_ij) gates would apply, then rotates every qubit by RX(2 beta) =
+    cos(beta) I - i sin(beta) X in place on a (-1, 2, 2^q) view of the state.
     """
     n = model.n
     if n > DEFAULT_QUBIT_CAP:
@@ -209,11 +177,3 @@ def grid_scan(model: IsingModel,
     lowest = values.min()
     k = int(np.argmax(values <= lowest + 1e-12 * max(1.0, abs(lowest))))
     return QaoaParams((rows[k][0],), (rows[k][1],)), rows[k][2], rows
-
-
-def optimize_params(model: IsingModel,
-                    gamma_range: tuple[float, float] = (-math.pi / 2.0, math.pi / 2.0),
-                    beta_range: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0),
-                    steps: int = 20) -> QaoaParams:
-    """Best single-layer angles of grid_scan over the same grid."""
-    return grid_scan(model, gamma_range, beta_range, steps)[0]

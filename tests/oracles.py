@@ -1,0 +1,139 @@
+"""Second implementations the package is tested against; no code in `ndar` calls them.
+
+Each one computes, by a different route, something the package computes once:
+
+* `gauge_transform` builds the remapped model explicitly, where the NDAR loop keeps
+  `model0` and one bit mask; `apply_mask` is the XOR of a mask into a bitstring.
+* `build_qaoa_circuit` spells QAOA out gate by gate for `simulate`, where
+  `qaoa_state` runs from the model's cost diagonal.
+* `cut_value` sums the crossing edge weights, where the package scores with
+  `energy`/`energies` (energy == -cut for MaxCut-derived models).
+* `density_matrix_reference` applies the amplitude-damping Kraus channel to the
+  density matrix, where the samplers apply classical bit decay (`apply_decay`).
+* `all_bitstrings`, `bits_to_str` and `hamming_weight` enumerate, render and count bits.
+* `optimize_params` returns only the best angles of `grid_scan`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ndar.circuits import DEFAULT_QUBIT_CAP, Circuit, Gate, QaoaParams
+from ndar.errors import ResourceLimitError
+from ndar.ising import IsingModel, MaxCutInstance, _check_enumerable, _index_bits, as_bits
+from ndar.simulator import grid_scan, simulate
+
+DENSITY_MATRIX_CAP = 6
+
+
+def bits_to_str(x) -> str:
+    """Render a bitstring as a compact '0101...' string, bit 0 first."""
+    return "".join("1" if b else "0" for b in as_bits(x))
+
+
+def all_bitstrings(n: int) -> np.ndarray:
+    """All 2^n bitstrings as a (2^n, n) uint8 matrix; row k holds the bits of index k.
+
+    Index convention is little-endian: bit i of row k equals (k >> i) & 1.
+    """
+    _check_enumerable(n)
+    return _index_bits(np.arange(1 << n, dtype=np.int64), n)
+
+
+def gauge_transform(model: IsingModel, y) -> IsingModel:
+    """Remap the model by the bit-flip mask y: h_i -> (-1)^{y_i} h_i, J_ij -> (-1)^{y_i + y_j} J_ij.
+
+    The offset is untouched and the energy spectrum is preserved; only sign flips
+    occur, so the transform is exact in floating point.
+    """
+    yb = as_bits(y, model.n)
+    sign = 1.0 - 2.0 * yb.astype(np.float64)
+    new_h = (model._fields * sign).tolist()
+    ci, cj, cw = model._edge_arrays
+    new_w = cw * sign[ci] * sign[cj]
+    return IsingModel(model.n, tuple(new_h), np.column_stack((ci, cj, new_w)), model.offset)
+
+
+def apply_mask(y, x) -> np.ndarray:
+    """XOR a bit-flip mask into a bitstring (or compose two masks); applying y twice is a no-op."""
+    yb = as_bits(y)
+    xb = as_bits(x, yb.size)
+    return np.bitwise_xor(yb, xb)
+
+
+def hamming_weight(x) -> int:
+    """Number of 1-bits."""
+    return int(as_bits(x).sum())
+
+
+def cut_value(g: MaxCutInstance, x) -> float:
+    """Total weight of edges crossing the partition encoded by bitstring x."""
+    xb = as_bits(x, g.n)
+    ei, ej, ew = g._edge_arrays
+    if not ew.size:
+        return 0.0
+    crossing = xb[ei] != xb[ej]
+    return float(ew @ crossing.astype(np.float64))
+
+
+def build_qaoa_circuit(model: IsingModel, params: QaoaParams) -> Circuit:
+    """QAOA circuit for the model: Hadamard wall, then p alternating cost/mixer layers.
+
+    The cost layer applies exp(+i gamma E(x)) as diagonal phases, which with
+    RZ(t) = exp(-i t Z / 2) means RZ(-2 gamma h_i) and RZZ(-2 gamma J_ij); this
+    orientation makes the single-spin expectation equal -sin(2 beta) sin(2 gamma).
+    The mixer applies RX(2 beta) on every qubit.
+    """
+    if model.n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"QAOA circuit needs n <= {DEFAULT_QUBIT_CAP}, got n = {model.n}")
+    gates = [Gate("H", (q,)) for q in range(model.n)]
+    for gamma, beta in zip(params.gammas, params.betas):
+        for q, hq in enumerate(model.h):
+            if hq != 0.0:
+                gates.append(Gate("RZ", (q,), -2.0 * gamma * hq))
+        for i, j, w in model.couplings:
+            gates.append(Gate("RZZ", (i, j), -2.0 * gamma * w))
+        for q in range(model.n):
+            gates.append(Gate("RX", (q,), 2.0 * beta))
+    return Circuit(model.n, tuple(gates))
+
+
+def density_matrix_reference(circuit: Circuit, gamma: float) -> np.ndarray:
+    """Outcome distribution after per-qubit amplitude damping, via the density matrix.
+
+    Kraus operators K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma) |0><1| are
+    applied to every qubit before a computational-basis measurement. Exact but
+    O(4^n); intended as a small-n oracle for the classical bit-decay fast path.
+    """
+    if circuit.n > DENSITY_MATRIX_CAP:
+        raise ResourceLimitError(
+            f"density matrix reference capped at n <= {DENSITY_MATRIX_CAP}, got {circuit.n}")
+    if not (0.0 <= gamma <= 1.0):
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    n = circuit.n
+    psi = simulate(circuit)
+    rho = np.outer(psi, psi.conj())
+    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=np.complex128)
+    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
+    for q in range(n):
+        a = _embed_one_qubit(k0, q, n)
+        b = _embed_one_qubit(k1, q, n)
+        rho = a @ rho @ a.conj().T + b @ rho @ b.conj().T
+    return np.real(np.diag(rho)).copy()
+
+
+def _embed_one_qubit(u: np.ndarray, q: int, n: int) -> np.ndarray:
+    # little-endian: qubit 0 is the rightmost kron factor
+    left = np.eye(1 << (n - 1 - q), dtype=np.complex128)
+    right = np.eye(1 << q, dtype=np.complex128)
+    return np.kron(left, np.kron(u, right))
+
+
+def optimize_params(model: IsingModel,
+                    gamma_range: tuple[float, float] = (-math.pi / 2.0, math.pi / 2.0),
+                    beta_range: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0),
+                    steps: int = 20) -> QaoaParams:
+    """Best single-layer angles of grid_scan over the same grid."""
+    return grid_scan(model, gamma_range, beta_range, steps)[0]

@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 from conftest import record_criterion
+from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
+                     gauge_transform, optimize_params)
 
 from ndar import (DampingSpec, IsingModel, NdarConfig, QaoaParams, SaConfig, SamplerSpec,
-                  all_bitstrings, apply_decay, brute_force_best, build_qaoa_circuit,
-                  build_random_circuit, damping_gamma, density_matrix_reference, derive_seed,
-                  energies, energy, gauge_transform, gen_unweighted, gen_weighted_dense,
-                  maxcut_to_ising, optimize_params, qaoa_expectation, run_ndar, sa_solve,
-                  sample, simulate)
+                  apply_decay, brute_force_best, build_random_circuit, damping_gamma,
+                  derive_seed, energies, energy, gen_unweighted, gen_weighted_dense,
+                  maxcut_to_ising, qaoa_expectation, run_ndar, sa_solve, sample, simulate)
 from ndar.cli import main
 from ndar.engine import KIND_CLASSICAL_BERNOULLI
 from ndar.harness import FAMILY_UNWEIGHTED, FAMILY_WEIGHTED, ExperimentConfig, run_experiment

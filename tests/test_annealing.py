@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from ndar import (IsingModel, MaxCutInstance, SaConfig, bits_to_str, brute_force_best, energy,
+from ndar import (IsingModel, MaxCutInstance, SaConfig, brute_force_best, energy,
                   gen_unweighted, gen_weighted_dense, maxcut_to_ising, sa_solve)
 from ndar import annealing
 from ndar.annealing import color_classes
 from ndar.ising import lex_first
+from oracles import bits_to_str
 
 
 def per_spin_sa_solve(model, config):

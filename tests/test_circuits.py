@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ndar import (Circuit, DampingSpec, Gate, IsingModel, QaoaParams, ResourceLimitError,
-                  build_qaoa_circuit, build_random_circuit, damping_gamma)
+                  build_random_circuit, damping_gamma)
 from ndar.circuits import ONE_QUBIT_GATES, RANDOM_GATE_POOL, TWO_QUBIT_GATES
+from oracles import build_qaoa_circuit
 
 
 def test_gate_normalizes_and_validates():

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from ndar import (DampingSpec, NdarConfig, QaoaParams, SamplerSpec, apply_decay, apply_mask,
-                  brute_force_best, build_qaoa_circuit, classical_bernoulli_sample, derive_seed,
-                  energies, energy, gauge_transform, gen_unweighted, gen_weighted_dense,
-                  maxcut_to_ising, run_ndar, sample, simulate)
+from ndar import (DampingSpec, NdarConfig, QaoaParams, SamplerSpec, apply_decay,
+                  brute_force_best, classical_bernoulli_sample, derive_seed, energies, energy,
+                  gen_unweighted, gen_weighted_dense, maxcut_to_ising, run_ndar, sample, simulate)
 from ndar.engine import _STREAM_DECAY, _STREAM_SAMPLE, _select_best
+from oracles import apply_mask, build_qaoa_circuit, gauge_transform
 
 Q95 = SamplerSpec("classical-bernoulli", q=0.95)
 

@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, deterministic outputs, reports, CLI."""
 
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -11,11 +12,12 @@ import numpy as np
 import pytest
 
 import ndar
-from ndar import ConfigError, ExperimentConfig, aggregate, maxcut_to_ising, optimize_params
+from ndar import ConfigError, ExperimentConfig, aggregate, maxcut_to_ising
 from ndar import harness
 from ndar.cli import main
 from ndar.harness import (build_sampler, grid_search, load_instance, params_search, report,
                           run_experiment)
+from oracles import optimize_params
 
 SMOKE = """\
 # small throwaway experiment
@@ -423,6 +425,43 @@ def test_over_cap_qaoa_fails_before_the_baselines(tmp_path, capsys, monkeypatch,
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "resource limit" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("key", ["ndar.shots", "ndar.iters", "ndar.patience"])
+def test_bad_ndar_values_fail_before_the_baselines(tmp_path, capsys, monkeypatch, key):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the annealer or the loop ran before the loop settings were checked")
+
+    monkeypatch.setattr(harness, "sa_solve", forbidden)
+    monkeypatch.setattr(harness, "run_ndar", forbidden)
+    text = re.sub(rf"^{re.escape(key)} = .*\n", "", SMOKE, flags=re.M) + f"{key} = 0\n"
+    path = write_config(tmp_path, text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_edgeless_graph_fails_before_any_ndar_run(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an NDAR run started on a zero reference cut")
+
+    monkeypatch.setattr(harness, "run_ndar", forbidden)
+    path = write_config(tmp_path, SMOKE.replace("instance.density = 0.4", "instance.density = 0.0"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "reference cut is zero" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```$", readme, flags=re.M | re.S)
+    example = [b for b in blocks if "instance.family = " in b]
+    assert len(example) == 1
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, example[0]))
+    assert cfg.family == "unweighted-sparse" and cfg.n == 80 and cfg.instance_seed == 1
+    assert cfg.sampler_kind == "classical-bernoulli" and cfg.q == 0.95
+    assert (cfg.shots, cfg.iters, cfg.seed, cfg.runs) == (1000, 12, 0, 10)
+    assert cfg.output_dir == "results"
 
 
 def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ndar import ising
-from ndar import (NODE_CAP, IsingModel, MaxCutInstance, ResourceLimitError, all_bitstrings,
-                  apply_mask, as_bits, bits_to_str, brute_force_best, cut_value, edge_density,
-                  energies, energy, gauge_transform, gen_unweighted, gen_weighted_dense,
-                  hamming_weight, maxcut_to_ising, read_instance, write_instance)
+from ndar import (NODE_CAP, IsingModel, MaxCutInstance, ResourceLimitError, as_bits,
+                  brute_force_best, edge_density, energies, energy, gen_unweighted,
+                  gen_weighted_dense, maxcut_to_ising, read_instance, write_instance)
 from ndar.ising import lex_first
+from oracles import (all_bitstrings, apply_mask, bits_to_str, cut_value, gauge_transform,
+                     hamming_weight)
 
 
 def slow_energy(model: IsingModel, x) -> float:

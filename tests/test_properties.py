@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndar import (ConfigError, ExperimentConfig, IsingModel, MaxCutInstance, all_bitstrings,
-                  brute_force_best, energies, energy, gauge_transform, maxcut_to_ising,
-                  read_instance, write_instance)
+from ndar import (ConfigError, DampingSpec, ExperimentConfig, IsingModel, MaxCutInstance,
+                  NdarConfig, QaoaParams, SamplerSpec, brute_force_best, energies, energy,
+                  maxcut_to_ising, read_instance, run_ndar, write_instance)
 from ndar.cli import main
 from ndar.harness import _CONFIG_KEYS
 from ndar.ising import _canonical_triples, lex_first
+from oracles import all_bitstrings, gauge_transform
 
 # fixed example streams keep the suite reproducible; no example database is written
 examples = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -53,6 +54,41 @@ def test_gauge_transform_frame_identity(data):
     y = data.draw(bit_rows(m.n))[0]
     X = data.draw(bit_rows(m.n))
     assert np.array_equal(energies(gauge_transform(m, y), X), energies(m, X ^ y))
+
+
+@st.composite
+def samplers(draw):
+    damping = DampingSpec(draw(st.sampled_from([0.0, 40.0, 400.0])), 180.0)
+    kind = draw(st.sampled_from(["qaoa", "random-circuit", "classical-bernoulli"]))
+    if kind == "qaoa":
+        angle = st.floats(-1.5, 1.5)
+        return SamplerSpec(kind, params=QaoaParams((draw(angle),), (draw(angle),)),
+                           damping=damping)
+    if kind == "random-circuit":
+        return SamplerSpec(kind, depth=draw(st.integers(1, 3)), damping=damping,
+                           fresh_circuit=draw(st.booleans()))
+    return SamplerSpec(kind, q=draw(st.floats(0.0, 1.0)), damping=damping)
+
+
+@examples
+@given(ising_models(max_n=8), samplers(), st.integers(1, 16), st.integers(1, 6),
+       st.one_of(st.none(), st.integers(1, 3)), st.integers(0, 2**32))
+def test_mask_bookkeeping_holds_exactly(model, sampler, shots, iters, patience, seed):
+    result = run_ndar(model, sampler, NdarConfig(shots, iters, seed, patience=patience))
+    mask = np.zeros(model.n, dtype=np.uint8)
+    attractor = energy(model, mask)
+    for j, rec in enumerate(result.trace):
+        assert rec.iter_index == j
+        assert np.array_equal(rec.cumulative_mask, mask ^ rec.best_bits)
+        assert rec.best_energy == energy(model, rec.cumulative_mask)
+        assert rec.attractor_energy == attractor
+        mask, attractor = rec.cumulative_mask, rec.best_energy
+    assert 1 <= len(result.trace) <= iters
+    assert np.array_equal(result.final_mask, mask)
+    lowest = min(rec.best_energy for rec in result.trace)
+    assert result.best_energy_overall == lowest
+    first = next(rec for rec in result.trace if rec.best_energy == lowest)
+    assert np.array_equal(result.best_bits_original_frame, first.cumulative_mask)
 
 
 @examples

@@ -7,9 +7,10 @@ import pytest
 from scipy.linalg import expm
 
 from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLimitError,
-                  all_bitstrings, apply_decay, build_qaoa_circuit, build_random_circuit,
-                  density_matrix_reference, energies, gen_unweighted, grid_scan, maxcut_to_ising,
-                  optimize_params, qaoa_expectation, qaoa_state, sample, simulate)
+                  apply_decay, build_random_circuit, energies, gen_unweighted, grid_scan,
+                  maxcut_to_ising, qaoa_expectation, qaoa_state, sample, simulate)
+from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
+                     optimize_params)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -248,7 +249,7 @@ def test_gauge_covariance_of_output_distribution():
                        tuple((i, j, float(rng.normal())) for i, j in pairs))
     params = QaoaParams((0.5,), (0.25,))
     p0 = np.abs(simulate(build_qaoa_circuit(model, params))) ** 2
-    from ndar import gauge_transform
+    from oracles import gauge_transform
     for _ in range(3):
         y = rng.integers(0, 2, n).astype(np.uint8)
         pt = np.abs(simulate(build_qaoa_circuit(gauge_transform(model, y), params))) ** 2
