@@ -10,8 +10,9 @@ from .errors import ConfigError, ResourceLimitError
 from .harness import (ExperimentConfig, load_instance, params_search, report, run_experiment,
                       sa_config)
 from .ising import edge_density, gen_unweighted, gen_weighted_dense, maxcut_to_ising, write_instance
+from .simulator import GRID_STEPS_CAP
 
-_RUN_EPILOG = """\
+_RUN_EPILOG = f"""\
 config file keys (flat `key = value` lines, `#` comments):
   instance.file              path to an edge-list file, or instead:
   instance.family            unweighted-sparse | weighted-dense
@@ -23,7 +24,7 @@ config file keys (flat `key = value` lines, `#` comments):
   sampler.depth              layers of the random circuit (default 2)
   sampler.fresh_circuit      redraw the random circuit each iteration (default false)
   sampler.gammas/betas       comma-separated QAOA angles; omit to grid-search
-  sampler.grid_steps         grid resolution per axis (default 20)
+  sampler.grid_steps         grid resolution per axis (default 20, at most {GRID_STEPS_CAP})
   sampler.gamma_min/max      grid range for gamma (default -pi/2, pi/2)
   sampler.beta_min/max       grid range for beta (default -pi/4, pi/4)
   sampler.t_delay, sampler.t1   delay and relaxation times in us (default 0, 180)
@@ -120,7 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override ndar.seed")
     p.set_defaults(func=_cmd_sa_baseline)
 
-    p = sub.add_parser("params-search", help="grid-search QAOA angles for an instance")
+    p = sub.add_parser(
+        "params-search",
+        help="grid-search single-layer QAOA angles for an instance and write landscape.csv",
+        description="Grid-search single-layer QAOA angles over the sampler.* grid keys. Each "
+                    "point is the closed-form p = 1 expectation, which builds no statevector, "
+                    "so the qubit cap does not apply: any graph within the node cap is scanned.")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="directory for landscape.csv")
     p.set_defaults(func=_cmd_params_search)

@@ -1,5 +1,5 @@
 """Exact statevector simulation, Born sampling, the amplitude-damping channel as bit decay,
-and the QAOA grid search.
+and the single-layer QAOA grid search, which reads a closed form and builds no state.
 
 Statevector indexing is little-endian: the amplitude at flat index x describes
 the bitstring whose bit i (qubit i) equals (x >> i) & 1.
@@ -16,6 +16,13 @@ from .errors import ResourceLimitError
 from .ising import IsingModel
 
 _SQ2 = 1.0 / math.sqrt(2.0)
+
+# points per grid_scan axis; refused before allocating, as a 256 x 256 grid is 65,536 rows
+GRID_STEPS_CAP = 256
+
+# floats per (edges, n) temporary of the closed form, 0.5 MB; on dense n = 300, blocks of
+# 2^20 floats ran 1.6x slower
+_EDGE_CHUNK = 1 << 16
 
 
 def _one_qubit_matrix(kind: str, theta: float | None) -> np.ndarray:
@@ -156,24 +163,82 @@ def qaoa_expectation(model: IsingModel, params: QaoaParams) -> float:
     return float((psi.real ** 2 + psi.imag ** 2) @ model.cost_diagonal)
 
 
+def _p1_coefficients(model: IsingModel, gamma: float) -> tuple[float, float, float]:
+    """(A, B, D) of the single-layer expectation offset + sin 2b A + sin 4b B - sin^2 2b D.
+
+    The closed form of Ozaeta, van Dam and McMahon (arXiv:2012.03421), with g = -gamma
+    because qaoa_state's phase exp(+i gamma (E - offset)) is theirs with gamma -> -gamma.
+    With c_uw = cos 2g J_uw and s_uw = sin 2g J_uw, summing over edges (u, v):
+
+      A = sum_u h_u sin(2g h_u) prod_{w != u} c_uw
+      B = sum J_uv / 2 sin(2g J_uv) [cos(2g h_u) prod_{w != u,v} c_uw + (u <-> v)]
+      D = sum J_uv / 2 [cos 2g(h_u + h_v) prod_{w != u,v} (c_uw c_vw - s_uw s_vw)
+                        - cos 2g(h_u - h_v) prod_{w != u,v} (c_uw c_vw + s_uw s_vw)]
+
+    The products over w != u, v take rows of c with the u and v entries set to 1, so c_uv,
+    6e-17 at g = pi/2 and J = 1/2, is never divided out. Edges go in blocks of
+    _EDGE_CHUNK // n, so each temporary holds about _EDGE_CHUNK floats.
+    """
+    g = -gamma
+    h = model._fields
+    ci, cj, cw = model._edge_arrays
+    angle = 2.0 * g * model.coupling_matrix
+    c, s = np.cos(angle), np.sin(angle)
+    a = float(h @ (np.sin(2.0 * g * h) * c.prod(axis=1)))
+    b = d = 0.0
+    block = max(1, _EDGE_CHUNK // model.n)
+    for start in range(0, cw.size, block):
+        u, v, J = ci[start:start + block], cj[start:start + block], cw[start:start + block]
+        r = np.arange(u.size)
+        cu, cv = c[u], c[v]
+        cu[r, v] = 1.0  # c_uu = cos 0 = 1 already
+        cv[r, u] = 1.0
+        hu, hv = h[u], h[v]
+        b += float((0.5 * J * np.sin(2.0 * g * J)) @ (np.cos(2.0 * g * hu) * cu.prod(axis=1)
+                                                      + np.cos(2.0 * g * hv) * cv.prod(axis=1)))
+        cu *= cv
+        del cv  # at most four blocks live at once
+        # s_uu = s_vv = 0, so the u and v entries of ss are 0 and of cu -+ ss stay 1
+        ss = s[u]
+        ss *= s[v]
+        plus = cu - ss
+        cu += ss
+        d += float((0.5 * J) @ (np.cos(2.0 * g * (hu + hv)) * plus.prod(axis=1)
+                                - np.cos(2.0 * g * (hu - hv)) * cu.prod(axis=1)))
+    return a, b, d
+
+
 def grid_scan(model: IsingModel,
               gamma_range: tuple[float, float] = (-math.pi / 2.0, math.pi / 2.0),
               beta_range: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0),
               steps: int = 20) -> tuple[QaoaParams, float, list]:
-    """Single-layer grid scan of qaoa_expectation over steps x steps points.
+    """Single-layer grid scan of the QAOA expectation over steps x steps points.
 
     Grid points are inclusive linspaces over the two ranges, scanned gamma-major.
     Returns (best params, best value, landscape rows of (gamma, beta, value)).
-    Symmetric grids hold exact ties (every gamma = 0 or beta = 0 point gives the
-    uniform distribution), so the best point is the first in scan order within
+    Each value is the closed form of _p1_coefficients, which equals qaoa_expectation
+    up to rounding but builds no 2^n state, so any n the node cap admits is scanned;
+    one evaluation per gamma serves the whole row over beta. Every gamma = 0 or
+    beta = 0 point gives exactly the offset (the uniform distribution's mean), so
+    symmetric grids hold exact ties: the best point is the first in scan order within
     1e-12 * max(1, |min|) of the minimum, a choice rounding noise cannot flip.
+    More than GRID_STEPS_CAP steps raise ResourceLimitError before any allocation.
     """
     if steps < 1:
         raise ValueError("empty parameter grid: steps must be >= 1")
-    rows = [(float(g), float(b), qaoa_expectation(model, QaoaParams((float(g),), (float(b),))))
-            for g in np.linspace(gamma_range[0], gamma_range[1], steps)
-            for b in np.linspace(beta_range[0], beta_range[1], steps)]
-    values = np.array([r[2] for r in rows])
+    if steps > GRID_STEPS_CAP:
+        raise ResourceLimitError(f"parameter grid capped at {GRID_STEPS_CAP} steps per axis, "
+                                 f"got {steps}")
+    gammas = np.linspace(gamma_range[0], gamma_range[1], steps)
+    betas = np.linspace(beta_range[0], beta_range[1], steps)
+    s2, s4 = np.sin(2.0 * betas), np.sin(4.0 * betas)
+    values = np.empty((steps, steps))
+    for k, g in enumerate(gammas):
+        a, b, d = _p1_coefficients(model, float(g))
+        values[k] = model.offset + s2 * a + s4 * b - s2 * s2 * d
+    rows = [(float(g), float(beta), float(v))
+            for g, row in zip(gammas, values) for beta, v in zip(betas, row)]
+    values = values.ravel()
     lowest = values.min()
     k = int(np.argmax(values <= lowest + 1e-12 * max(1.0, abs(lowest))))
     return QaoaParams((rows[k][0],), (rows[k][1],)), rows[k][2], rows

@@ -17,6 +17,7 @@ from ndar import harness
 from ndar.cli import main
 from ndar.harness import (build_sampler, grid_search, load_instance, params_search, report,
                           run_experiment)
+from ndar.simulator import GRID_STEPS_CAP
 from oracles import optimize_params
 
 SMOKE = """\
@@ -424,6 +425,39 @@ def test_over_cap_qaoa_fails_before_the_baselines(tmp_path, capsys, monkeypatch,
     path = write_config(tmp_path, OVER_CAP + angles)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "resource limit" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_params_search_runs_beyond_the_qubit_cap(tmp_path, capsys):
+    # the grid search builds no 2^n state, so the qubit cap binds samplers only
+    text = OVER_CAP.replace("instance.n = 23", "instance.n = 80").replace(
+        "sampler.grid_steps = 2", "sampler.grid_steps = 5")
+    path = write_config(tmp_path, text)
+    out = tmp_path / "scan"
+    assert main(["params-search", "--config", str(path), "--out", str(out)]) == 0
+    assert "best gamma" in capsys.readouterr().out
+    rows = (out / "landscape.csv").read_text().splitlines()
+    assert rows[0] == "gamma,beta,expectation" and len(rows) == 1 + 25
+
+
+@pytest.mark.parametrize("command", ["run", "params-search"])
+def test_huge_grid_fails_before_allocating(tmp_path, capsys, monkeypatch, command):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the annealer ran before the grid size was checked")
+
+    monkeypatch.setattr(harness, "sa_solve", forbidden)
+    text = OVER_CAP.replace("instance.n = 23", "instance.n = 12").replace(
+        "sampler.grid_steps = 2", "sampler.grid_steps = 1000000000")
+    path = write_config(tmp_path, text)
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert f"capped at {GRID_STEPS_CAP} steps" in capsys.readouterr().err
+    assert peak < 1 << 20
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 

@@ -7,8 +7,9 @@ import pytest
 from scipy.linalg import expm
 
 from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLimitError,
-                  apply_decay, build_random_circuit, energies, gen_unweighted, grid_scan,
-                  maxcut_to_ising, qaoa_expectation, qaoa_state, sample, simulate)
+                  apply_decay, build_random_circuit, energies, gen_unweighted, gen_weighted_dense,
+                  grid_scan, maxcut_to_ising, qaoa_expectation, qaoa_state, sample, simulate)
+from ndar.simulator import GRID_STEPS_CAP
 from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
                      optimize_params)
 
@@ -361,3 +362,79 @@ def test_grid_scan_picks_the_gate_level_point(n):
         assert max_err([r[2] for r in rows], gate_values) <= 1e-12
         k = first_minimum(gate_values)
         assert (best.gammas[0], best.betas[0], best_value) == rows[k], seed
+
+
+def signed_or_gaussian_model(rng, n, signed):
+    """Gaussian fields, an offset, and couplings of +-1 on the complete graph (the paper's
+    positive-negative weighted instances) or Gaussian ones on a random subgraph."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if signed or rng.random() < 0.7]
+    weights = rng.choice([-1.0, 1.0], len(pairs)) if signed else rng.normal(size=len(pairs))
+    return IsingModel(n, tuple(rng.normal(size=n)),
+                      tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights)),
+                      offset=float(rng.normal(scale=3.0)))
+
+
+def assert_rows_match_the_statevector(model, rows):
+    for g, b, value in rows:
+        want = qaoa_expectation(model, QaoaParams((g,), (b,)))
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (model.n, g, b)
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_grid_scan_closed_form_matches_qaoa_expectation(signed):
+    rng = np.random.default_rng(46 + signed)
+    for n in range(1, 9):
+        for _ in range(3):
+            model = signed_or_gaussian_model(rng, n, signed)
+            lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2)), np.sort(rng.uniform(-2.0, 2.0, 2))
+            _, _, rows = grid_scan(model, tuple(lo), tuple(hi), steps=4)
+            assert len(rows) == 16
+            assert_rows_match_the_statevector(model, rows)
+
+
+def test_grid_scan_closed_form_where_a_coupling_cosine_vanishes():
+    # J = +-1/2 at gamma = +-pi/2 makes cos(2 gamma J) = 6e-17, a factor of every product
+    for model in (maxcut_to_ising(gen_unweighted(7, 0.7, 3)),
+                  maxcut_to_ising(gen_weighted_dense(6, 4)),
+                  IsingModel(3, (0.3, -0.2, 0.0), ((0, 1, 0.5), (0, 2, -0.5), (1, 2, 0.5)), 1.5)):
+        _, _, rows = grid_scan(model, steps=5)
+        assert {rows[0][0], rows[-1][0]} == {-math.pi / 2, math.pi / 2}
+        assert_rows_match_the_statevector(model, rows)
+
+
+def test_grid_scan_gives_the_offset_exactly_on_the_axes():
+    rng = np.random.default_rng(48)
+    for n in (1, 2, 5, 8):
+        for model in (signed_or_gaussian_model(rng, n, True),
+                      signed_or_gaussian_model(rng, n, False)):
+            _, _, rows = grid_scan(model, (-1.0, 1.0), (-0.5, 0.5), steps=5)
+            axes = [value for g, b, value in rows if g == 0.0 or b == 0.0]
+            assert len(axes) == 9
+            assert all(value == model.offset for value in axes)
+
+
+def test_grid_scan_builds_no_state_beyond_the_qubit_cap():
+    model = maxcut_to_ising(gen_unweighted(80, 0.3, 1))
+    best, best_value, rows = grid_scan(model, steps=3)
+    assert len(rows) == 9 and best_value == min(r[2] for r in rows)
+    assert "cost_diagonal" not in model.__dict__
+
+
+def test_one_gamma_on_dense_300_holds_a_few_edge_blocks():
+    # unblocked, each (edges, n) temporary would be 44,850 x 300 floats, 108 MB
+    import tracemalloc
+    model = maxcut_to_ising(gen_weighted_dense(300, 3))
+    tracemalloc.start()
+    try:
+        grid_scan(model, steps=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_grid_scan_caps_the_steps_per_axis():
+    model = IsingModel(1, (1.0,), ())
+    assert len(grid_scan(model, steps=GRID_STEPS_CAP)[2]) == GRID_STEPS_CAP ** 2
+    with pytest.raises(ResourceLimitError, match="capped"):
+        grid_scan(model, steps=GRID_STEPS_CAP + 1)
