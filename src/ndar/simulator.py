@@ -197,7 +197,7 @@ def _p1_coefficients(model: IsingModel, gamma: float) -> tuple[float, float, flo
         b += float((0.5 * J * np.sin(2.0 * g * J)) @ (np.cos(2.0 * g * hu) * cu.prod(axis=1)
                                                       + np.cos(2.0 * g * hv) * cv.prod(axis=1)))
         cu *= cv
-        del cv  # at most four blocks live at once
+        del cv  # so at most three blocks are live at once
         # s_uu = s_vv = 0, so the u and v entries of ss are 0 and of cu -+ ss stay 1
         ss = s[u]
         ss *= s[v]
