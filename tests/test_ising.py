@@ -327,6 +327,31 @@ def test_cost_diagonal_build_holds_one_copy(monkeypatch):
     assert diag.nbytes <= peak < 1.25 * diag.nbytes
 
 
+def traced_peak(fn):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cost_diagonal_build_peak_at_n_18():
+    # one full _ENUM_CHUNK block: its index bits, and S and S @ J in float32 (about
+    # 47 MiB); in float64 S and S @ J alone are 75 MB and the build peaks at 88 MB
+    model = maxcut_to_ising(gen_unweighted(18, 0.8, 29))
+    assert traced_peak(lambda: model.cost_diagonal) < 60e6
+
+
+def test_energies_peak_on_a_dense_300_node_batch():
+    model = maxcut_to_ising(gen_weighted_dense(300, 1))
+    X = np.random.default_rng(1).integers(0, 2, (10_000, 300), dtype=np.uint8)
+    energies(model, X[:1])  # the cached coupling matrices stay out of the measurement
+    # S and S @ J in float32 are 12 MB each; in float64 the peak is 48 MB
+    assert traced_peak(lambda: energies(model, X)) < 30e6
+
+
 def test_brute_force_refuses_large_n():
     with pytest.raises(ResourceLimitError):
         brute_force_best(IsingModel(25, (0.0,) * 25, ()))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ndar import (ConfigError, DampingSpec, ExperimentConfig, IsingModel, MaxCutInstance,
                   NdarConfig, QaoaParams, SamplerSpec, brute_force_best, energies, energy,
-                  maxcut_to_ising, read_instance, run_ndar, write_instance)
+                  gen_weighted_dense, maxcut_to_ising, read_instance, run_ndar,
+                  write_instance)
 from ndar.cli import main
 from ndar.harness import _CONFIG_KEYS
 from ndar.ising import _canonical_triples, lex_first
@@ -54,6 +55,78 @@ def test_gauge_transform_frame_identity(data):
     y = data.draw(bit_rows(m.n))[0]
     X = data.draw(bit_rows(m.n))
     assert np.array_equal(energies(gauge_transform(m, y), X), energies(m, X ^ y))
+
+
+def float64_path(model):
+    """A copy of the model whose energies take the float64 path."""
+    copy = dataclasses.replace(model)
+    copy.__dict__["_float32_terms"] = None
+    return copy
+
+
+def assert_exact_float32_energies(model, X):
+    """energies takes the float32 path and returns the bits of the float64 path."""
+    assert model._float32_terms is not None
+    batch = energies(model, X)
+    assert batch.dtype == np.float64
+    assert batch.tobytes() == energies(float64_path(model), X).tobytes()
+    return batch
+
+
+@st.composite
+def dyadic_models(draw, max_n=7):
+    """Weights and fields k 2^-p with small integers k, and a nonzero offset of any kind."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from([0, 1, 2, 5, 12, 40]))
+    value = st.integers(-64, 64).map(lambda k: k * 2.0 ** -p)
+    h = tuple(draw(st.lists(value, min_size=n, max_size=n)))
+    offset = draw(st.floats(-10.0, 10.0).filter(bool))
+    return IsingModel(n, h, draw(edge_lists(n, value)), offset)
+
+
+@examples
+@given(st.data())
+def test_float32_energies_are_exact_on_dyadic_models(data):
+    model = data.draw(dyadic_models())
+    X = data.draw(bit_rows(model.n))
+    batch = assert_exact_float32_energies(model, X)
+    assert batch.tolist() == [energy(model, x) for x in X]
+
+
+def test_float32_energies_are_exact_on_a_dense_300_node_batch():
+    model = maxcut_to_ising(gen_weighted_dense(300, 5))
+    X = np.random.default_rng(5).integers(0, 2, (3000, 300), dtype=np.uint8)
+    batch = assert_exact_float32_energies(model, X)
+    assert batch[:100].tolist() == [energy(model, x) for x in X[:100]]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -3])
+def test_a_model_at_the_float32_bound_qualifies(scale):
+    # 2 sum |J| = 2^24 u with u = scale: the largest total the rule accepts
+    at_bound = IsingModel(3, (scale, -scale, 0.0), ((0, 1, (2.0 ** 23 - 1) * scale),
+                                                   (1, 2, scale)), 0.25)
+    fields_at_bound = IsingModel(2, ((2.0 ** 24 - 1) * scale, scale), ())
+    for model in (at_bound, fields_at_bound):
+        batch = assert_exact_float32_energies(model, all_bitstrings(model.n))
+        assert batch.tolist() == [energy(model, x) for x in all_bitstrings(model.n)]
+
+
+@pytest.mark.parametrize("model", [
+    IsingModel(3, (0.0, 0.1, 0.0), ((0, 1, 0.1), (1, 2, -0.2))),
+    IsingModel(4, tuple(np.random.default_rng(3).normal(size=4)),
+               tuple((i, j, float(w)) for (i, j), w in zip(
+                   ((0, 1), (0, 2), (1, 3), (2, 3)), np.random.default_rng(4).normal(size=4)))),
+    IsingModel(2, (2.0 ** 24, 1.0), ()),  # sum |h| = 2^24 + 1 units of 1
+    IsingModel(2, (2.0 ** 23, 0.5), ()),  # 2^24 + 1 units of 1/2, under 2^24 units of 1
+    IsingModel(3, (0.0,) * 3, ((0, 1, 2.0 ** 22), (1, 2, 0.5))),  # 2 sum |J| = 2^24 + 2 halves
+    IsingModel(2, (2.0 ** 200, 0.0), ()),  # a multiple of 2^200, beyond the float32 range
+    IsingModel(2, (2.0 ** -127, 0.0), ()),  # a unit below the smallest normal float32
+], ids=["tenths", "gaussian", "fields-over", "finer-unit-over", "couplings-over", "huge",
+        "tiny-unit"])
+def test_models_outside_the_float32_rule_take_the_float64_path(model):
+    assert model._float32_terms is None
+    X = all_bitstrings(model.n)
+    assert energies(model, X).tobytes() == energies(float64_path(model), X).tobytes()
 
 
 @st.composite
