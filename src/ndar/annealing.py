@@ -6,7 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .ising import IsingModel, energy, lex_first
+
+# spins per block of delayed local-field updates
+_BLOCK = 32
+
+# largest annealing effort accepted. The working arrays peak (tracemalloc) at about 50
+# bytes per read and spin, about 420 MB at the budget; the schedule holds 8 bytes a sweep
+SA_SPIN_BUDGET = 1 << 23
+SA_SWEEPS_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -28,6 +37,15 @@ class SaConfig:
             raise ValueError("num_reads and sweeps_per_read must be >= 1")
         if not (0.0 < self.beta_min <= self.beta_max):
             raise ValueError(f"need 0 < beta_min <= beta_max, got {self.beta_min}, {self.beta_max}")
+
+
+def check_effort(reads: int, sweeps: int, n: int) -> None:
+    """Refuse more than SA_SPIN_BUDGET read-spins or SA_SWEEPS_CAP sweeps before allocating."""
+    if reads * n > SA_SPIN_BUDGET:
+        raise ResourceLimitError(f"annealing {reads} reads of {n} spins exceeds the budget of "
+                                 f"{SA_SPIN_BUDGET} read-spins")
+    if sweeps > SA_SWEEPS_CAP:
+        raise ResourceLimitError(f"{sweeps} sweeps per read exceeds the cap {SA_SWEEPS_CAP}")
 
 
 def color_classes(jm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,56 +72,78 @@ def sa_solve(model: IsingModel, config: SaConfig = SaConfig()) -> tuple[np.ndarr
     """Best (bitstring, energy) across all reads; ties go to ising.lex_first.
 
     Each read starts from random spins and performs sweeps of single-spin
-    Metropolis updates at geometrically increasing beta. Sweeps are colored: the
-    spins are split once into classes that share no coupling (`color_classes`),
-    and each sweep visits the classes in random order. Flipping uncoupled spins
-    together changes the energy by the sum of their single-flip changes, so one
-    vectorized step proposes every spin of a class for every read at once. Every
-    sweep still proposes each spin once per read, and acceptance randomness stays
-    independent per read and spin. On a complete graph every class is one spin.
-    beta acts on the energy without the constant offset, which cancels from every
-    difference.
+    Metropolis updates at geometrically increasing beta. A sweep draws a random
+    order of the color classes (`color_classes`: no coupling joins two spins of one
+    class) and one uniform u per read and spin, then proposes every spin once per
+    read, class by class. A flip is accepted when its energy change is at most
+    -ln(1 - u) / beta, which accepts every downhill move; beta acts on the energy
+    without the constant offset, which cancels from every difference. Flipping
+    uncoupled spins together changes the energy by the sum of their single-flip
+    changes, so one vectorized step proposes a whole class for all reads.
+
+    Local fields are updated late (Isakov et al., arXiv:1401.1084): the classes are
+    walked in blocks of about _BLOCK spins, a class sees the fields of its block's start
+    plus the block's earlier flips, and one matrix product per block brings every field
+    up to date. Each read's energy is computed once per sweep, from its spins and
+    fields. On weights exact in binary every partial sum is exact, so the chain is the
+    one a per-spin loop on the same draws would run.
     """
     n = model.n
-    rng = np.random.default_rng(config.seed)
     reads = config.num_reads
-    # relabel so that every class is a contiguous column slice: steps work on views
+    check_effort(reads, config.sweeps_per_read, n)
+    rng = np.random.default_rng(config.seed)
     order, bounds = color_classes(model.coupling_matrix)
-    jm = model.coupling_matrix[np.ix_(order, order)]
-    h = model._fields[order]
+    sizes = np.diff(bounds)
+    jm2 = -2.0 * model.coupling_matrix  # field change per unit of the flipped spin's old value
+    h = model._fields
 
-    spins = (1.0 - 2.0 * rng.integers(0, 2, size=(reads, n)))[:, order]
-    local = spins @ jm + h  # local[r, i] = h_i + sum_j J_ij s_j
-    e = spins @ h + 0.5 * np.einsum("ij,ij->i", spins, spins @ jm)
+    # spins and fields are (n, reads), so one spin's values for all reads are contiguous
+    spins = np.ascontiguousarray(1.0 - 2.0 * rng.integers(0, 2, size=(reads, n)).T)
+    local = model.coupling_matrix @ spins + h[:, None]  # local[i, r] = h_i + sum_j J_ij s_j
 
-    best_e = e.copy()
+    def sweep_energies():
+        return 0.5 * (h @ spins + (spins * local).sum(axis=0))
+
+    best_e = sweep_energies()
     best_spins = spins.copy()
-    classes = [(spins[:, a:b], local[:, a:b], jm[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    betas = np.geomspace(config.beta_min, config.beta_max, config.sweeps_per_read)
-    for beta in betas:
-        for c in rng.permutation(len(classes)):
-            s, loc, jc = classes[c]
-            de = -2.0 * s * loc
-            accept = de <= 0.0
-            uphill = ~accept
-            if uphill.any():
-                # one draw per uphill proposal, in row-major (read, spin) order
-                accept[uphill] = rng.random(np.count_nonzero(uphill)) < np.exp(-beta * de[uphill])
-            rows = np.flatnonzero(accept.any(axis=1))
-            if rows.size:
-                flip = -2.0 * s * accept  # new spin minus old spin
-                s += flip
-                e += (de * accept).sum(axis=1)
-                # np.dot, not @: numpy's matmul takes about 3x as long on the (rows x 1) @
-                # (1 x n) product of a one-spin class
-                local[rows] += np.dot(flip[rows], jc)
+    for beta in np.geomspace(config.beta_min, config.beta_max, config.sweeps_per_read):
+        perm = rng.permutation(sizes.size)
+        thresholds = rng.random((reads, n))
+        np.negative(thresholds, out=thresholds)
+        np.log1p(thresholds, out=thresholds)
+        thresholds /= 2.0 * beta  # a flip is accepted when s * local >= its threshold
+
+        # the spins in visiting order, class after class, and their thresholds in that order
+        run = sizes[perm]
+        ends = np.cumsum(run)
+        visit = order[np.repeat(bounds[perm] + run - ends, run) + np.arange(n)]
+        thresholds = thresholds.T[visit]
+        # a block is the classes that start within one stretch of _BLOCK visiting positions
+        heads = np.flatnonzero(np.diff((ends - run) // _BLOCK, prepend=-1)).tolist()
+        edges = [0] + ends.tolist()
+        for first, stop in zip(heads, heads[1:] + [sizes.size]):
+            b0, b1 = edges[first], edges[stop]
+            idx = visit[b0:b1]
+            rows = jm2[idx]
+            jb = rows[:, idx]
+            sb, lb, tb = spins[idx], local[idx], thresholds[b0:b1]
+            flips = np.empty_like(sb)  # the old spin where a flip was accepted, else 0
+            for c in range(first, stop):
+                p0, p1 = edges[c] - b0, edges[c + 1] - b0
+                s, loc = sb[p0:p1], lb[p0:p1]
+                if p0:  # the fields as the block's earlier flips left them
+                    loc = loc + jb[p0:p1, :p0] @ flips[:p0]
+                np.multiply(s, s * loc >= tb[p0:p1], out=flips[p0:p1])
+            spins[idx] = sb - 2.0 * flips
+            local += rows.T @ flips
+
+        e = sweep_energies()
         improved = e < best_e
         if np.any(improved):
             best_e[improved] = e[improved]
-            best_spins[improved] = spins[improved]
+            best_spins[:, improved] = spins[:, improved]
 
-    best_spins = best_spins[:, np.argsort(order)]  # back to the model's labels
     # bit i of a read is 1 where its spin i is -1
-    k = lex_first(np.flatnonzero(best_e == best_e.min()), lambda c, i: best_spins[c, i] < 0, n)
-    winner = ((1.0 - best_spins[k]) / 2.0).astype(np.uint8)
+    k = lex_first(np.flatnonzero(best_e == best_e.min()), lambda c, i: best_spins[i, c] < 0, n)
+    winner = ((1.0 - best_spins[:, k]) / 2.0).astype(np.uint8)
     return winner, energy(model, winner)

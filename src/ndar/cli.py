@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .annealing import sa_solve
+from .annealing import SA_SPIN_BUDGET, SA_SWEEPS_CAP, sa_solve
 from .errors import ConfigError, ResourceLimitError
 from .harness import (ExperimentConfig, load_instance, params_search, report, run_experiment,
                       sa_config)
@@ -34,7 +34,8 @@ config file keys (flat `key = value` lines, `#` comments):
   ndar.record_distributions  write first/last iteration histograms (default true)
   ndar.patience              optional early stop after this many stalled iterations
                              (trajectory.csv carries a stopped run's best cut forward)
-  sa.reads, sa.sweeps        annealing effort (defaults 100, 1000)
+  sa.reads, sa.sweeps        annealing effort (defaults 100, 1000; reads x n at most
+                             {SA_SPIN_BUDGET}, sweeps at most {SA_SWEEPS_CAP})
   sa.beta_min, sa.beta_max   schedule bounds (defaults 0.01, 10)
   sa.seed                    annealer seed (default: derived from ndar.seed)
   runs                       independent NDAR runs (default 10)

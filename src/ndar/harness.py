@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .annealing import SaConfig, sa_solve
+from .annealing import SaConfig, check_effort, sa_solve
 from .circuits import DEFAULT_QUBIT_CAP, DampingSpec, QaoaParams
 from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT,
                      NdarConfig, NdarResult, SamplerSpec, derive_seed, run_ndar)
 from .errors import ConfigError, ResourceLimitError
-from .ising import (BRUTE_FORCE_CAP, MaxCutInstance, brute_force_best, edge_density,
+from .ising import (BRUTE_FORCE_CAP, NODE_CAP, MaxCutInstance, brute_force_best, edge_density,
                     gen_unweighted, gen_weighted_dense, maxcut_to_ising, read_instance)
 from .simulator import grid_scan
 
@@ -155,6 +155,11 @@ class ExperimentConfig:
             raise ConfigError("set sampler.gammas and sampler.betas together")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        # the annealer's budget, before any instance exists. A file's n is known only once
+        # it is read, and sa_solve checks again then; an n that no generator accepts fails
+        # there with its own message
+        n = self.n if self.family is not None else 1
+        check_effort(self.sa_reads, self.sa_sweeps, min(max(n, 1), NODE_CAP))
 
     @classmethod
     def from_file(cls, path, seed_override: int | None = None,

@@ -27,7 +27,7 @@ NODE_CAP = 1024
 
 # chunk size for exhaustive scans. A block's index bits and its float32 energy terms are
 # the temporaries: building the cost diagonal of a MaxCut model peaks (tracemalloc) at
-# 47 MiB for n = 18, 91 MiB for n = 22 and 192 MiB for n = 24, the 2, 32 and 128 MiB
+# 45.5 MiB for n = 18, 84.5 MiB for n = 22 and 185 MiB for n = 24, the 2, 32 and 128 MiB
 # diagonal included
 _ENUM_CHUNK = 1 << 18
 
@@ -70,8 +70,9 @@ def _check_enumerable(n: int) -> None:
 
 
 def _index_bits(idx: np.ndarray, n: int) -> np.ndarray:
-    """Rows of little-endian bits for the given indices: bit i of row k is (idx[k] >> i) & 1."""
-    return ((idx[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
+    """Rows of little-endian bits for indices below 2^32: bit i of row k is (idx[k] >> i) & 1."""
+    octets = np.asarray(idx).astype("<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
 
 
 def lex_first(cand: np.ndarray, bit: Callable[[np.ndarray, int], np.ndarray], n: int) -> int:

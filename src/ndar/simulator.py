@@ -13,7 +13,7 @@ import numpy as np
 
 from .circuits import DEFAULT_QUBIT_CAP, Circuit, QaoaCircuit, QaoaParams
 from .errors import ResourceLimitError
-from .ising import IsingModel
+from .ising import IsingModel, _index_bits
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -119,7 +119,7 @@ def sample(state: np.ndarray, shots: int, seed: int) -> np.ndarray:
     p = np.abs(amps) ** 2
     p = p / p.sum()
     idx = np.random.default_rng(seed).choice(p.size, size=shots, p=p)
-    return ((idx[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    return _index_bits(idx, n)
 
 
 def apply_decay(samples: np.ndarray, gamma: float, seed: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ndar import (IsingModel, MaxCutInstance, SaConfig, brute_force_best, energy,
-                  gen_unweighted, gen_weighted_dense, maxcut_to_ising, sa_solve)
+from ndar import (IsingModel, MaxCutInstance, ResourceLimitError, SaConfig, brute_force_best,
+                  energy, gen_unweighted, gen_weighted_dense, maxcut_to_ising, sa_solve)
 from ndar import annealing
 from ndar.annealing import color_classes
 from ndar.ising import lex_first
@@ -12,12 +12,15 @@ from oracles import bits_to_str
 
 
 def per_spin_sa_solve(model, config):
-    """The per-spin sweep that colored sweeps replaced: one spin for all reads per step."""
+    """The annealer one spin at a time, on the same draws: each flip updates every field and
+    the energy at once, where sa_solve delays field updates and recomputes energies."""
     n = model.n
     rng = np.random.default_rng(config.seed)
     reads = config.num_reads
     jm = model.coupling_matrix
     h = model._fields
+    order, bounds = color_classes(jm)
+    classes = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     spins = (1.0 - 2.0 * rng.integers(0, 2, size=(reads, n))).astype(np.float64)
     local = spins @ jm + h
@@ -27,16 +30,13 @@ def per_spin_sa_solve(model, config):
     best_spins = spins.copy()
     betas = np.geomspace(config.beta_min, config.beta_max, config.sweeps_per_read)
     for beta in betas:
-        for i in rng.permutation(n):
-            de = -2.0 * spins[:, i] * local[:, i]
-            accept = de <= 0.0
-            uphill = ~accept
-            if np.any(uphill):
-                accept[uphill] = rng.random(int(uphill.sum())) < np.exp(-beta * de[uphill])
-            acc = np.flatnonzero(accept)
-            if acc.size:
+        perm = rng.permutation(len(classes))
+        thresholds = np.log1p(-rng.random((reads, n))) / (2.0 * beta)
+        for c in perm:
+            for i in classes[c]:
+                acc = np.flatnonzero(spins[:, i] * local[:, i] >= thresholds[:, i])
+                e[acc] -= 2.0 * spins[acc, i] * local[acc, i]
                 spins[acc, i] *= -1.0
-                e[acc] += de[acc]
                 local[acc, :] += (2.0 * spins[acc, i])[:, None] * jm[i, :][None, :]
         improved = e < best_e
         if np.any(improved):
@@ -49,10 +49,11 @@ def per_spin_sa_solve(model, config):
 
 
 def normal_complete_model(n, seed):
+    """Normal fields and couplings rounded to multiples of 1/256, so every sum is exact."""
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
-    couplings = np.column_stack((iu, ju, rng.normal(size=iu.size)))
-    return IsingModel(n, tuple(rng.normal(size=n)), couplings, offset=0.25)
+    couplings = np.column_stack((iu, ju, np.round(rng.normal(size=iu.size) * 256) / 256))
+    return IsingModel(n, tuple(np.round(rng.normal(size=n) * 256) / 256), couplings, offset=0.25)
 
 
 def assert_proper_coloring(jm, order, bounds):
@@ -132,6 +133,23 @@ def test_more_effort_never_hurts_on_average():
     assert min(keen) <= min(lazy)
 
 
+def test_oversized_effort_fails_before_allocating():
+    import tracemalloc
+    model = maxcut_to_ising(gen_weighted_dense(300, seed=0))
+    model.coupling_matrix  # cached outside the measurement
+    tracemalloc.start()
+    try:
+        for config in (SaConfig(num_reads=annealing.SA_SPIN_BUDGET // 300 + 1),
+                       SaConfig(sweeps_per_read=annealing.SA_SWEEPS_CAP + 1)):
+            with pytest.raises(ResourceLimitError):
+                sa_solve(model, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    sa_solve(model, SaConfig(num_reads=1, sweeps_per_read=1))  # within the budget
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SaConfig(num_reads=0)
@@ -150,9 +168,28 @@ def test_config_validation():
     (maxcut_to_ising(gen_weighted_dense(300, seed=3)), SaConfig(100, 4, seed=5)),
 ], ids=["dense-30", "dense-30-one-read", "normal-complete-25", "dense-300"])
 def test_colored_sweeps_match_the_per_spin_loop_on_complete_graphs(model, config):
-    # one class per spin: the class order is the old spin order and the draws are the same
+    # one class per spin, so every block of delayed updates holds _BLOCK classes
     order, bounds = color_classes(model.coupling_matrix)
     assert np.array_equal(order, np.arange(model.n)) and bounds.size == model.n + 1
+    bits, e = sa_solve(model, config)
+    expected_bits, expected_e = per_spin_sa_solve(model, config)
+    assert np.array_equal(bits, expected_bits)
+    assert e == expected_e
+
+
+@pytest.mark.parametrize("model, config, block", [
+    (maxcut_to_ising(gen_unweighted(40, 0.1, seed=1)), SaConfig(12, 100, seed=4), None),
+    (maxcut_to_ising(gen_unweighted(18, 0.8, seed=29)), SaConfig(100, 200, seed=6), None),
+    (maxcut_to_ising(gen_unweighted(300, 0.3, seed=2)), SaConfig(100, 5, seed=7), None),
+    (maxcut_to_ising(gen_unweighted(40, 0.1, seed=1)), SaConfig(12, 100, seed=4), 4),
+], ids=["sparse-40", "qaoa-18", "sparse-300", "sparse-40-classes-beyond-a-block"])
+def test_blocked_sweeps_match_the_per_spin_loop_on_colored_graphs(model, config, block,
+                                                                   monkeypatch):
+    _, bounds = color_classes(model.coupling_matrix)
+    assert 1 < bounds.size - 1 < model.n
+    if block is not None:  # blocks of one class each, some classes larger than a block
+        monkeypatch.setattr(annealing, "_BLOCK", block)
+        assert np.diff(bounds).max() > block
     bits, e = sa_solve(model, config)
     expected_bits, expected_e = per_spin_sa_solve(model, config)
     assert np.array_equal(bits, expected_bits)
@@ -186,46 +223,52 @@ def test_coloring_is_proper(model):
 
 
 class CountingGenerator:
-    """A default_rng stand-in that records the initial spins and the draws of each sweep."""
+    """A default_rng stand-in that records its calls; uniforms can be pinned to one value."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, uniform=None):
         self._rng = np.random.default_rng(seed)
-        self.initial = None
-        self.draws = 0
-        self.draws_at_sweep_start = []
-        self.permutation_sizes = []
+        self.uniform = uniform
+        self.calls = []
 
-    def integers(self, *args, **kwargs):
-        self.initial = self._rng.integers(*args, **kwargs)
-        return self.initial
+    def integers(self, low, high, size):
+        self.calls.append(("integers", size))
+        return self._rng.integers(low, high, size=size)
 
     def permutation(self, k):
-        self.draws_at_sweep_start.append(self.draws)
-        self.permutation_sizes.append(k)
+        self.calls.append(("permutation", k))
         return self._rng.permutation(k)
 
     def random(self, size):
-        self.draws += size
-        return self._rng.random(size)
+        self.calls.append(("random", size))
+        u = self._rng.random(size)
+        return u if self.uniform is None else np.full_like(u, self.uniform)
 
 
 def test_each_sweep_proposes_each_spin_once_per_read(monkeypatch):
-    # |h_i| exceeds the sum of spin i's couplings, so a proposal is downhill exactly when
-    # spin i points along its field, and at beta = 10 every uphill proposal is drawn for
-    # and rejected: a sweep draws once per proposal of a spin already aligned
     g = gen_unweighted(24, 0.3, seed=4)
     base = maxcut_to_ising(g)
-    h = tuple(float(v) for v in np.random.default_rng(0).choice([-100.0, 100.0], size=base.n))
-    model = IsingModel(base.n, h, base.couplings)
-    order, bounds = color_classes(model.coupling_matrix)
-    assert 1 < bounds.size - 1 < model.n
-    config = SaConfig(num_reads=7, sweeps_per_read=4, beta_min=10.0, beta_max=10.0, seed=3)
+    _, bounds = color_classes(base.coupling_matrix)
+    assert 1 < bounds.size - 1 < base.n
+    reads, n = 7, base.n
+    config = SaConfig(num_reads=reads, sweeps_per_read=4, seed=3)
     gen = CountingGenerator(config.seed)
     monkeypatch.setattr(annealing.np.random, "default_rng", lambda seed: gen)
-    bits, _ = sa_solve(model, config)
+    sa_solve(base, config)
+    # the initial spins, then per sweep one order of the classes and one uniform per read and spin
+    assert gen.calls == [("integers", (reads, n))] + [
+        ("permutation", bounds.size - 1), ("random", (reads, n))] * config.sweeps_per_read
 
-    assert gen.permutation_sizes == [bounds.size - 1] * config.sweeps_per_read
-    aligned = ((1 - 2 * gen.initial) * np.array(h) < 0).sum()
-    per_sweep = np.diff(gen.draws_at_sweep_start + [gen.draws]).tolist()
-    assert per_sweep == [aligned] + [config.num_reads * model.n] * (config.sweeps_per_read - 1)
-    assert np.array_equal(bits, (np.array(h) > 0).astype(np.uint8))
+    # all spins start at +1 against fields of +100, which outweigh the couplings, so all
+    # -1 is the unique ground state. u just below 1 accepts every proposal at beta = 0.01,
+    # so a spin proposed k times in the sweep ends at (-1)^k, and every read reaches the
+    # ground state (all tie for lex_first) exactly when each of its spins is proposed once
+    gen = CountingGenerator(config.seed, uniform=np.nextafter(1.0, 0.0))
+    gen.integers = lambda low, high, size: np.zeros(size, dtype=np.int64)
+    monkeypatch.setattr(annealing.np.random, "default_rng", lambda seed: gen)
+    ties = []
+    monkeypatch.setattr(annealing, "lex_first",
+                        lambda cand, bit, n: ties.append(cand.tolist()) or lex_first(cand, bit, n))
+    model = IsingModel(n, (100.0,) * n, base.couplings)
+    bits, _ = sa_solve(model, SaConfig(num_reads=reads, sweeps_per_read=1, seed=3))
+    assert ties == [list(range(reads))]
+    assert bits.all()

@@ -339,9 +339,18 @@ def traced_peak(fn):
 
 def test_cost_diagonal_build_peak_at_n_18():
     # one full _ENUM_CHUNK block: its index bits, and S and S @ J in float32 (about
-    # 47 MiB); in float64 S and S @ J alone are 75 MB and the build peaks at 88 MB
+    # 46 MiB); in float64 S and S @ J alone are 75 MB and the build peaks at 88 MB
     model = maxcut_to_ising(gen_unweighted(18, 0.8, 29))
     assert traced_peak(lambda: model.cost_diagonal) < 60e6
+
+
+def test_index_bits_peak_on_one_block():
+    idx = np.arange(ising._ENUM_CHUNK, dtype=np.int64)
+    bits = ising._index_bits(idx, 18)
+    assert np.array_equal(bits[:, 17], idx >> 17) and np.array_equal(bits[5], [1, 0, 1] + [0] * 15)
+    # the 4.5 MiB of bits and a 1 MiB uint32 copy of the indices; shifting the indices
+    # against an int64 bit ramp makes a 36 MiB temporary and peaks at 40.5 MiB
+    assert traced_peak(lambda: ising._index_bits(idx, 18)) < 8 * 2**20
 
 
 def test_energies_peak_on_a_dense_300_node_batch():

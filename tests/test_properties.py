@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndar import (ConfigError, DampingSpec, ExperimentConfig, IsingModel, MaxCutInstance,
-                  NdarConfig, QaoaParams, SamplerSpec, brute_force_best, energies, energy,
-                  gen_weighted_dense, maxcut_to_ising, read_instance, run_ndar,
+from ndar import (NODE_CAP, ConfigError, DampingSpec, ExperimentConfig, IsingModel,
+                  MaxCutInstance, NdarConfig, QaoaParams, SamplerSpec, brute_force_best, energies,
+                  energy, gen_weighted_dense, maxcut_to_ising, read_instance, run_ndar,
                   write_instance)
+from ndar.annealing import SA_SPIN_BUDGET, SA_SWEEPS_CAP
 from ndar.cli import main
 from ndar.harness import _CONFIG_KEYS
 from ndar.ising import _canonical_triples, lex_first
@@ -308,6 +309,10 @@ def valid_config_entries(draw):
     for key, (_, cast) in _CONFIG_KEYS.items():
         if key not in _STRUCTURAL and draw(st.booleans()):
             entries[key] = draw(typed_value(cast))
+    # annealer effort within its budget for every instance.n (see test_harness for beyond)
+    for key, cap in (("sa.reads", SA_SPIN_BUDGET // NODE_CAP), ("sa.sweeps", SA_SWEEPS_CAP)):
+        if key in entries and entries[key][1] > cap:
+            entries[key] = (str(cap), cap)
     return entries
 
 
