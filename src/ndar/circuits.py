@@ -7,9 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .ising import IsingModel
 
 DEFAULT_QUBIT_CAP = 22
+
+# most layers a random circuit may have. The gate list is built whole before it is
+# simulated: 1024 layers on 22 qubits made 19,155 gates, 4.7 MiB (tracemalloc), in 1.1 s
+DEPTH_CAP = 1 << 10
 
 ONE_QUBIT_GATES = ("H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ")
 TWO_QUBIT_GATES = ("CX", "CZ", "RZZ")
@@ -140,6 +145,12 @@ def damping_gamma(spec: DampingSpec) -> float:
     return min(1.0, max(0.0, g))
 
 
+def check_depth(depth: int) -> None:
+    """Refuse random circuits deeper than DEPTH_CAP layers before building any gate."""
+    if depth > DEPTH_CAP:
+        raise ResourceLimitError(f"random circuit depth {depth} exceeds the cap {DEPTH_CAP}")
+
+
 def build_random_circuit(n: int, depth: int, seed: int) -> Circuit:
     """Random circuit of `depth` layers; every qubit receives a gate in each layer.
 
@@ -152,6 +163,7 @@ def build_random_circuit(n: int, depth: int, seed: int) -> Circuit:
         raise ValueError("n must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    check_depth(depth)
     rng = np.random.default_rng(seed)
     gates = []
     for _ in range(depth):

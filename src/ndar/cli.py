@@ -6,9 +6,11 @@ import argparse
 import sys
 
 from .annealing import SA_SPIN_BUDGET, SA_SWEEPS_CAP, sa_solve
+from .circuits import DEPTH_CAP
+from .engine import SHOTS_CAP
 from .errors import ConfigError, ResourceLimitError
-from .harness import (ExperimentConfig, load_instance, params_search, report, run_experiment,
-                      sa_config)
+from .harness import (RUNS_CAP, ExperimentConfig, load_instance, params_search, report,
+                      run_experiment, sa_config)
 from .ising import edge_density, gen_unweighted, gen_weighted_dense, maxcut_to_ising, write_instance
 from .simulator import GRID_STEPS_CAP
 
@@ -21,14 +23,14 @@ config file keys (flat `key = value` lines, `#` comments):
   instance.seed              generator seed (default 0)
   sampler.kind               qaoa | random-circuit | classical-bernoulli
   sampler.q                  bit-suppress probability (classical-bernoulli)
-  sampler.depth              layers of the random circuit (default 2)
+  sampler.depth              layers of the random circuit (default 2, at most {DEPTH_CAP})
   sampler.fresh_circuit      redraw the random circuit each iteration (default false)
   sampler.gammas/betas       comma-separated QAOA angles; omit to grid-search
   sampler.grid_steps         grid resolution per axis (default 20, at most {GRID_STEPS_CAP})
   sampler.gamma_min/max      grid range for gamma (default -pi/2, pi/2)
   sampler.beta_min/max       grid range for beta (default -pi/4, pi/4)
   sampler.t_delay, sampler.t1   delay and relaxation times in us (default 0, 180)
-  ndar.shots                 samples per iteration (default 1000)
+  ndar.shots                 samples per iteration (default 1000, at most {SHOTS_CAP})
   ndar.iters                 iterations per run (default 12)
   ndar.seed                  experiment seed (default 0)
   ndar.record_distributions  write first/last iteration histograms (default true)
@@ -38,7 +40,7 @@ config file keys (flat `key = value` lines, `#` comments):
                              {SA_SPIN_BUDGET}, sweeps at most {SA_SWEEPS_CAP})
   sa.beta_min, sa.beta_max   schedule bounds (defaults 0.01, 10)
   sa.seed                    annealer seed (default: derived from ndar.seed)
-  runs                       independent NDAR runs (default 10)
+  runs                       independent NDAR runs (default 10, at most {RUNS_CAP})
   output_dir                 where to write results (or pass --out)
 
 output files:

@@ -14,13 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import DampingSpec, QaoaCircuit, QaoaParams, build_random_circuit
+from .errors import ResourceLimitError
 from .ising import IsingModel, energies, energy, lex_first
-from .simulator import apply_decay, sample, simulate
+from .simulator import apply_decay, bernoulli, sample, simulate
 
 KIND_QAOA = "qaoa"
 KIND_RANDOM_CIRCUIT = "random-circuit"
 KIND_CLASSICAL_BERNOULLI = "classical-bernoulli"
 SAMPLER_KINDS = (KIND_QAOA, KIND_RANDOM_CIRCUIT, KIND_CLASSICAL_BERNOULLI)
+
+# shots per chunk of an iteration; even, so chunked Bernoulli and decay draws, two bits
+# per raw 64-bit output, equal one whole draw
+_CHUNK = 1 << 11
+
+# most shots per iteration accepted. A chunked iteration keeps 8 bytes per shot in its
+# energy vector, and np.unique for the energy histogram about 8 more: tracemalloc measured
+# 11.4 MiB without and 17.7 MiB with histograms for one 10^6-shot dense-300 iteration
+# (4.3 MiB at 10^5), so the cap costs about 130 and 250 MiB
+SHOTS_CAP = 1 << 24
 
 # stream tags for per-purpose child seeds
 _STREAM_SAMPLE = 0
@@ -65,6 +76,12 @@ class SamplerSpec:
             object.__setattr__(self, "q", float(self.q))
 
 
+def check_shots(shots: int) -> None:
+    """Refuse more than SHOTS_CAP shots per iteration before allocating."""
+    if shots > SHOTS_CAP:
+        raise ResourceLimitError(f"{shots} shots per iteration exceeds the cap {SHOTS_CAP}")
+
+
 @dataclass(frozen=True)
 class NdarConfig:
     """Loop controls: shots per iteration, iteration count, seeding, bookkeeping."""
@@ -78,6 +95,7 @@ class NdarConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        check_shots(self.shots)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.patience is not None and self.patience < 1:
@@ -115,14 +133,20 @@ class NdarResult:
     final_mask: np.ndarray
 
 
-def classical_bernoulli_sample(n: int, q: float, shots: int, seed: int) -> np.ndarray:
-    """Shots x n random bits, each bit 0 with probability q and 1 otherwise."""
+def classical_bernoulli_sample(n: int, q: float, shots: int, seed) -> np.ndarray:
+    """Shots x n random bits, each bit 0 with probability q and 1 otherwise.
+
+    Bit k (row-major) is 0 where `bernoulli(q)` draws True, so P(0) is q within 2^-33
+    and exact at q = 0 and q = 1. `seed` is an int or a Generator, which the draw
+    advances; consecutive draws of an even number of bits equal one whole draw.
+    """
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must lie in [0, 1], got {q}")
     if n < 1 or shots < 1:
         raise ValueError("n and shots must be >= 1")
-    u = np.random.default_rng(seed).random((shots, n))
-    return (u >= q).astype(np.uint8)
+    bits = bernoulli(np.random.default_rng(seed), q, (shots, n))
+    np.logical_not(bits, out=bits)
+    return bits.view(np.uint8)
 
 
 def _select_best(X: np.ndarray, E: np.ndarray) -> int:
@@ -134,32 +158,23 @@ def _select_best(X: np.ndarray, E: np.ndarray) -> int:
     return lex_first(cand, lambda c, i: X[c, i], X.shape[1])
 
 
-def _draw_samples(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig,
-                  iter_index: int, mask: np.ndarray, state_cache: dict) -> np.ndarray:
-    """Shots drawn in the frame given by `mask`, as frame bits."""
-    seed_sample = derive_seed(config.master_seed, _STREAM_SAMPLE, iter_index)
-    if sampler.kind == KIND_CLASSICAL_BERNOULLI:
-        return classical_bernoulli_sample(model0.n, sampler.q, config.shots, seed_sample)
+def _frame_state(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig,
+                 iter_index: int, mask: np.ndarray, state_cache: dict) -> np.ndarray:
+    """The circuit sampler's statevector in the frame given by `mask`."""
     if sampler.kind == KIND_QAOA:
         if not state_cache:
             state_cache[0] = simulate(QaoaCircuit(model0, sampler.params))
         # the frame-m QAOA state is the model0 state with its indices XORed by m
         psi = state_cache[0]
         m = int(mask.astype(np.int64) @ (1 << np.arange(model0.n, dtype=np.int64)))
-        state = psi[np.arange(psi.size) ^ m]
-    else:
-        # the random circuit encodes no Hamiltonian, so its state is reusable
-        key = iter_index if sampler.fresh_circuit else 0
-        if key not in state_cache:
-            circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, key)
-            state_cache.clear()
-            state_cache[key] = simulate(build_random_circuit(model0.n, sampler.depth, circuit_seed))
-        state = state_cache[key]
-    X = sample(state, config.shots, seed_sample)
-    gamma = sampler.damping.gamma_damp
-    if gamma > 0.0:
-        X = apply_decay(X, gamma, derive_seed(config.master_seed, _STREAM_DECAY, iter_index))
-    return X
+        return psi[np.arange(psi.size) ^ m]
+    # the random circuit encodes no Hamiltonian, so its state is reusable
+    key = iter_index if sampler.fresh_circuit else 0
+    if key not in state_cache:
+        circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, key)
+        state_cache.clear()
+        state_cache[key] = simulate(build_random_circuit(model0.n, sampler.depth, circuit_seed))
+    return state_cache[key]
 
 
 def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> NdarResult:
@@ -172,6 +187,13 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
     best sample, record it, then XOR it into the mask so it becomes the next
     all-zeros attractor. Stops early only when `patience` consecutive iterations
     fail to improve the overall best.
+
+    An iteration runs in chunks of _CHUNK shots, so no (shots, n) matrix is built:
+    each chunk is drawn from the iteration's sample and decay generators, scored into
+    the iteration's energy vector, and reduced to its _select_best winner, and the
+    rule runs once more over the chunk winners. The draws fill row-major and the
+    chunks hold an even number of bits, so every result, histograms included, is the
+    one a single whole-batch draw would give.
     """
     n = model0.n
     mask = np.zeros(n, dtype=np.uint8)
@@ -179,12 +201,34 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
     records: list[IterationRecord] = []
     best_overall = np.inf
     stall = 0
+    gamma = 0.0 if sampler.kind == KIND_CLASSICAL_BERNOULLI else sampler.damping.gamma_damp
     # energy of the sampled frame's all-zeros string: the previous iteration's best
     e_attractor = energy(model0, mask)
     for j in range(config.max_iters):
-        X = _draw_samples(model0, sampler, config, j, mask, state_cache)
-        E = energies(model0, X ^ mask)
-        y_best = X[_select_best(X, E)].copy()
+        rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))
+        if sampler.kind != KIND_CLASSICAL_BERNOULLI:
+            state = _frame_state(model0, sampler, config, j, mask, state_cache)
+            decay_rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_DECAY, j))
+        E = np.empty(config.shots)
+        weight_counts = np.zeros(n + 1, dtype=np.int64)
+        winners, winner_energies = [], []
+        for start in range(0, config.shots, _CHUNK):
+            rows = min(_CHUNK, config.shots - start)
+            if sampler.kind == KIND_CLASSICAL_BERNOULLI:
+                X = classical_bernoulli_sample(n, sampler.q, rows, rng)
+            else:
+                X = sample(state, rows, rng)
+                if gamma > 0.0:
+                    X = apply_decay(X, gamma, decay_rng)
+            Ec = E[start:start + rows]
+            Ec[:] = energies(model0, X ^ mask)
+            k = _select_best(X, Ec)
+            winners.append(X[k].copy())
+            winner_energies.append(Ec[k])
+            if config.record_distributions:
+                weight_counts += np.bincount(X.sum(axis=1, dtype=np.uint16), minlength=n + 1)
+        W = np.array(winners)
+        y_best = W[_select_best(W, np.array(winner_energies))].copy()
         new_mask = y_best ^ mask
         # recompute through the scalar path so the stored value matches energy() exactly
         e_best = energy(model0, new_mask)
@@ -193,7 +237,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
         if config.record_distributions:
             vals, counts = np.unique(E, return_counts=True)
             energy_hist = tuple((float(v), int(c)) for v, c in zip(vals, counts))
-            hamming_hist = tuple(int(c) for c in np.bincount(X.sum(axis=1), minlength=n + 1))
+            hamming_hist = tuple(int(c) for c in weight_counts)
         records.append(IterationRecord(
             iter_index=j,
             best_bits=y_best,

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import svgplot
 from .annealing import SaConfig, check_effort, sa_solve
-from .circuits import DEFAULT_QUBIT_CAP, DampingSpec, QaoaParams
+from .circuits import DEFAULT_QUBIT_CAP, DampingSpec, QaoaParams, check_depth
 from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT,
-                     NdarConfig, NdarResult, SamplerSpec, derive_seed, run_ndar)
+                     NdarConfig, NdarResult, SamplerSpec, check_shots, derive_seed, run_ndar)
 from .errors import ConfigError, ResourceLimitError
 from .ising import (BRUTE_FORCE_CAP, NODE_CAP, MaxCutInstance, brute_force_best, edge_density,
                     gen_unweighted, gen_weighted_dense, maxcut_to_ising, read_instance)
@@ -22,6 +22,10 @@ from .simulator import grid_scan
 
 FAMILY_UNWEIGHTED = "unweighted-sparse"
 FAMILY_WEIGHTED = "weighted-dense"
+
+# most independent NDAR runs per experiment. Their loop configs are built up front and
+# every run's trace is kept until the output files are written
+RUNS_CAP = 1 << 10
 
 # harness-level seed streams, distinct from the engine's per-iteration tags
 _STREAM_RUN = 10
@@ -155,6 +159,10 @@ class ExperimentConfig:
             raise ConfigError("set sampler.gammas and sampler.betas together")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.runs > RUNS_CAP:
+            raise ResourceLimitError(f"{self.runs} runs exceeds the cap {RUNS_CAP}")
+        check_shots(self.shots)
+        check_depth(self.depth)
         # the annealer's budget, before any instance exists. A file's n is known only once
         # it is read, and sa_solve checks again then; an n that no generator accepts fails
         # there with its own message

@@ -27,9 +27,16 @@ NODE_CAP = 1024
 
 # chunk size for exhaustive scans. A block's index bits and its float32 energy terms are
 # the temporaries: building the cost diagonal of a MaxCut model peaks (tracemalloc) at
-# 45.5 MiB for n = 18, 84.5 MiB for n = 22 and 185 MiB for n = 24, the 2, 32 and 128 MiB
-# diagonal included
-_ENUM_CHUNK = 1 << 18
+# 4.7 MiB for n = 18, 34.7 MiB for n = 22 and 130.8 MiB for n = 24, the 2, 32 and 128 MiB
+# diagonal included (45.5, 84.5 and 185 MiB with blocks of 2^18)
+_ENUM_CHUNK = 1 << 14
+
+# entries per row block of energies' two float temporaries: 1 MiB each in float32, 873
+# rows at n = 300. In the chunked NDAR loop, two such reused buffers in place of two
+# (2048, 300) temporaries per chunk took a 10,000-shot dense-300 iteration from about 37
+# to 26 ms on a 2-core host: the allocator handed the larger temporaries back to the OS
+# after every chunk, and faulting them in again cost the difference
+_ENERGY_BLOCK = 1 << 18
 
 
 def as_bits(x, n: int | None = None) -> np.ndarray:
@@ -227,15 +234,29 @@ def energies(model: IsingModel, xs) -> np.ndarray:
     partial sum is exact in both dtypes, so the two sums are the same number; they
     are converted to float64 before the offset and the factor 1/2 are applied, in
     the same order as on the float64 path, so the result has the same bits.
+
+    Rows go in blocks of about _ENERGY_BLOCK entries through one spin buffer and one
+    S @ J buffer, so the temporaries stay near 1 MiB each whatever the batch size.
     """
     X = np.asarray(xs)
     if X.ndim != 2 or X.shape[1] != model.n:
         raise ValueError(f"expected a (shots, {model.n}) bit matrix, got shape {X.shape}")
     h, J = model._float32_terms or (model._fields, model.coupling_matrix)
-    S = 1.0 - 2.0 * X.astype(h.dtype)
-    out = model.offset + (S @ h).astype(np.float64)
-    if model.couplings:
-        out += 0.5 * np.einsum("ij,ij->i", S, S @ J).astype(np.float64)
+    block = max(1, _ENERGY_BLOCK // model.n)
+    spins = np.empty((min(block, len(X)), model.n), dtype=h.dtype)
+    fields = np.empty_like(spins)
+    out = np.empty(len(X))
+    for start in range(0, len(X), block):
+        stop = min(start + block, len(X))
+        S = spins[:stop - start]
+        np.copyto(S, X[start:stop])  # spins 1 - 2x, built in place; exact in both dtypes
+        S *= -2
+        S += 1
+        e = model.offset + (S @ h).astype(np.float64)
+        if model.couplings:
+            SJ = np.matmul(S, J, out=fields[:stop - start])
+            e += 0.5 * np.einsum("ij,ij->i", S, SJ).astype(np.float64)
+        out[start:stop] = e
     return out
 
 

@@ -16,6 +16,7 @@ from .errors import ResourceLimitError
 from .ising import IsingModel, _index_bits
 
 _SQ2 = 1.0 / math.sqrt(2.0)
+_WORD = 1 << 32
 
 # points per grid_scan axis; refused before allocating, as a 256 x 256 grid is 65,536 rows
 GRID_STEPS_CAP = 256
@@ -105,10 +106,12 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def sample(state: np.ndarray, shots: int, seed: int) -> np.ndarray:
+def sample(state: np.ndarray, shots: int, seed) -> np.ndarray:
     """Draw `shots` bitstrings from |amplitude|^2, returned as a (shots, n) uint8 matrix.
 
-    Bit i of each row corresponds to qubit i.
+    Bit i of each row corresponds to qubit i. `seed` is an int or a Generator, which
+    the draw advances; Generator.choice fills rows in order, so consecutive draws on one
+    Generator equal one whole draw.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -122,13 +125,34 @@ def sample(state: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return _index_bits(idx, n)
 
 
-def apply_decay(samples: np.ndarray, gamma: float, seed: int) -> np.ndarray:
-    """Flip each 1-bit to 0 independently with probability gamma; 0-bits never change."""
+def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
+    """Booleans of the given shape, each True with probability round(p * 2^32) / 2^32.
+
+    Entry k (row-major) is True when 32-bit word k is below round(p * 2^32). The words
+    are rng.bit_generator.random_raw outputs split in two, low half first; an odd count
+    leaves the last high half unused. So p = 0 and p = 1 are exact, any other p is off by
+    at most 2^-33, and consecutive draws of an even number of entries equal one whole draw.
+    """
+    count = math.prod(shape)
+    raw = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
+    words = raw.view("<u4")[:count].reshape(shape)
+    threshold = round(p * _WORD)
+    if threshold == _WORD:
+        return np.ones(shape, dtype=bool)
+    return words < np.uint32(threshold)
+
+
+def apply_decay(samples: np.ndarray, gamma: float, seed) -> np.ndarray:
+    """Flip each 1-bit to 0 independently with probability gamma; 0-bits never change.
+
+    The flips are `bernoulli(gamma)` draws, one per entry of `samples` in row-major
+    order. `seed` is an int or a Generator, which the draw advances.
+    """
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     X = np.asarray(samples, dtype=np.uint8)
-    flips = np.random.default_rng(seed).random(X.shape) < gamma
-    return np.where((X == 1) & flips, 0, X).astype(np.uint8)
+    flips = bernoulli(np.random.default_rng(seed), gamma, X.shape)
+    return X & ~flips
 
 
 def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:

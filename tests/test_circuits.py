@@ -7,7 +7,7 @@ import pytest
 
 from ndar import (Circuit, DampingSpec, Gate, IsingModel, QaoaParams, ResourceLimitError,
                   build_random_circuit, damping_gamma)
-from ndar.circuits import ONE_QUBIT_GATES, RANDOM_GATE_POOL, TWO_QUBIT_GATES
+from ndar.circuits import DEPTH_CAP, ONE_QUBIT_GATES, RANDOM_GATE_POOL, TWO_QUBIT_GATES
 from oracles import build_qaoa_circuit
 
 
@@ -152,3 +152,9 @@ def test_random_circuit_rejects_bad_shape():
         build_random_circuit(0, 2, 0)
     with pytest.raises(ValueError):
         build_random_circuit(3, 0, 0)
+
+
+def test_random_circuit_depth_cap_refuses_before_building():
+    with pytest.raises(ResourceLimitError, match="depth"):
+        build_random_circuit(3, DEPTH_CAP + 1, 0)
+    assert len(build_random_circuit(1, DEPTH_CAP, 0).gates) == DEPTH_CAP

@@ -1,12 +1,17 @@
 """Adaptive remapping loop invariants, sampler plumbing, and seeding."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ndar import (DampingSpec, NdarConfig, QaoaParams, SamplerSpec, apply_decay,
-                  brute_force_best, classical_bernoulli_sample, derive_seed, energies, energy,
-                  gen_unweighted, gen_weighted_dense, maxcut_to_ising, run_ndar, sample, simulate)
-from ndar.engine import _STREAM_DECAY, _STREAM_SAMPLE, _select_best
+from ndar import (DampingSpec, NdarConfig, QaoaParams, ResourceLimitError, SamplerSpec,
+                  apply_decay, brute_force_best, classical_bernoulli_sample, derive_seed, energies,
+                  energy, gen_unweighted, gen_weighted_dense, maxcut_to_ising, run_ndar, sample,
+                  simulate)
+from ndar import engine
+from ndar.engine import SHOTS_CAP, _STREAM_DECAY, _STREAM_SAMPLE, _select_best
 from oracles import apply_mask, build_qaoa_circuit, gauge_transform
 
 Q95 = SamplerSpec("classical-bernoulli", q=0.95)
@@ -81,6 +86,52 @@ def test_ndar_config_validation():
         NdarConfig(shots=10, max_iters=0)
     with pytest.raises(ValueError):
         NdarConfig(shots=10, max_iters=5, patience=0)
+
+
+def test_shots_cap_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError):
+        NdarConfig(shots=SHOTS_CAP + 1, max_iters=1)
+    assert NdarConfig(shots=SHOTS_CAP, max_iters=1).shots == SHOTS_CAP
+
+
+def assert_same_result(a, b):
+    assert len(a.trace) == len(b.trace)
+    for x, y in zip(a.trace, b.trace):
+        for field in dataclasses.fields(x):
+            u, v = getattr(x, field.name), getattr(y, field.name)
+            assert np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v, field.name
+    assert np.array_equal(a.best_bits_original_frame, b.best_bits_original_frame)
+    assert a.best_energy_overall == b.best_energy_overall
+    assert np.array_equal(a.final_mask, b.final_mask)
+
+
+@pytest.mark.parametrize("sampler", [
+    Q95,
+    SamplerSpec("classical-bernoulli", q=0.5),
+    SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)), damping=DampingSpec(100.0, 180.0)),
+    SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0), fresh_circuit=True),
+], ids=["classical-0.95", "classical-0.5", "qaoa-damped", "random-circuit-damped"])
+def test_chunked_iterations_equal_one_whole_batch(monkeypatch, sampler):
+    # 203 shots are one chunk by default; in chunks of 6 rows of 9 bits the last has 5 rows
+    model0 = small_model(9, 0.5, seed=3)
+    cfg = NdarConfig(shots=203, max_iters=5, master_seed=4, record_distributions=True)
+    whole = run_ndar(model0, sampler, cfg)
+    monkeypatch.setattr(engine, "_CHUNK", 6)
+    assert_same_result(run_ndar(model0, sampler, cfg), whole)
+
+
+def test_dense_300_iteration_memory_is_bounded():
+    model0 = maxcut_to_ising(gen_weighted_dense(300, seed=5))
+    cfg = NdarConfig(shots=10000, max_iters=1, master_seed=2, record_distributions=True)
+    run_ndar(model0, Q95, cfg)  # caches the model's matrices outside the measurement
+    tracemalloc.start()
+    try:
+        run_ndar(model0, Q95, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (10000, 300) float32 matrix alone would be 11.4 MiB
+    assert peak < 12 << 20
 
 
 def test_trace_invariants_hold_exactly():

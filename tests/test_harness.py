@@ -500,6 +500,31 @@ def test_oversized_annealer_fails_before_the_instance_is_built(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
+@pytest.mark.parametrize("command", ["run", "sa-baseline", "params-search"])
+@pytest.mark.parametrize("key", ["ndar.shots", "runs", "sampler.depth"])
+def test_oversized_loop_settings_fail_before_the_instance_is_built(tmp_path, capsys,
+                                                                   monkeypatch, key, command):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the instance was built before the size budget was checked")
+
+    monkeypatch.setattr(harness, "gen_weighted_dense", forbidden)
+    text = ("instance.family = weighted-dense\ninstance.n = 300\nsampler.q = 0.9\n"
+            f"{key} = 2000000000\n")
+    args = [command, "--config", str(write_config(tmp_path, text))]
+    if command != "sa-baseline":
+        args += ["--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 def test_edgeless_graph_fails_before_any_ndar_run(tmp_path, capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an NDAR run started on a zero reference cut")

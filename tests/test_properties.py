@@ -13,7 +13,9 @@ from ndar import (NODE_CAP, ConfigError, DampingSpec, ExperimentConfig, IsingMod
                   energy, gen_weighted_dense, maxcut_to_ising, read_instance, run_ndar,
                   write_instance)
 from ndar.annealing import SA_SPIN_BUDGET, SA_SWEEPS_CAP
+from ndar.circuits import DEPTH_CAP
 from ndar.cli import main
+from ndar.engine import SHOTS_CAP
 from ndar.harness import _CONFIG_KEYS
 from ndar.ising import _canonical_triples, lex_first
 from oracles import all_bitstrings, gauge_transform
@@ -309,8 +311,9 @@ def valid_config_entries(draw):
     for key, (_, cast) in _CONFIG_KEYS.items():
         if key not in _STRUCTURAL and draw(st.booleans()):
             entries[key] = draw(typed_value(cast))
-    # annealer effort within its budget for every instance.n (see test_harness for beyond)
-    for key, cap in (("sa.reads", SA_SPIN_BUDGET // NODE_CAP), ("sa.sweeps", SA_SWEEPS_CAP)):
+    # sizes within their budgets for every instance.n (see test_harness for beyond)
+    for key, cap in (("sa.reads", SA_SPIN_BUDGET // NODE_CAP), ("sa.sweeps", SA_SWEEPS_CAP),
+                     ("ndar.shots", SHOTS_CAP), ("sampler.depth", DEPTH_CAP)):
         if key in entries and entries[key][1] > cap:
             entries[key] = (str(cap), cap)
     return entries

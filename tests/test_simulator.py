@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLimitError,
                   apply_decay, build_random_circuit, energies, gen_unweighted, gen_weighted_dense,
                   grid_scan, maxcut_to_ising, qaoa_expectation, qaoa_state, sample, simulate)
-from ndar.simulator import GRID_STEPS_CAP
+from ndar.simulator import GRID_STEPS_CAP, bernoulli
 from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
                      optimize_params)
 
@@ -159,6 +159,33 @@ def test_apply_decay_edge_cases():
     assert np.array_equal(out, apply_decay(Xs, 0.4, seed=2))
     with pytest.raises(ValueError):
         apply_decay(Xs, 1.5, seed=0)
+
+
+def test_bernoulli_reads_raw_words_low_half_first():
+    raw = [int(w) for w in np.random.default_rng(8).bit_generator.random_raw(6)]
+    words = np.array([half for w in raw for half in (w & 0xFFFFFFFF, w >> 32)])
+    for p in (0.3, 0.5, 2.0 ** -33, 1.0 - 2.0 ** -33):
+        threshold = round(p * 2 ** 32)
+        for shape in ((9,), (3, 3), (2, 5)):
+            rng = np.random.default_rng(8)
+            drawn = bernoulli(rng, p, shape)
+            count = math.prod(shape)
+            assert drawn.dtype == np.bool_ and drawn.shape == shape
+            assert np.array_equal(drawn.ravel(), words[:count] < threshold)
+            # an odd count leaves the last output's high half unused
+            assert int(rng.bit_generator.random_raw()) == raw[(count + 1) // 2]
+
+
+def test_bernoulli_is_exact_at_zero_and_one():
+    assert not bernoulli(np.random.default_rng(1), 0.0, (400, 7)).any()
+    assert bernoulli(np.random.default_rng(2), 1.0, (400, 7)).all()
+
+
+def test_bernoulli_chunks_of_even_size_equal_one_draw():
+    whole = bernoulli(np.random.default_rng(4), 0.37, (23, 7))
+    rng = np.random.default_rng(4)
+    parts = [bernoulli(rng, 0.37, (rows, 7)) for rows in (6, 2, 10, 5)]
+    assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_apply_decay_weight_scaling():
