@@ -30,7 +30,8 @@ _CHUNK = 1 << 11
 # most shots per iteration accepted. A chunked iteration keeps 8 bytes per shot in its
 # energy vector, and np.unique for the energy histogram about 8 more: tracemalloc measured
 # 11.4 MiB without and 17.7 MiB with histograms for one 10^6-shot dense-300 iteration
-# (4.3 MiB at 10^5), so the cap costs about 130 and 250 MiB
+# (4.3 MiB at 10^5), so the cap costs about 130 and 250 MiB. The histogram itself keeps
+# about 88 bytes per distinct energy: few on the integer weights of generated instances
 SHOTS_CAP = 1 << 24
 
 # stream tags for per-purpose child seeds
