@@ -9,7 +9,7 @@ harness with deterministic CSV output.
 
 from .annealing import SaConfig, sa_solve
 from .circuits import (DEFAULT_QUBIT_CAP, Circuit, DampingSpec, Gate, QaoaCircuit, QaoaParams,
-                       build_random_circuit, damping_gamma)
+                       build_random_circuit)
 from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT,
                      IterationRecord, NdarConfig, NdarResult, SamplerSpec,
                      classical_bernoulli_sample, derive_seed, run_ndar)
@@ -19,7 +19,8 @@ from .harness import (AggregateRow, ExperimentConfig, aggregate, params_search, 
 from .ising import (BRUTE_FORCE_CAP, NODE_CAP, IsingModel, MaxCutInstance, as_bits,
                     brute_force_best, edge_density, energies, energy, gen_unweighted,
                     gen_weighted_dense, maxcut_to_ising, read_instance, write_instance)
-from .simulator import apply_decay, grid_scan, qaoa_expectation, qaoa_state, sample, simulate
+from .simulator import (apply_decay, born_table, grid_scan, qaoa_expectation, qaoa_state, sample,
+                        simulate)
 
 __version__ = "0.1.0"
 
@@ -28,8 +29,8 @@ __all__ = [
     "DEFAULT_QUBIT_CAP", "ExperimentConfig", "Gate", "IsingModel", "IterationRecord",
     "KIND_CLASSICAL_BERNOULLI", "KIND_QAOA", "KIND_RANDOM_CIRCUIT", "MaxCutInstance",
     "NODE_CAP", "NdarConfig", "NdarResult", "QaoaCircuit", "QaoaParams", "ResourceLimitError",
-    "SaConfig", "SamplerSpec", "aggregate", "apply_decay", "as_bits", "brute_force_best",
-    "build_random_circuit", "classical_bernoulli_sample", "damping_gamma", "derive_seed",
+    "SaConfig", "SamplerSpec", "aggregate", "apply_decay", "as_bits", "born_table",
+    "brute_force_best", "build_random_circuit", "classical_bernoulli_sample", "derive_seed",
     "edge_density", "energies", "energy", "gen_unweighted", "gen_weighted_dense", "grid_scan",
     "maxcut_to_ising", "params_search", "qaoa_expectation", "qaoa_state", "read_instance",
     "report", "run_experiment", "run_ndar", "sa_solve", "sample", "simulate", "write_instance",

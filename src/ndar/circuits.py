@@ -136,13 +136,9 @@ class DampingSpec:
 
     @property
     def gamma_damp(self) -> float:
-        return damping_gamma(self)
-
-
-def damping_gamma(spec: DampingSpec) -> float:
-    """Decay probability of a 1-bit during the delay: 1 - exp(-t_delay / t1), in [0, 1]."""
-    g = 1.0 - math.exp(-spec.t_delay / spec.t1)
-    return min(1.0, max(0.0, g))
+        """Decay probability of a 1-bit during the delay: 1 - exp(-t_delay / t1), in [0, 1]."""
+        g = 1.0 - math.exp(-self.t_delay / self.t1)
+        return min(1.0, max(0.0, g))
 
 
 def check_depth(depth: int) -> None:

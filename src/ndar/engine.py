@@ -16,7 +16,7 @@ import numpy as np
 from .circuits import DampingSpec, QaoaCircuit, QaoaParams, build_random_circuit
 from .errors import ResourceLimitError
 from .ising import IsingModel, energies, energy, lex_first
-from .simulator import apply_decay, bernoulli, sample, simulate
+from .simulator import apply_decay, bernoulli, born_table, sample, simulate
 
 KIND_QAOA = "qaoa"
 KIND_RANDOM_CIRCUIT = "random-circuit"
@@ -161,20 +161,24 @@ def _select_best(X: np.ndarray, E: np.ndarray) -> int:
 
 def _frame_state(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig,
                  iter_index: int, mask: np.ndarray, state_cache: dict) -> np.ndarray:
-    """The circuit sampler's statevector in the frame given by `mask`."""
+    """The circuit sampler's born_table in the frame given by `mask`, built once per iteration.
+
+    QAOA keeps |amplitude|^2 of the model0 state for the run; the frame-m distribution is
+    that vector with its indices XORed by m. The random circuit encodes no Hamiltonian, so
+    its table is cached under its circuit key and serves every iteration that reuses it.
+    """
     if sampler.kind == KIND_QAOA:
         if not state_cache:
-            state_cache[0] = simulate(QaoaCircuit(model0, sampler.params))
-        # the frame-m QAOA state is the model0 state with its indices XORed by m
-        psi = state_cache[0]
+            state_cache[0] = np.abs(simulate(QaoaCircuit(model0, sampler.params))) ** 2
+        probs = state_cache[0]
         m = int(mask.astype(np.int64) @ (1 << np.arange(model0.n, dtype=np.int64)))
-        return psi[np.arange(psi.size) ^ m]
-    # the random circuit encodes no Hamiltonian, so its state is reusable
+        return born_table(probs[np.arange(probs.size) ^ m])
     key = iter_index if sampler.fresh_circuit else 0
     if key not in state_cache:
         circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, key)
         state_cache.clear()
-        state_cache[key] = simulate(build_random_circuit(model0.n, sampler.depth, circuit_seed))
+        psi = simulate(build_random_circuit(model0.n, sampler.depth, circuit_seed))
+        state_cache[key] = born_table(np.abs(psi) ** 2)
     return state_cache[key]
 
 
@@ -182,19 +186,20 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
     """Run the adaptive remapping loop and return the per-iteration trace.
 
     Per iteration: draw shots in the current frame (QAOA builds the model0 state
-    once from its cost diagonal and permutes it into the frame; the random circuit is
-    drawn once per run unless fresh_circuit is set), apply the damping channel
-    for circuit samplers, score the shots as energies(model0, X ^ mask), pick the
-    best sample, record it, then XOR it into the mask so it becomes the next
+    once from its cost diagonal and permutes its |amplitude|^2 into the frame; the
+    random circuit is drawn once per run unless fresh_circuit is set), apply the
+    damping channel for circuit samplers, score the shots as energies(model0, X ^ mask),
+    pick the best sample, record it, then XOR it into the mask so it becomes the next
     all-zeros attractor. Stops early only when `patience` consecutive iterations
     fail to improve the overall best.
 
     An iteration runs in chunks of _CHUNK shots, so no (shots, n) matrix is built:
-    each chunk is drawn from the iteration's sample and decay generators, scored into
-    the iteration's energy vector, and reduced to its _select_best winner, and the
-    rule runs once more over the chunk winners. The draws fill row-major and the
-    chunks hold an even number of bits, so every result, histograms included, is the
-    one a single whole-batch draw would give.
+    circuit samplers build the iteration's born_table once, each chunk is drawn with
+    the iteration's sample and decay generators, scored into the iteration's energy
+    vector, and reduced to its _select_best winner, and the rule runs once more over
+    the chunk winners. The draws fill row-major and the chunks hold an even number of
+    bits, so every result, histograms included, is the one a single whole-batch draw
+    would give.
     """
     n = model0.n
     mask = np.zeros(n, dtype=np.uint8)
@@ -208,7 +213,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
     for j in range(config.max_iters):
         rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))
         if sampler.kind != KIND_CLASSICAL_BERNOULLI:
-            state = _frame_state(model0, sampler, config, j, mask, state_cache)
+            table = _frame_state(model0, sampler, config, j, mask, state_cache)
             decay_rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_DECAY, j))
         E = np.empty(config.shots)
         weight_counts = np.zeros(n + 1, dtype=np.int64)
@@ -218,7 +223,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
             if sampler.kind == KIND_CLASSICAL_BERNOULLI:
                 X = classical_bernoulli_sample(n, sampler.q, rows, rng)
             else:
-                X = sample(state, rows, rng)
+                X = sample(table, rows, rng)
                 if gamma > 0.0:
                     X = apply_decay(X, gamma, decay_rng)
             Ec = E[start:start + rows]

@@ -1,6 +1,10 @@
 """Exact statevector simulation, Born sampling, the amplitude-damping channel as bit decay,
 and the single-layer QAOA grid search, which reads a closed form and builds no state.
 
+Born sampling is split in two: born_table builds the cumulative table of |amplitude|^2
+once per distribution, and sample draws rows from it as Generator.choice would, so a
+table serves any number of draws.
+
 Statevector indexing is little-endian: the amplitude at flat index x describes
 the bitstring whose bit i (qubit i) equals (x >> i) & 1.
 """
@@ -24,6 +28,10 @@ GRID_STEPS_CAP = 256
 # floats per (edges, n) temporary of the closed form, 0.5 MB; on dense n = 300, blocks of
 # 2^20 floats ran 1.6x slower
 _EDGE_CHUNK = 1 << 16
+
+# qubits per RX block of the QAOA mixer: one (2^5 x 2^5) matrix product replaces five
+# per-qubit passes over the state
+_MIXER_BLOCK = 5
 
 
 def _one_qubit_matrix(kind: str, theta: float | None) -> np.ndarray:
@@ -106,23 +114,38 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def sample(state: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Draw `shots` bitstrings from |amplitude|^2, returned as a (shots, n) uint8 matrix.
+def born_table(probs: np.ndarray) -> np.ndarray:
+    """The cumulative table Generator.choice builds from unnormalised probabilities.
+
+    p = probs / probs.sum(), then cdf = p.cumsum() divided by its last entry, in the
+    same operations as choice, so sample(born_table(probs), ...) draws choice's rows.
+    Raises ValueError unless the total is finite and positive: for |amplitude|^2 >= 0
+    that catches any NaN or inf and the all-zero state.
+    """
+    probs = np.asarray(probs).reshape(-1)
+    total = probs.sum()
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(f"probabilities must have a finite positive total, got {total}")
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample(table: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Draw `shots` bitstrings from a born_table, returned as a (shots, n) uint8 matrix.
 
     Bit i of each row corresponds to qubit i. `seed` is an int or a Generator, which
-    the draw advances; Generator.choice fills rows in order, so consecutive draws on one
-    Generator equal one whole draw.
+    the draw advances by `shots` uniforms; rows are drawn in order, so consecutive
+    draws on one Generator equal one whole draw, and each equals Generator.choice's.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    amps = np.asarray(state).reshape(-1)
-    n = int(amps.size).bit_length() - 1
-    if amps.size != (1 << n) or n < 1:
-        raise ValueError(f"state length {amps.size} is not a power of two >= 2")
-    p = np.abs(amps) ** 2
-    p = p / p.sum()
-    idx = np.random.default_rng(seed).choice(p.size, size=shots, p=p)
-    return _index_bits(idx, n)
+    cdf = np.asarray(table)
+    n = int(cdf.size).bit_length() - 1
+    if cdf.size != (1 << n) or n < 1:
+        raise ValueError(f"table length {cdf.size} is not a power of two >= 2")
+    u = np.random.default_rng(seed).random(shots)
+    return _index_bits(cdf.searchsorted(u, side="right"), n)
 
 
 def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
@@ -155,29 +178,43 @@ def apply_decay(samples: np.ndarray, gamma: float, seed) -> np.ndarray:
     return X & ~flips
 
 
+def _rx_block(beta: float, width: int) -> np.ndarray:
+    """RX(2 beta) on each of `width` qubits as one 2^width x 2^width Kronecker matrix."""
+    c, s = math.cos(beta), -1j * math.sin(beta)
+    rx = np.array([[c, s], [s, c]], dtype=np.complex128)
+    m = rx
+    for _ in range(width - 1):
+        m = np.kron(m, rx)
+    return m
+
+
 def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
     """QAOA statevector from the model's cost diagonal, starting from the uniform superposition.
 
     Each layer multiplies by exp(i gamma (E(x) - offset)), the phase that RZ(-2 gamma h_i)
     and RZZ(-2 gamma J_ij) gates would apply, then rotates every qubit by RX(2 beta) =
-    cos(beta) I - i sin(beta) X in place on a (-1, 2, 2^q) view of the state.
+    cos(beta) I - i sin(beta) X. The rotations go _MIXER_BLOCK qubits at a time, one
+    matrix product with the block's Kronecker matrix on a (-1, 2^k, 2^q) view of the
+    state, written into the buffer that held the phase.
     """
     n = model.n
     if n > DEFAULT_QUBIT_CAP:
         raise ResourceLimitError(f"QAOA state needs n <= {DEFAULT_QUBIT_CAP}, got n = {n}")
     shifted = model.cost_diagonal - model.offset
     psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=np.complex128)
+    buf = np.empty_like(psi)
     for gamma, beta in zip(params.gammas, params.betas):
-        psi *= np.exp(1j * gamma * shifted)
-        c, s = math.cos(beta), -1j * math.sin(beta)
-        for q in range(n):
-            v = psi.reshape(-1, 2, 1 << q)
-            a, b = v[:, 0, :], v[:, 1, :]
-            sb = s * b
-            b *= c
-            b += s * a
-            a *= c
-            a += sb
+        np.multiply(shifted, 1j * gamma, out=buf)
+        np.exp(buf, out=buf)
+        psi *= buf
+        for q in range(0, n, _MIXER_BLOCK):
+            k = min(_MIXER_BLOCK, n - q)
+            m = _rx_block(beta, k)
+            if q == 0:
+                np.matmul(psi.reshape(-1, 1 << k), m.T, out=buf.reshape(-1, 1 << k))
+            else:
+                np.matmul(m, psi.reshape(-1, 1 << k, 1 << q), out=buf.reshape(-1, 1 << k, 1 << q))
+            psi, buf = buf, psi
     return psi
 
 

@@ -14,7 +14,7 @@ from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_referenc
                      gauge_transform, optimize_params)
 
 from ndar import (DampingSpec, IsingModel, NdarConfig, QaoaParams, SaConfig, SamplerSpec,
-                  apply_decay, brute_force_best, build_random_circuit, damping_gamma,
+                  apply_decay, born_table, brute_force_best, build_random_circuit,
                   derive_seed, energies, energy, gen_unweighted, gen_weighted_dense,
                   maxcut_to_ising, qaoa_expectation, run_ndar, sa_solve, sample, simulate)
 from ndar.cli import main
@@ -84,7 +84,8 @@ def test_damping_channel_equivalence():
         if err > 1e-10:
             problems.append(f"circuit {k}: analytic mismatch {err:.2e}")
 
-        rows = apply_decay(sample(psi, shots, seed=3000 + k), gamma, seed=4000 + k)
+        table = born_table(np.abs(psi) ** 2)
+        rows = apply_decay(sample(table, shots, seed=3000 + k), gamma, seed=4000 + k)
         counts = np.bincount(rows @ (1 << np.arange(n)), minlength=1 << n)
         for z in range(1 << n):
             sd = math.sqrt(ref[z] * (1.0 - ref[z]) * shots)
@@ -213,7 +214,7 @@ def test_quantum_ndar_damping_trend():
             if not flat:
                 problems.append(f"noiseless trajectory drifts: {flat_detail}")
     for t_delay, want in ((0.0, 0.0), (50.0, 0.243), (100.0, 0.426)):
-        got = damping_gamma(DampingSpec(t_delay, 180.0))
+        got = DampingSpec(t_delay, 180.0).gamma_damp
         if abs(got - want) > 1e-3:
             problems.append(f"gamma({t_delay}) = {got:.6f}, expected ~{want}")
     if not finals[100.0] > finals[0.0]:

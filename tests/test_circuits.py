@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ndar import (Circuit, DampingSpec, Gate, IsingModel, QaoaParams, ResourceLimitError,
-                  build_random_circuit, damping_gamma)
+                  build_random_circuit)
 from ndar.circuits import DEPTH_CAP, ONE_QUBIT_GATES, RANDOM_GATE_POOL, TWO_QUBIT_GATES
 from oracles import build_qaoa_circuit
 
@@ -56,13 +56,12 @@ def test_qaoa_params_shape_rules():
 
 
 def test_damping_gamma_values():
-    assert damping_gamma(DampingSpec(0.0, 180.0)) == 0.0
-    assert damping_gamma(DampingSpec(100.0, 180.0)) == pytest.approx(
+    assert DampingSpec(0.0, 180.0).gamma_damp == 0.0
+    assert DampingSpec(100.0, 180.0).gamma_damp == pytest.approx(
         1.0 - math.exp(-100.0 / 180.0), abs=1e-15)
-    assert damping_gamma(DampingSpec(50.0, 180.0)) == pytest.approx(0.242535, abs=1e-6)
-    assert damping_gamma(DampingSpec(100.0, 180.0)) == pytest.approx(0.426247, abs=1e-6)
-    assert damping_gamma(DampingSpec(1e9, 1.0)) == 1.0
-    assert DampingSpec(50.0, 180.0).gamma_damp == damping_gamma(DampingSpec(50.0, 180.0))
+    assert DampingSpec(50.0, 180.0).gamma_damp == pytest.approx(0.242535, abs=1e-6)
+    assert DampingSpec(100.0, 180.0).gamma_damp == pytest.approx(0.426247, abs=1e-6)
+    assert DampingSpec(1e9, 1.0).gamma_damp == 1.0
     with pytest.raises(ValueError):
         DampingSpec(-1.0, 180.0)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ndar import (DampingSpec, NdarConfig, QaoaParams, ResourceLimitError, SamplerSpec,
-                  apply_decay, brute_force_best, classical_bernoulli_sample, derive_seed, energies,
+                  apply_decay, born_table, brute_force_best, classical_bernoulli_sample, derive_seed, energies,
                   energy, gen_unweighted, gen_weighted_dense, maxcut_to_ising, run_ndar, sample,
                   simulate)
 from ndar import engine
@@ -118,6 +118,34 @@ def test_chunked_iterations_equal_one_whole_batch(monkeypatch, sampler):
     whole = run_ndar(model0, sampler, cfg)
     monkeypatch.setattr(engine, "_CHUNK", 6)
     assert_same_result(run_ndar(model0, sampler, cfg), whole)
+
+
+@pytest.mark.parametrize("sampler, tables", [
+    (SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)), damping=DampingSpec(100.0, 180.0)), 5),
+    (SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0)), 1),
+], ids=["qaoa", "reused-random-circuit"])
+def test_born_table_is_built_once_per_iteration(monkeypatch, sampler, tables):
+    built, draws = [], []
+
+    def counting_table(probs):
+        built.append(probs.size)
+        return born_table(probs)
+
+    def counting_sample(table, shots, seed):
+        draws.append(shots)
+        return sample(table, shots, seed)
+
+    monkeypatch.setattr(engine, "_CHUNK", 6)
+    monkeypatch.setattr(engine, "born_table", counting_table)
+    monkeypatch.setattr(engine, "sample", counting_sample)
+    model0 = small_model(9, 0.5, seed=3)
+    for master_seed in (4, 5):
+        built.clear()
+        draws.clear()
+        run_ndar(model0, sampler, NdarConfig(shots=203, max_iters=5, master_seed=master_seed))
+        assert built == [1 << 9] * tables
+        # 203 shots in chunks of 6 rows are 34 draws per iteration
+        assert draws == ([6] * 33 + [5]) * 5
 
 
 def test_dense_300_iteration_memory_is_bounded():
@@ -257,7 +285,8 @@ def reference_ndar(model0, sampler, config):
     for j in range(config.max_iters):
         seed = derive_seed(config.master_seed, _STREAM_SAMPLE, j)
         if sampler.kind == "qaoa":
-            X = sample(simulate(build_qaoa_circuit(model, sampler.params)), config.shots, seed)
+            psi = simulate(build_qaoa_circuit(model, sampler.params))
+            X = sample(born_table(np.abs(psi) ** 2), config.shots, seed)
             X = apply_decay(X, sampler.damping.gamma_damp,
                             derive_seed(config.master_seed, _STREAM_DECAY, j))
         else:

@@ -7,8 +7,9 @@ import pytest
 from scipy.linalg import expm
 
 from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLimitError,
-                  apply_decay, build_random_circuit, energies, gen_unweighted, gen_weighted_dense,
+                  apply_decay, born_table, build_random_circuit, energies, gen_unweighted, gen_weighted_dense,
                   grid_scan, maxcut_to_ising, qaoa_expectation, qaoa_state, sample, simulate)
+from ndar.ising import _index_bits
 from ndar.simulator import GRID_STEPS_CAP, bernoulli
 from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
                      optimize_params)
@@ -124,7 +125,7 @@ def test_bit_order_is_little_endian():
     # X on qubit 1 of three: bitstring 010, so flat index 2
     psi = simulate(Circuit(3, (Gate("X", (1,)),)))
     assert psi[2] == 1.0 and np.count_nonzero(psi) == 1
-    rows = sample(psi, 5, seed=0)
+    rows = sample(born_table(np.abs(psi) ** 2), 5, seed=0)
     assert np.array_equal(rows, np.tile([0, 1, 0], (5, 1)))
 
 
@@ -135,17 +136,35 @@ def test_simulate_respects_qubit_cap():
 
 def test_sample_statistics_and_shape():
     psi = simulate(Circuit(2, (Gate("H", (0,)), Gate("CX", (0, 1)))))
-    rows = sample(psi, 40000, seed=5)
+    table = born_table(np.abs(psi) ** 2)
+    rows = sample(table, 40000, seed=5)
     assert rows.shape == (40000, 2) and rows.dtype == np.uint8
     assert np.array_equal(rows[:, 0], rows[:, 1])  # Bell correlations are exact
     frac = rows[:, 0].mean()
     assert abs(frac - 0.5) < 0.02
-    assert np.array_equal(rows, sample(psi, 40000, seed=5))
-    assert not np.array_equal(rows, sample(psi, 40000, seed=6))
+    assert np.array_equal(rows, sample(table, 40000, seed=5))
+    assert not np.array_equal(rows, sample(table, 40000, seed=6))
     with pytest.raises(ValueError):
-        sample(psi, 0, seed=0)
+        sample(table, 0, seed=0)
     with pytest.raises(ValueError):
-        sample(np.ones(3), 5, seed=0)
+        sample(born_table(np.ones(3)), 5, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 5, 18])
+def test_sample_draws_the_rows_of_generator_choice(n):
+    rng = np.random.default_rng(100 + n)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi[::3] = 0.0  # zero amplitudes leave flat steps in the table
+    probs = np.abs(psi) ** 2
+    shots = 5000
+    want = np.random.default_rng(7).choice(probs.size, size=shots, p=probs / probs.sum())
+    assert np.array_equal(sample(born_table(probs), shots, seed=7), _index_bits(want, n))
+
+
+def test_born_table_refuses_nan_and_all_zero_states():
+    for psi in (np.array([0.5, np.nan, 0.5, 0.5], dtype=complex), np.zeros(4, dtype=complex)):
+        with pytest.raises(ValueError):
+            born_table(np.abs(psi) ** 2)
 
 
 def test_apply_decay_edge_cases():
@@ -237,7 +256,8 @@ def test_sampled_decay_agrees_with_density_matrix():
     gamma = 0.426247
     ref = density_matrix_reference(c, gamma)
     shots = 200000
-    rows = apply_decay(sample(simulate(c), shots, seed=9), gamma, seed=10)
+    rows = apply_decay(sample(born_table(np.abs(simulate(c)) ** 2), shots, seed=9), gamma,
+                       seed=10)
     idx = rows @ (1 << np.arange(3))
     counts = np.bincount(idx, minlength=8)
     for z in range(8):
@@ -331,7 +351,9 @@ def random_field_model(rng, n):
 
 def test_qaoa_state_matches_gate_level_circuit():
     rng = np.random.default_rng(44)
-    for n in (1, 3, 6, 10):
+    # the mixer runs in blocks of five qubits: n = 5 is one block, 11 two blocks and a
+    # remainder, 16 three blocks and a remainder
+    for n in (1, 3, 5, 6, 10, 11, 16):
         model = random_field_model(rng, n)
         for p in (1, 2, 3):
             params = QaoaParams(tuple(rng.uniform(-1.6, 1.6, p)), tuple(rng.uniform(-0.8, 0.8, p)))
