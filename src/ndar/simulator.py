@@ -11,6 +11,7 @@ the bitstring whose bit i (qubit i) equals (x >> i) & 1.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -117,8 +118,7 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
 def born_table(probs: np.ndarray) -> np.ndarray:
     """The cumulative table Generator.choice builds from unnormalised probabilities.
 
-    p = probs / probs.sum(), then cdf = p.cumsum() divided by its last entry, in the
-    same operations as choice, so sample(born_table(probs), ...) draws choice's rows.
+    p = probs / probs.sum(), then cdf = p.cumsum() / its last entry, as in choice.
     Raises ValueError unless the total is finite and positive: for |amplitude|^2 >= 0
     that catches any NaN or inf and the all-zero state.
     """
@@ -178,24 +178,14 @@ def apply_decay(samples: np.ndarray, gamma: float, seed) -> np.ndarray:
     return X & ~flips
 
 
-def _rx_block(beta: float, width: int) -> np.ndarray:
-    """RX(2 beta) on each of `width` qubits as one 2^width x 2^width Kronecker matrix."""
-    c, s = math.cos(beta), -1j * math.sin(beta)
-    rx = np.array([[c, s], [s, c]], dtype=np.complex128)
-    m = rx
-    for _ in range(width - 1):
-        m = np.kron(m, rx)
-    return m
-
-
 def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
     """QAOA statevector from the model's cost diagonal, starting from the uniform superposition.
 
     Each layer multiplies by exp(i gamma (E(x) - offset)), the phase that RZ(-2 gamma h_i)
     and RZZ(-2 gamma J_ij) gates would apply, then rotates every qubit by RX(2 beta) =
-    cos(beta) I - i sin(beta) X. The rotations go _MIXER_BLOCK qubits at a time, one
-    matrix product with the block's Kronecker matrix on a (-1, 2^k, 2^q) view of the
-    state, written into the buffer that held the phase.
+    cos(beta) I - i sin(beta) X. The rotations go _MIXER_BLOCK qubits at a time: the k
+    qubits from q on take one matrix product with RX(2 beta)^(x)k on a (-1, 2^k, 2^q)
+    view of the state, written into the buffer that held the phase.
     """
     n = model.n
     if n > DEFAULT_QUBIT_CAP:
@@ -207,9 +197,11 @@ def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
         np.multiply(shifted, 1j * gamma, out=buf)
         np.exp(buf, out=buf)
         psi *= buf
+        c, s = math.cos(beta), -1j * math.sin(beta)
+        rx = np.array([[c, s], [s, c]])
         for q in range(0, n, _MIXER_BLOCK):
             k = min(_MIXER_BLOCK, n - q)
-            m = _rx_block(beta, k)
+            m = functools.reduce(np.kron, [rx] * k)
             if q == 0:
                 np.matmul(psi.reshape(-1, 1 << k), m.T, out=buf.reshape(-1, 1 << k))
             else:
