@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ndar import (DampingSpec, NdarConfig, QaoaParams, ResourceLimitError, SamplerSpec,
-                  apply_decay, born_table, brute_force_best, classical_bernoulli_sample, derive_seed, energies,
-                  energy, gen_unweighted, gen_weighted_dense, maxcut_to_ising, run_ndar, sample,
-                  simulate)
+                  apply_decay, born_table, brute_force_best, classical_bernoulli_sample,
+                  derive_seed, energies, energy, gen_unweighted, gen_weighted_dense,
+                  maxcut_to_ising, run_ndar, sample, simulate)
 from ndar import engine
 from ndar.engine import SHOTS_CAP, _STREAM_DECAY, _STREAM_SAMPLE, _select_best
 from oracles import apply_mask, build_qaoa_circuit, gauge_transform

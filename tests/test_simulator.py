@@ -7,8 +7,9 @@ import pytest
 from scipy.linalg import expm
 
 from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLimitError,
-                  apply_decay, born_table, build_random_circuit, energies, gen_unweighted, gen_weighted_dense,
-                  grid_scan, maxcut_to_ising, qaoa_expectation, qaoa_state, sample, simulate)
+                  apply_decay, born_table, build_random_circuit, energies, gen_unweighted,
+                  gen_weighted_dense, grid_scan, maxcut_to_ising, qaoa_expectation, qaoa_state,
+                  sample, simulate)
 from ndar.ising import _index_bits
 from ndar.simulator import GRID_STEPS_CAP, bernoulli
 from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
