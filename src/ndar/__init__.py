@@ -19,8 +19,7 @@ from .harness import (AggregateRow, ExperimentConfig, aggregate, params_search, 
 from .ising import (BRUTE_FORCE_CAP, NODE_CAP, IsingModel, MaxCutInstance, as_bits,
                     brute_force_best, edge_density, energies, energy, gen_unweighted,
                     gen_weighted_dense, maxcut_to_ising, read_instance, write_instance)
-from .simulator import (apply_decay, born_table, grid_scan, qaoa_expectation, qaoa_state, sample,
-                        simulate)
+from .simulator import apply_decay, born_table, grid_scan, qaoa_state, sample, simulate
 
 __version__ = "0.1.0"
 
@@ -32,6 +31,6 @@ __all__ = [
     "SaConfig", "SamplerSpec", "aggregate", "apply_decay", "as_bits", "born_table",
     "brute_force_best", "build_random_circuit", "classical_bernoulli_sample", "derive_seed",
     "edge_density", "energies", "energy", "gen_unweighted", "gen_weighted_dense", "grid_scan",
-    "maxcut_to_ising", "params_search", "qaoa_expectation", "qaoa_state", "read_instance",
+    "maxcut_to_ising", "params_search", "qaoa_state", "read_instance",
     "report", "run_experiment", "run_ndar", "sa_solve", "sample", "simulate", "write_instance",
 ]

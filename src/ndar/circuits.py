@@ -137,8 +137,7 @@ class DampingSpec:
     @property
     def gamma_damp(self) -> float:
         """Decay probability of a 1-bit during the delay: 1 - exp(-t_delay / t1), in [0, 1]."""
-        g = 1.0 - math.exp(-self.t_delay / self.t1)
-        return min(1.0, max(0.0, g))
+        return 1.0 - math.exp(-self.t_delay / self.t1)
 
 
 def check_depth(depth: int) -> None:

@@ -55,10 +55,8 @@ output files:
 def _cmd_gen_instance(args) -> int:
     if args.family == "unweighted-sparse":
         g = gen_unweighted(args.n, args.density, args.seed)
-    elif args.family == "weighted-dense":
+    else:  # argparse's choices admit only the two families
         g = gen_weighted_dense(args.n, args.seed)
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
     write_instance(g, args.out)
     print(f"wrote {args.out}: n = {g.n}, edges = {len(g.edges)}, "
           f"density = {edge_density(g):.12g}")

@@ -159,29 +159,6 @@ def _select_best(X: np.ndarray, E: np.ndarray) -> int:
     return lex_first(cand, lambda c, i: X[c, i], X.shape[1])
 
 
-def _frame_state(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig,
-                 iter_index: int, mask: np.ndarray, state_cache: dict) -> np.ndarray:
-    """The circuit sampler's born_table in the frame given by `mask`, built once per iteration.
-
-    QAOA keeps |amplitude|^2 of the model0 state for the run; the frame-m distribution is
-    that vector with its indices XORed by m. The random circuit encodes no Hamiltonian, so
-    its table is cached under its circuit key and serves every iteration that reuses it.
-    """
-    if sampler.kind == KIND_QAOA:
-        if not state_cache:
-            state_cache[0] = np.abs(simulate(QaoaCircuit(model0, sampler.params))) ** 2
-        probs = state_cache[0]
-        m = int(mask.astype(np.int64) @ (1 << np.arange(model0.n, dtype=np.int64)))
-        return born_table(probs[np.arange(probs.size) ^ m])
-    key = iter_index if sampler.fresh_circuit else 0
-    if key not in state_cache:
-        circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, key)
-        state_cache.clear()
-        psi = simulate(build_random_circuit(model0.n, sampler.depth, circuit_seed))
-        state_cache[key] = born_table(np.abs(psi) ** 2)
-    return state_cache[key]
-
-
 def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> NdarResult:
     """Run the adaptive remapping loop and return the per-iteration trace.
 
@@ -193,6 +170,11 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
     all-zeros attractor. Stops early only when `patience` consecutive iterations
     fail to improve the overall best.
 
+    The loop's state is the mask, the records, the index `best` of the first record
+    with the lowest energy, and the circuit state: `probs`, QAOA's |amplitude|^2 in
+    the original frame, and `table`, the iteration's born_table. The attractor energy,
+    the stall count (j - best) and the overall best are read from the records.
+
     An iteration runs in chunks of _CHUNK shots, so no (shots, n) matrix is built:
     circuit samplers build the iteration's born_table once, each chunk is drawn with
     the iteration's sample and decay generators, scored into the iteration's energy
@@ -203,17 +185,22 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
     """
     n = model0.n
     mask = np.zeros(n, dtype=np.uint8)
-    state_cache: dict = {}
     records: list[IterationRecord] = []
-    best_overall = np.inf
-    stall = 0
+    best = 0
+    probs = table = None
     gamma = 0.0 if sampler.kind == KIND_CLASSICAL_BERNOULLI else sampler.damping.gamma_damp
-    # energy of the sampled frame's all-zeros string: the previous iteration's best
-    e_attractor = energy(model0, mask)
     for j in range(config.max_iters):
         rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))
+        if sampler.kind == KIND_QAOA:
+            if probs is None:
+                probs = np.abs(simulate(QaoaCircuit(model0, sampler.params))) ** 2
+            m = int(mask.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64)))
+            table = born_table(probs[np.arange(probs.size) ^ m])
+        elif sampler.kind == KIND_RANDOM_CIRCUIT and (table is None or sampler.fresh_circuit):
+            circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, j)
+            psi = simulate(build_random_circuit(n, sampler.depth, circuit_seed))
+            table = born_table(np.abs(psi) ** 2)
         if sampler.kind != KIND_CLASSICAL_BERNOULLI:
-            table = _frame_state(model0, sampler, config, j, mask, state_cache)
             decay_rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_DECAY, j))
         E = np.empty(config.shots)
         weight_counts = np.zeros(n + 1, dtype=np.int64)
@@ -250,23 +237,19 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
             best_energy=e_best,
             best_cut=-e_best,
             cumulative_mask=new_mask,
-            attractor_energy=e_attractor,
+            # the sampled frame's all-zeros string is the previous iteration's best
+            attractor_energy=records[-1].best_energy if records else energy(model0, mask),
             energy_histogram=energy_hist,
             hamming_histogram=hamming_hist,
         ))
-        if e_best < best_overall:
-            best_overall = e_best
-            best_original = new_mask
-            stall = 0
-        else:
-            stall += 1
+        if e_best < records[best].best_energy:
+            best = j
         mask = new_mask
-        e_attractor = e_best
-        if config.patience is not None and stall >= config.patience:
+        if config.patience is not None and j - best >= config.patience:
             break
     return NdarResult(
         trace=tuple(records),
-        best_bits_original_frame=best_original,
-        best_energy_overall=float(best_overall),
+        best_bits_original_frame=records[best].cumulative_mask,
+        best_energy_overall=float(records[best].best_energy),
         final_mask=mask,
     )

@@ -210,12 +210,6 @@ def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
     return psi
 
 
-def qaoa_expectation(model: IsingModel, params: QaoaParams) -> float:
-    """Exact mean energy of the QAOA output distribution (offset included)."""
-    psi = simulate(QaoaCircuit(model, params))
-    return float((psi.real ** 2 + psi.imag ** 2) @ model.cost_diagonal)
-
-
 def _p1_coefficients(model: IsingModel, gamma: float) -> tuple[float, float, float]:
     """(A, B, D) of the single-layer expectation offset + sin 2b A + sin 4b B - sin^2 2b D.
 
@@ -269,8 +263,8 @@ def grid_scan(model: IsingModel,
 
     Grid points are inclusive linspaces over the two ranges, scanned gamma-major.
     Returns (best params, best value, landscape rows of (gamma, beta, value)).
-    Each value is the closed form of _p1_coefficients, which equals qaoa_expectation
-    up to rounding but builds no 2^n state, so any n the node cap admits is scanned;
+    Each value is the closed form of _p1_coefficients, which equals the statevector mean
+    energy up to rounding but builds no 2^n state, so any n the node cap admits is scanned;
     one evaluation per gamma serves the whole row over beta. Every gamma = 0 or
     beta = 0 point gives exactly the offset (the uniform distribution's mean), so
     symmetric grids hold exact ties: the best point is the first in scan order within

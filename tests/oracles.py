@@ -12,6 +12,8 @@ Each one computes, by a different route, something the package computes once:
   density matrix, where the samplers apply classical bit decay (`apply_decay`).
 * `all_bitstrings`, `bits_to_str` and `hamming_weight` enumerate, render and count bits.
 * `optimize_params` returns only the best angles of `grid_scan`.
+* `qaoa_expectation` is the statevector mean energy at any depth p, where `grid_scan`
+  reads the closed form of p = 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from ndar.circuits import DEFAULT_QUBIT_CAP, Circuit, Gate, QaoaParams
 from ndar.errors import ResourceLimitError
 from ndar.ising import IsingModel, MaxCutInstance, _check_enumerable, _index_bits, as_bits
-from ndar.simulator import grid_scan, simulate
+from ndar.simulator import grid_scan, qaoa_state, simulate
 
 DENSITY_MATRIX_CAP = 6
 
@@ -137,3 +139,9 @@ def optimize_params(model: IsingModel,
                     steps: int = 20) -> QaoaParams:
     """Best single-layer angles of grid_scan over the same grid."""
     return grid_scan(model, gamma_range, beta_range, steps)[0]
+
+
+def qaoa_expectation(model: IsingModel, params: QaoaParams) -> float:
+    """Exact mean energy of the QAOA output distribution (offset included)."""
+    psi = qaoa_state(model, params)
+    return float((psi.real ** 2 + psi.imag ** 2) @ model.cost_diagonal)

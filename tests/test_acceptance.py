@@ -11,12 +11,12 @@ import time
 import numpy as np
 from conftest import record_criterion
 from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
-                     gauge_transform, optimize_params)
+                     gauge_transform, optimize_params, qaoa_expectation)
 
 from ndar import (DampingSpec, IsingModel, NdarConfig, QaoaParams, SaConfig, SamplerSpec,
                   apply_decay, born_table, brute_force_best, build_random_circuit,
                   derive_seed, energies, energy, gen_unweighted, gen_weighted_dense,
-                  maxcut_to_ising, qaoa_expectation, run_ndar, sa_solve, sample, simulate)
+                  maxcut_to_ising, run_ndar, sa_solve, sample, simulate)
 from ndar.cli import main
 from ndar.engine import KIND_CLASSICAL_BERNOULLI
 from ndar.harness import FAMILY_UNWEIGHTED, FAMILY_WEIGHTED, ExperimentConfig, run_experiment

@@ -62,6 +62,7 @@ def test_damping_gamma_values():
     assert DampingSpec(50.0, 180.0).gamma_damp == pytest.approx(0.242535, abs=1e-6)
     assert DampingSpec(100.0, 180.0).gamma_damp == pytest.approx(0.426247, abs=1e-6)
     assert DampingSpec(1e9, 1.0).gamma_damp == 1.0
+    assert DampingSpec(1e308, 5e-324).gamma_damp == 1.0  # t_delay / t1 overflows to inf
     with pytest.raises(ValueError):
         DampingSpec(-1.0, 180.0)
     with pytest.raises(ValueError):

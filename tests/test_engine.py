@@ -243,6 +243,19 @@ def test_patience_stops_after_stalls():
     assert len(result.trace) == 4
 
 
+def test_patience_counts_from_the_first_lowest_record():
+    # 4 shots at q = 0.9 improve in steps, so the run stalls, improves and only then stops
+    model0 = small_model(12, 0.5, seed=2)
+    result = run_ndar(model0, SamplerSpec("classical-bernoulli", q=0.9),
+                      NdarConfig(shots=4, max_iters=30, master_seed=11, patience=2))
+    e = [rec.best_energy for rec in result.trace]
+    stalls = [j - e.index(min(e[:j + 1])) for j in range(len(e))]
+    assert stalls == [0, 0, 1, 0, 1, 0, 1, 2]
+    assert e[1] == e[2] and e[5] == e[6]  # a tie with the best is a stall, not an improvement
+    assert result.best_energy_overall == e[5]
+    assert np.array_equal(result.best_bits_original_frame, result.trace[5].cumulative_mask)
+
+
 def test_qaoa_sampler_end_to_end():
     model0 = small_model(6, 0.7, seed=3)
     sampler = SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.2,)),

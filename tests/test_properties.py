@@ -160,6 +160,12 @@ def test_mask_bookkeeping_holds_exactly(model, sampler, shots, iters, patience, 
         assert rec.attractor_energy == attractor
         mask, attractor = rec.cumulative_mask, rec.best_energy
     assert 1 <= len(result.trace) <= iters
+    e = [rec.best_energy for rec in result.trace]
+    # j - b(j), where b(j) is the first record with the lowest energy among records 0..j
+    stalls = [j - e.index(min(e[:j + 1])) for j in range(len(e))]
+    assert patience is None or max(stalls[:-1], default=0) < patience
+    if len(e) < iters:
+        assert stalls[-1] == patience
     assert np.array_equal(result.final_mask, mask)
     lowest = min(rec.best_energy for rec in result.trace)
     assert result.best_energy_overall == lowest
