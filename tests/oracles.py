@@ -14,6 +14,9 @@ Each one computes, by a different route, something the package computes once:
 * `optimize_params` returns only the best angles of `grid_scan`.
 * `qaoa_expectation` is the statevector mean energy at any depth p, where `grid_scan`
   reads the closed form of p = 1.
+* `write_instance_from_tuples` writes the instance file from the sorted edge tuples,
+  formatting every weight, where `write_instance` orders the edge arrays with
+  `np.lexsort` and formats each distinct weight once.
 """
 
 from __future__ import annotations
@@ -145,3 +148,17 @@ def qaoa_expectation(model: IsingModel, params: QaoaParams) -> float:
     """Exact mean energy of the QAOA output distribution (offset included)."""
     psi = qaoa_state(model, params)
     return float((psi.real ** 2 + psi.imag ** 2) @ model.cost_diagonal)
+
+
+def write_instance_from_tuples(g: MaxCutInstance, path) -> None:
+    """Write a graph as text: one 'n m' header line, then 'i j w' per edge, sorted by (i, j).
+
+    A weight is printed with 12 significant digits when that reads back exactly (so
+    integer weights print as '1'), otherwise as its shortest exact repr.
+    """
+    lines = [f"{g.n} {len(g.edges)}"]
+    for i, j, w in sorted(g.edges):
+        text = f"{w:.12g}"
+        lines.append(f"{i} {j} {text if float(text) == w else repr(w)}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

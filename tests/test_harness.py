@@ -17,6 +17,7 @@ from ndar import harness
 from ndar.cli import main
 from ndar.harness import (build_sampler, grid_search, load_instance, params_search, report,
                           run_experiment)
+from ndar.ising import TripleView
 from ndar.simulator import GRID_STEPS_CAP
 from oracles import optimize_params
 
@@ -126,6 +127,19 @@ def test_run_experiment_outputs(tmp_path):
     assert meta["brute_force_cut"] != "-"  # n = 12 is within the exact cap
     assert summary["final_mean_ratio"] == pytest.approx(
         float(lines[-1].split(",")[3]), abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["classical-bernoulli", "qaoa"])
+def test_run_reads_edges_and_couplings_as_arrays_only(tmp_path, monkeypatch, kind):
+    def refuse(view, *args):
+        raise AssertionError("an edge or coupling view was iterated")
+
+    monkeypatch.setattr(TripleView, "__iter__", refuse)
+    monkeypatch.setattr(TripleView, "__getitem__", refuse)
+    text = SMOKE.replace("sampler.kind = classical-bernoulli", f"sampler.kind = {kind}")
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
+    summary = run_experiment(cfg, out_dir=tmp_path / "out")
+    assert summary["e_sa_cut"] > 0 and (tmp_path / "out" / "meta.txt").is_file()
 
 
 def test_trajectory_recomputable_from_run_files(tmp_path):

@@ -7,9 +7,9 @@ from ndar import ising
 from ndar import (NODE_CAP, IsingModel, MaxCutInstance, ResourceLimitError, as_bits,
                   brute_force_best, edge_density, energies, energy, gen_unweighted,
                   gen_weighted_dense, maxcut_to_ising, read_instance, write_instance)
-from ndar.ising import lex_first
+from ndar.ising import TripleView, lex_first
 from oracles import (all_bitstrings, apply_mask, bits_to_str, cut_value, gauge_transform,
-                     hamming_weight)
+                     hamming_weight, write_instance_from_tuples)
 
 
 def slow_energy(model: IsingModel, x) -> float:
@@ -361,6 +361,12 @@ def test_energies_peak_on_a_dense_300_node_batch():
     assert traced_peak(lambda: energies(model, X)) < 30e6
 
 
+def test_dense_300_model_build_peak():
+    # the edge and coupling arrays and their validation temporaries; with a tuple of
+    # (int, int, float) tuples next to each object's arrays the peak is 14.1 MiB
+    assert traced_peak(lambda: maxcut_to_ising(gen_weighted_dense(300, 3))) < 8 * 2**20
+
+
 def test_brute_force_refuses_large_n():
     with pytest.raises(ResourceLimitError):
         brute_force_best(IsingModel(25, (0.0,) * 25, ()))
@@ -447,3 +453,48 @@ def test_instance_file_normalizes_reversed_indices(tmp_path):
     path.write_text("3 2\n2 0 1.5\n1 2 -1\n")
     g = read_instance(path)
     assert g.edges == ((0, 2, 1.5), (1, 2, -1.0))
+
+
+def test_triple_view_acts_as_its_tuple():
+    triples = ((0, 2, 1.0), (1, 2, -2.0))
+    g = MaxCutInstance(3, triples)
+    same = MaxCutInstance(3, np.array([[0, 2, 1], [1, 2, -2]]))
+    other = MaxCutInstance(3, triples[:1])
+    assert isinstance(g.edges, TripleView) and len(g.edges) == 2 and g.edges
+    assert g.edges == triples and triples == g.edges and g.edges == same.edges
+    assert g.edges != other.edges and g.edges != triples[:1] and g.edges != list(triples)
+    assert hash(g.edges) == hash(same.edges) == hash(triples)
+    assert g == same and hash(g) == hash(same) and {g: 1}[same] == 1
+    assert g.edges[-1] == (1, 2, -2.0) and g.edges[:1] == triples[:1]
+    arr = np.asarray(g.edges)
+    assert arr.shape == (2, 3) and arr.dtype == np.float64
+    assert np.array_equal(arr, [[0, 2, 1], [1, 2, -2]])
+    with pytest.raises(ValueError):
+        g._edge_arrays[2][0] = 5.0
+    empty = MaxCutInstance(3, ()).edges
+    assert len(empty) == 0 and not empty and empty == () and hash(empty) == hash(())
+    assert np.asarray(empty).shape == (0, 3)
+
+
+@pytest.mark.parametrize("n", [30, 300, 1024])
+@pytest.mark.parametrize("make", [lambda n: gen_unweighted(n, 0.3, 7),
+                                  lambda n: gen_weighted_dense(n, 7)],
+                         ids=["unweighted-sparse", "weighted-dense"])
+def test_instance_writer_matches_the_tuple_writer(tmp_path, make, n):
+    g = make(n)
+    write_instance(g, tmp_path / "arrays.txt")
+    write_instance_from_tuples(g, tmp_path / "tuples.txt")
+    assert (tmp_path / "arrays.txt").read_bytes() == (tmp_path / "tuples.txt").read_bytes()
+
+
+def test_instance_writer_matches_the_tuple_writer_on_long_weights(tmp_path):
+    # 12 significant digits, weights that need repr, and both signs of zero
+    weights = np.random.default_rng(2).uniform(-1e3, 1e3, 45)
+    weights[:15] = [float(f"{w:.12g}") for w in weights[:15]]
+    weights[15:20] = [0.1 + 0.2, -0.0, 0.0, 1e-300, 123456789012.0]
+    iu, ju = np.triu_indices(10, k=1)
+    order = np.random.default_rng(3).permutation(iu.size)
+    g = MaxCutInstance(10, np.column_stack((iu, ju, weights))[order])
+    write_instance(g, tmp_path / "arrays.txt")
+    write_instance_from_tuples(g, tmp_path / "tuples.txt")
+    assert (tmp_path / "arrays.txt").read_bytes() == (tmp_path / "tuples.txt").read_bytes()
