@@ -37,6 +37,8 @@ class SaConfig:
             raise ValueError("num_reads and sweeps_per_read must be >= 1")
         if not (0.0 < self.beta_min <= self.beta_max):
             raise ValueError(f"need 0 < beta_min <= beta_max, got {self.beta_min}, {self.beta_max}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def check_effort(reads: int, sweeps: int, n: int) -> None:

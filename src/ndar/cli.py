@@ -10,7 +10,7 @@ from .circuits import DEPTH_CAP
 from .engine import SHOTS_CAP
 from .errors import ConfigError, ResourceLimitError
 from .harness import (RUNS_CAP, ExperimentConfig, load_instance, params_search, report,
-                      run_experiment, sa_config)
+                      run_experiment)
 from .ising import edge_density, gen_unweighted, gen_weighted_dense, maxcut_to_ising, write_instance
 from .simulator import GRID_STEPS_CAP
 
@@ -42,6 +42,7 @@ config file keys (flat `key = value` lines, `#` comments):
   sa.seed                    annealer seed (default: derived from ndar.seed)
   runs                       independent NDAR runs (default 10, at most {RUNS_CAP})
   output_dir                 where to write results (or pass --out)
+keys are checked when the config is read, by every command; the instance and n caps come later
 
 output files:
   trajectory.csv   iter_index,mean_best_cut,sem_best_cut,mean_ratio,sem_ratio,mean_cumulative_ratio
@@ -73,16 +74,15 @@ def _cmd_run(args) -> int:
 def _cmd_sa_baseline(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
     model = maxcut_to_ising(load_instance(cfg))
-    sa_cfg = sa_config(cfg)
-    _, energy_value = sa_solve(model, sa_cfg)
-    print(f"n = {model.n}, reads = {sa_cfg.num_reads}, sweeps = {sa_cfg.sweeps_per_read}")
+    _, energy_value = sa_solve(model, cfg.sa)
+    print(f"n = {model.n}, reads = {cfg.sa.num_reads}, sweeps = {cfg.sa.sweeps_per_read}")
     print(f"E_SA cut = {-energy_value:.12g} (energy {energy_value:.12g})")
     return 0
 
 
 def _cmd_params_search(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, out_override=args.out)
-    best, best_val, = params_search(cfg)
+    best, best_val = params_search(cfg)
     print(f"best gamma = {best.gammas[0]:.12g}, beta = {best.betas[0]:.12g}, "
           f"expectation = {best_val:.12g}")
     return 0

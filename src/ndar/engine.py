@@ -77,12 +77,6 @@ class SamplerSpec:
             object.__setattr__(self, "q", float(self.q))
 
 
-def check_shots(shots: int) -> None:
-    """Refuse more than SHOTS_CAP shots per iteration before allocating."""
-    if shots > SHOTS_CAP:
-        raise ResourceLimitError(f"{shots} shots per iteration exceeds the cap {SHOTS_CAP}")
-
-
 @dataclass(frozen=True)
 class NdarConfig:
     """Loop controls: shots per iteration, iteration count, seeding, bookkeeping."""
@@ -96,11 +90,15 @@ class NdarConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        check_shots(self.shots)
+        if self.shots > SHOTS_CAP:  # refused before allocating
+            raise ResourceLimitError(f"{self.shots} shots per iteration exceeds the cap "
+                                     f"{SHOTS_CAP}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1 when set")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import os
 import shutil
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,56 +15,27 @@ from . import svgplot
 from .annealing import SaConfig, check_effort, sa_solve
 from .circuits import DEFAULT_QUBIT_CAP, DampingSpec, QaoaParams, check_depth
 from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT,
-                     NdarConfig, NdarResult, SamplerSpec, check_shots, derive_seed, run_ndar)
+                     NdarConfig, NdarResult, SamplerSpec, derive_seed, run_ndar)
 from .errors import ConfigError, ResourceLimitError
 from .ising import (BRUTE_FORCE_CAP, NODE_CAP, MaxCutInstance, brute_force_best, edge_density,
                     gen_unweighted, gen_weighted_dense, maxcut_to_ising, read_instance)
-from .simulator import grid_scan
+from .simulator import check_grid, grid_scan
 
 FAMILY_UNWEIGHTED = "unweighted-sparse"
 FAMILY_WEIGHTED = "weighted-dense"
 
-# most independent NDAR runs per experiment. Their loop configs are built up front and
-# every run's trace is kept until the output files are written
+# most independent NDAR runs per experiment; every run's trace is kept until the output
+# files are written
 RUNS_CAP = 1 << 10
 
 # harness-level seed streams, distinct from the engine's per-iteration tags
 _STREAM_RUN = 10
 _STREAM_SA = 11
 
-# config key -> (ExperimentConfig field, parser); the defaults live on the dataclass
-_CONFIG_KEYS = {
-    "instance.file": ("instance_file", str),
-    "instance.family": ("family", str),
-    "instance.n": ("n", int),
-    "instance.density": ("density", float),
-    "instance.seed": ("instance_seed", int),
-    "sampler.kind": ("sampler_kind", str),
-    "sampler.q": ("q", float),
-    "sampler.depth": ("depth", int),
-    "sampler.fresh_circuit": ("fresh_circuit", bool),
-    "sampler.gammas": ("gammas", tuple),
-    "sampler.betas": ("betas", tuple),
-    "sampler.grid_steps": ("grid_steps", int),
-    "sampler.gamma_min": ("gamma_min", float),
-    "sampler.gamma_max": ("gamma_max", float),
-    "sampler.beta_min": ("beta_min", float),
-    "sampler.beta_max": ("beta_max", float),
-    "sampler.t_delay": ("t_delay", float),
-    "sampler.t1": ("t1", float),
-    "ndar.shots": ("shots", int),
-    "ndar.iters": ("iters", int),
-    "ndar.seed": ("seed", int),
-    "ndar.record_distributions": ("record_distributions", bool),
-    "ndar.patience": ("patience", int),
-    "sa.reads": ("sa_reads", int),
-    "sa.sweeps": ("sa_sweeps", int),
-    "sa.beta_min": ("sa_beta_min", float),
-    "sa.beta_max": ("sa_beta_max", float),
-    "sa.seed": ("sa_seed", int),
-    "runs": ("runs", int),
-    "output_dir": ("output_dir", str),
-}
+
+def _key(name: str, parse, default=None):
+    """A config field: the file key that sets it, the parser of its text, its default."""
+    return field(default=default, metadata={"key": name, "parse": parse})
 
 
 def _fmt(v) -> str:
@@ -108,40 +80,56 @@ def _conv(key, raw, cast):
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {cast.__name__}") from None
 
 
+@contextmanager
+def _naming_keys(names: str):
+    """Name the config keys in a domain type's error; a ValueError becomes a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{names}: {exc}") from None
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{names}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Typed view of one experiment: instance source, sampler, loop and baseline settings."""
+    """Typed view of one experiment: instance source, sampler, loop and baseline settings.
 
-    instance_file: str | None = None
-    family: str | None = None
-    n: int | None = None
-    density: float = 0.3
-    instance_seed: int = 0
-    sampler_kind: str = KIND_CLASSICAL_BERNOULLI
-    q: float | None = None
-    depth: int = 2
-    fresh_circuit: bool = False
-    gammas: tuple[float, ...] | None = None
-    betas: tuple[float, ...] | None = None
-    grid_steps: int = 20
-    gamma_min: float = -math.pi / 2.0
-    gamma_max: float = math.pi / 2.0
-    beta_min: float = -math.pi / 4.0
-    beta_max: float = math.pi / 4.0
-    t_delay: float = 0.0
-    t1: float = 180.0
-    shots: int = 1000
-    iters: int = 12
-    seed: int = 0
-    record_distributions: bool = True
-    patience: int | None = None
-    sa_reads: int = 100
-    sa_sweeps: int = 1000
-    sa_beta_min: float = 0.01
-    sa_beta_max: float = 10.0
-    sa_seed: int | None = None
-    runs: int = 10
-    output_dir: str | None = None
+    Every key is checked here, when the config is read, whatever the subcommand and the
+    sampler kind. The domain objects are built once: `damping`, `sampler` (None for QAOA
+    without angles), `ndar` and `sa`. Only instance keys and n-dependent caps wait for n.
+    """
+
+    instance_file: str | None = _key("instance.file", str)
+    family: str | None = _key("instance.family", str)
+    n: int | None = _key("instance.n", int)
+    density: float = _key("instance.density", float, 0.3)
+    instance_seed: int = _key("instance.seed", int, 0)
+    sampler_kind: str = _key("sampler.kind", str, KIND_CLASSICAL_BERNOULLI)
+    q: float | None = _key("sampler.q", float)
+    depth: int = _key("sampler.depth", int, 2)
+    fresh_circuit: bool = _key("sampler.fresh_circuit", bool, False)
+    gammas: tuple[float, ...] | None = _key("sampler.gammas", tuple)
+    betas: tuple[float, ...] | None = _key("sampler.betas", tuple)
+    grid_steps: int = _key("sampler.grid_steps", int, 20)
+    gamma_min: float = _key("sampler.gamma_min", float, -math.pi / 2.0)
+    gamma_max: float = _key("sampler.gamma_max", float, math.pi / 2.0)
+    beta_min: float = _key("sampler.beta_min", float, -math.pi / 4.0)
+    beta_max: float = _key("sampler.beta_max", float, math.pi / 4.0)
+    t_delay: float = _key("sampler.t_delay", float, 0.0)
+    t1: float = _key("sampler.t1", float, 180.0)
+    shots: int = _key("ndar.shots", int, 1000)
+    iters: int = _key("ndar.iters", int, 12)
+    seed: int = _key("ndar.seed", int, 0)
+    record_distributions: bool = _key("ndar.record_distributions", bool, True)
+    patience: int | None = _key("ndar.patience", int)
+    sa_reads: int = _key("sa.reads", int, 100)
+    sa_sweeps: int = _key("sa.sweeps", int, 1000)
+    sa_beta_min: float = _key("sa.beta_min", float, 0.01)
+    sa_beta_max: float = _key("sa.beta_max", float, 10.0)
+    sa_seed: int | None = _key("sa.seed", int)
+    runs: int = _key("runs", int, 10)
+    output_dir: str | None = _key("output_dir", str)
 
     def __post_init__(self):
         if (self.instance_file is None) == (self.family is None):
@@ -151,23 +139,38 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown instance family {self.family!r}")
             if self.n is None:
                 raise ConfigError("generated instances need instance.n")
-        if self.sampler_kind not in (KIND_QAOA, KIND_RANDOM_CIRCUIT, KIND_CLASSICAL_BERNOULLI):
-            raise ConfigError(f"unknown sampler kind {self.sampler_kind!r}")
-        if self.sampler_kind == KIND_CLASSICAL_BERNOULLI and self.q is None:
-            raise ConfigError("classical-bernoulli sampler needs sampler.q")
         if (self.gammas is None) != (self.betas is None):
             raise ConfigError("set sampler.gammas and sampler.betas together")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.runs > RUNS_CAP:
             raise ResourceLimitError(f"{self.runs} runs exceeds the cap {RUNS_CAP}")
-        check_shots(self.shots)
         check_depth(self.depth)
-        # the annealer's budget, before any instance exists. A file's n is known only once
-        # it is read, and sa_solve checks again then; an n that no generator accepts fails
-        # there with its own message
+        # the annealer's budget before any instance exists; sa_solve checks a file's n once it
+        # is read, and an n that no generator accepts fails there with its own message
         n = self.n if self.family is not None else 1
         check_effort(self.sa_reads, self.sa_sweeps, min(max(n, 1), NODE_CAP))
+        # params-search scans the grid whatever the sampler kind
+        with _naming_keys("sampler.grid_steps, sampler.gamma_min/max, sampler.beta_min/max"):
+            check_grid(self.grid_steps, (self.gamma_min, self.gamma_max),
+                       (self.beta_min, self.beta_max))
+        with _naming_keys("sampler.t_delay, sampler.t1"):
+            damping = DampingSpec(self.t_delay, self.t1)
+        kind = self.sampler_kind
+        with _naming_keys("sampler.kind, sampler.q, sampler.depth, sampler.gammas/betas"):
+            params = None if self.gammas is None else QaoaParams(self.gammas, self.betas)
+            sampler = None if kind == KIND_QAOA and params is None else SamplerSpec(
+                kind, params if kind == KIND_QAOA else None, self.depth,
+                self.q if kind == KIND_CLASSICAL_BERNOULLI else None, damping, self.fresh_circuit)
+        with _naming_keys("ndar.shots, ndar.iters, ndar.seed, ndar.patience"):
+            ndar = NdarConfig(self.shots, self.iters, self.seed, self.record_distributions,
+                              self.patience)
+        # an unset sa.seed derives from ndar.seed, so all commands agree
+        seed = self.sa_seed if self.sa_seed is not None else derive_seed(self.seed, _STREAM_SA, 0)
+        with _naming_keys("sa.reads, sa.sweeps, sa.beta_min/max, sa.seed"):
+            sa = SaConfig(self.sa_reads, self.sa_sweeps, self.sa_beta_min, self.sa_beta_max, seed)
+        for name, value in ("damping", damping), ("sampler", sampler), ("ndar", ndar), ("sa", sa):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_file(cls, path, seed_override: int | None = None,
@@ -175,12 +178,17 @@ class ExperimentConfig:
         overrides = {"seed": seed_override, "output_dir": out_override}
         kv = _parse_kv_file(path)
         values = {}
-        for key, (field, cast) in _CONFIG_KEYS.items():
-            if overrides.get(field) is not None:
-                values[field] = overrides[field]
+        for key, (name, cast) in _CONFIG_KEYS.items():
+            if overrides.get(name) is not None:
+                values[name] = overrides[name]
             elif key in kv:
-                values[field] = _conv(key, kv[key], cast)
+                values[name] = _conv(key, kv[key], cast)
         return cls(**values)
+
+
+# config key -> (ExperimentConfig field, parser)
+_CONFIG_KEYS = {f.metadata["key"]: (f.name, f.metadata["parse"])
+                for f in fields(ExperimentConfig)}
 
 
 def load_instance(config: ExperimentConfig) -> MaxCutInstance:
@@ -192,37 +200,22 @@ def load_instance(config: ExperimentConfig) -> MaxCutInstance:
     return gen_weighted_dense(config.n, config.instance_seed)
 
 
-def sa_config(config: ExperimentConfig) -> SaConfig:
-    """Annealer settings; an unset sa.seed derives from ndar.seed, so all commands agree."""
-    seed = config.sa_seed if config.sa_seed is not None else derive_seed(config.seed, _STREAM_SA, 0)
-    return SaConfig(config.sa_reads, config.sa_sweeps, config.sa_beta_min, config.sa_beta_max, seed)
-
-
 def build_sampler(config: ExperimentConfig, model) -> SamplerSpec:
-    """Assemble the sampler; QAOA angles fall back to a grid search on the original model.
+    """The config's sampler; QAOA angles fall back to a grid search on the original model.
 
     Circuit samplers refuse models beyond the qubit cap here, before any statevector exists.
     """
-    damping = DampingSpec(config.t_delay, config.t1)
-    if config.sampler_kind == KIND_CLASSICAL_BERNOULLI:
-        return SamplerSpec(KIND_CLASSICAL_BERNOULLI, q=config.q, damping=damping)
-    if model.n > DEFAULT_QUBIT_CAP:
+    if config.sampler_kind != KIND_CLASSICAL_BERNOULLI and model.n > DEFAULT_QUBIT_CAP:
         raise ResourceLimitError(f"{config.sampler_kind} sampler simulates n <= {DEFAULT_QUBIT_CAP} "
                                  f"qubits, got n = {model.n}")
-    if config.sampler_kind == KIND_RANDOM_CIRCUIT:
-        return SamplerSpec(KIND_RANDOM_CIRCUIT, depth=config.depth, damping=damping,
-                           fresh_circuit=config.fresh_circuit)
-    if config.gammas is not None:
-        params = QaoaParams(config.gammas, config.betas)
-    else:
-        params, _, _ = grid_search(model, config)
-    return SamplerSpec(KIND_QAOA, params=params, damping=damping)
+    if config.sampler is not None:
+        return config.sampler
+    params, _, _ = grid_search(model, config)
+    return SamplerSpec(KIND_QAOA, params=params, damping=config.damping)
 
 
 def grid_search(model, config: ExperimentConfig):
     """The configured grid_scan; returns (best params, best value, landscape rows)."""
-    if config.grid_steps < 1:
-        raise ConfigError("empty parameter grid: sampler.grid_steps must be >= 1")
     return grid_scan(model, (config.gamma_min, config.gamma_max),
                      (config.beta_min, config.beta_max), config.grid_steps)
 
@@ -286,7 +279,7 @@ def _write_lines(path, lines) -> None:
 
 
 def _write_outputs(d: Path, config: ExperimentConfig, graph: MaxCutInstance,
-                   sampler: SamplerSpec, sa_cfg: SaConfig, sa_energy: float, bf_energy,
+                   sampler: SamplerSpec, sa_energy: float, bf_energy,
                    rows: list[AggregateRow], results: list[NdarResult]) -> None:
     """Write every output file of a run into directory d, meta.txt last."""
     (d / "runs").mkdir()
@@ -339,11 +332,11 @@ def _write_outputs(d: Path, config: ExperimentConfig, graph: MaxCutInstance,
         ("sampler.t_delay", sampler.damping.t_delay),
         ("sampler.t1", sampler.damping.t1),
         ("sampler.gamma_damp", sampler.damping.gamma_damp),
-        ("sa.reads", sa_cfg.num_reads),
-        ("sa.sweeps", sa_cfg.sweeps_per_read),
-        ("sa.beta_min", sa_cfg.beta_min),
-        ("sa.beta_max", sa_cfg.beta_max),
-        ("sa.seed", sa_cfg.seed),
+        ("sa.reads", config.sa.num_reads),
+        ("sa.sweeps", config.sa.sweeps_per_read),
+        ("sa.beta_min", config.sa.beta_min),
+        ("sa.beta_max", config.sa.beta_max),
+        ("sa.seed", config.sa.seed),
         ("e_sa_cut", -sa_energy),
         ("e_sa_energy", sa_energy),
         ("brute_force_energy", "-" if bf_energy is None else bf_energy),
@@ -389,15 +382,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     graph = load_instance(config)
     model = maxcut_to_ising(graph)
 
-    # the loop settings and the sampler come first, so a bad ndar value or an over-cap
-    # circuit fails before the baselines run
-    ndar_cfgs = [NdarConfig(config.shots, config.iters, derive_seed(config.seed, _STREAM_RUN, r),
-                            config.record_distributions, config.patience)
-                 for r in range(config.runs)]
+    # the sampler comes first, so an over-cap circuit fails before the baselines run
     sampler = build_sampler(config, model)
 
-    sa_cfg = sa_config(config)
-    _, sa_energy = sa_solve(model, sa_cfg)
+    _, sa_energy = sa_solve(model, config.sa)
     sa_cut = -sa_energy
     # a zero reference cut (an edgeless graph, say) fails here, not after every NDAR run
     _check_reference_cut(sa_cut)
@@ -406,7 +394,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     if model.n <= BRUTE_FORCE_CAP:
         _, bf_energy = brute_force_best(model)
 
-    results = [run_ndar(model, sampler, c) for c in ndar_cfgs]
+    results = [run_ndar(model, sampler, replace(config.ndar, master_seed=derive_seed(
+        config.seed, _STREAM_RUN, r))) for r in range(config.runs)]
 
     rows = aggregate(results, sa_cut)
 
@@ -417,7 +406,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     tmp = out.parent / f".{out.name}.{os.urandom(8).hex()}.partial"
     tmp.mkdir()
     try:
-        _write_outputs(tmp, config, graph, sampler, sa_cfg, sa_energy, bf_energy, rows, results)
+        _write_outputs(tmp, config, graph, sampler, sa_energy, bf_energy, rows, results)
         _publish(tmp, out)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -432,21 +432,22 @@ def write_instance(g: MaxCutInstance, path) -> None:
 def read_instance(path) -> MaxCutInstance:
     """Parse the edge-list text format; rejects self-loops, duplicates, and bad counts."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    rows = [ln for ln in raw if ln and not ln.startswith("#")]
+        # (line number, text) of every line that is not blank or a comment
+        rows = [(k, ln) for k, ln in enumerate(map(str.strip, fh), 1) if ln and ln[0] != "#"]
     if not rows:
         raise ValueError(f"{path}: empty instance file")
-    head = rows[0].split()
+    header = rows[0][1]
+    head = header.split()
     if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'n m', got {rows[0]!r}")
+        raise ValueError(f"{path}: header must be 'n m', got {header!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ValueError(f"{path}: header must hold two integers, got {rows[0]!r}") from None
+        raise ValueError(f"{path}: header must hold two integers, got {header!r}") from None
     if len(rows) - 1 != m:
         raise ValueError(f"{path}: header promises {m} edges, file has {len(rows) - 1}")
     edges = []
-    for lineno, ln in enumerate(rows[1:], start=2):
+    for lineno, ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'i j w', got {ln!r}")

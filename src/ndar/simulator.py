@@ -255,6 +255,19 @@ def _p1_coefficients(model: IsingModel, gamma: float) -> tuple[float, float, flo
     return a, b, d
 
 
+def check_grid(steps: int, gamma_range: tuple[float, float],
+               beta_range: tuple[float, float]) -> None:
+    """Refuse an empty grid or non-finite bounds (ValueError) and more than GRID_STEPS_CAP
+    steps (ResourceLimitError), before anything is allocated."""
+    if steps < 1:
+        raise ValueError("empty parameter grid: steps must be >= 1")
+    if not all(map(math.isfinite, (*gamma_range, *beta_range))):
+        raise ValueError(f"grid bounds must be finite, got {gamma_range} and {beta_range}")
+    if steps > GRID_STEPS_CAP:
+        raise ResourceLimitError(f"parameter grid capped at {GRID_STEPS_CAP} steps per axis, "
+                                 f"got {steps}")
+
+
 def grid_scan(model: IsingModel,
               gamma_range: tuple[float, float] = (-math.pi / 2.0, math.pi / 2.0),
               beta_range: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0),
@@ -269,13 +282,9 @@ def grid_scan(model: IsingModel,
     beta = 0 point gives exactly the offset (the uniform distribution's mean), so
     symmetric grids hold exact ties: the best point is the first in scan order within
     1e-12 * max(1, |min|) of the minimum, a choice rounding noise cannot flip.
-    More than GRID_STEPS_CAP steps raise ResourceLimitError before any allocation.
+    The grid must pass check_grid.
     """
-    if steps < 1:
-        raise ValueError("empty parameter grid: steps must be >= 1")
-    if steps > GRID_STEPS_CAP:
-        raise ResourceLimitError(f"parameter grid capped at {GRID_STEPS_CAP} steps per axis, "
-                                 f"got {steps}")
+    check_grid(steps, gamma_range, beta_range)
     gammas = np.linspace(gamma_range[0], gamma_range[1], steps)
     betas = np.linspace(beta_range[0], beta_range[1], steps)
     s2, s4 = np.sin(2.0 * betas), np.sin(4.0 * betas)

@@ -159,6 +159,8 @@ def test_config_validation():
         SaConfig(beta_min=0.0)
     with pytest.raises(ValueError):
         SaConfig(beta_min=5.0, beta_max=1.0)
+    with pytest.raises(ValueError, match="seed"):
+        SaConfig(seed=-1)
 
 
 @pytest.mark.parametrize("model, config", [

@@ -86,6 +86,8 @@ def test_ndar_config_validation():
         NdarConfig(shots=10, max_iters=0)
     with pytest.raises(ValueError):
         NdarConfig(shots=10, max_iters=5, patience=0)
+    with pytest.raises(ValueError, match="master_seed"):
+        NdarConfig(shots=10, max_iters=5, master_seed=-1)
 
 
 def test_shots_cap_is_a_resource_limit():

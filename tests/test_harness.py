@@ -489,6 +489,37 @@ def test_bad_ndar_values_fail_before_the_baselines(tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
+@pytest.mark.parametrize("kind, settings, key, code", [
+    ("classical-bernoulli", "ndar.shots = 0", "ndar.shots", 2),
+    ("classical-bernoulli", "ndar.iters = 0", "ndar.iters", 2),
+    ("classical-bernoulli", "ndar.patience = 0", "ndar.patience", 2),
+    ("classical-bernoulli", "sampler.q = 1.5", "sampler.q", 2),
+    ("classical-bernoulli", "sampler.t1 = 0", "sampler.t1", 2),
+    ("classical-bernoulli", "sampler.t_delay = -1", "sampler.t_delay", 2),
+    ("qaoa", "sampler.gammas = 0.1\nsampler.betas = 0.1,0.2", "sampler.gammas", 2),
+    ("classical-bernoulli", "sa.beta_min = 0", "sa.beta_min", 2),
+    ("classical-bernoulli", "sa.beta_min = 20", "sa.beta_min", 2),
+    ("qaoa", "sampler.grid_steps = 0", "sampler.grid_steps", 2),
+    ("classical-bernoulli", "sampler.grid_steps = 0", "sampler.grid_steps", 2),
+    ("classical-bernoulli", "sampler.grid_steps = 1000", "sampler.grid_steps", 3),
+    ("classical-bernoulli", "sampler.gamma_min = nan", "sampler.gamma_min", 2),
+    ("classical-bernoulli", "ndar.seed = -1", "ndar.seed", 2),
+    ("classical-bernoulli", "sa.seed = -1", "sa.seed", 2),
+])
+def test_every_command_refuses_a_bad_value_and_names_its_key(tmp_path, capsys, kind, settings,
+                                                             key, code):
+    keys = [line.split(" = ")[0] for line in settings.splitlines()] + ["sampler.kind"]
+    text = "".join(line + "\n" for line in SMOKE.splitlines() if line.split(" = ")[0] not in keys)
+    path = write_config(tmp_path, f"{text}sampler.kind = {kind}\n{settings}\n")
+    for command in ("run", "sa-baseline", "params-search"):
+        args = [command, "--config", str(path)]
+        if command != "sa-baseline":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == code, command
+        assert key in capsys.readouterr().err, command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 @pytest.mark.parametrize("command", ["run", "sa-baseline"])
 @pytest.mark.parametrize("key", ["sa.reads", "sa.sweeps"])
 def test_oversized_annealer_fails_before_the_instance_is_built(tmp_path, capsys, monkeypatch,

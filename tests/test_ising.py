@@ -1,5 +1,7 @@
 """Model, energy, gauge transform, and instance generator behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -445,6 +447,16 @@ def test_instance_file_rejects_bad_content(tmp_path):
         read_instance(bad)  # edge count mismatch
     bad.write_text("oops\n")
     with pytest.raises(ValueError):
+        read_instance(bad)
+
+
+def test_instance_file_errors_name_the_line_of_the_file(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# c\n\n2 2\n0 1 1\n# c2\n1 x 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:6: malformed edge '1 x 1'")):
+        read_instance(bad)
+    bad.write_text("# c\n\n2 1\n\n0 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:5: expected 'i j w', got '0 1'")):
         read_instance(bad)
 
 

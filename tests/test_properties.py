@@ -12,12 +12,14 @@ from ndar import (NODE_CAP, ConfigError, DampingSpec, ExperimentConfig, IsingMod
                   MaxCutInstance, NdarConfig, QaoaParams, SamplerSpec, brute_force_best, energies,
                   energy, gen_weighted_dense, maxcut_to_ising, read_instance, run_ndar,
                   write_instance)
+from ndar import cli, harness
 from ndar.annealing import SA_SPIN_BUDGET, SA_SWEEPS_CAP
 from ndar.circuits import DEPTH_CAP
 from ndar.cli import main
 from ndar.engine import SHOTS_CAP
-from ndar.harness import _CONFIG_KEYS
+from ndar.harness import _CONFIG_KEYS, RUNS_CAP
 from ndar.ising import _canonical_triples, lex_first
+from ndar.simulator import GRID_STEPS_CAP
 from oracles import all_bitstrings, gauge_transform
 
 # fixed example streams keep the suite reproducible; no example database is written
@@ -269,9 +271,29 @@ def test_vectorized_validation_matches_the_loop(data):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # text that survives the parser's strip and holds no line break or comment marker
 plain_text = st.text("abcXYZ019._-/", min_size=1, max_size=12)
-# keys whose values decide whether the config is valid; the rest take any value of their type
+# keys whose values decide whether the config is valid, drawn by hand below
 _STRUCTURAL = {"instance.file", "instance.family", "instance.n", "sampler.kind", "sampler.q",
                "sampler.gammas", "sampler.betas", "runs"}
+# the valid values of the keys that the config's domain objects check. The other keys take
+# any value of their type; the instance keys are checked when the instance is built
+_VALID = {
+    "sampler.q": st.floats(0.0, 1.0),
+    "sampler.depth": st.integers(1, DEPTH_CAP),
+    "sampler.grid_steps": st.integers(1, GRID_STEPS_CAP),
+    "sampler.t_delay": st.floats(0.0, allow_infinity=False),
+    "sampler.t1": st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "ndar.shots": st.integers(1, SHOTS_CAP),
+    "ndar.iters": st.integers(1, 10**9),
+    "ndar.seed": st.integers(0, 10**9),
+    "ndar.patience": st.integers(1, 10**9),
+    # sa.reads within its budget for every instance.n (see test_harness for beyond)
+    "sa.reads": st.integers(1, SA_SPIN_BUDGET // NODE_CAP),
+    "sa.sweeps": st.integers(1, SA_SWEEPS_CAP),
+    # at most the default sa.beta_max, and at least the default or any drawn sa.beta_min
+    "sa.beta_min": st.floats(0.0, 10.0, exclude_min=True),
+    "sa.beta_max": st.floats(10.0, allow_infinity=False),
+    "sa.seed": st.integers(0, 10**9),
+}
 
 
 @st.composite
@@ -307,21 +329,24 @@ def valid_config_entries(draw):
     if kind is not None:
         entries["sampler.kind"] = (kind, kind)
     if kind in ("classical-bernoulli", None) or draw(st.booleans()):
-        entries["sampler.q"] = draw(typed_value(float))
+        q = draw(_VALID["sampler.q"])
+        entries["sampler.q"] = (repr(q), q)
     if draw(st.booleans()):
-        entries["sampler.gammas"] = draw(typed_value(tuple))
-        entries["sampler.betas"] = draw(typed_value(tuple))
+        p = draw(st.integers(1, 4))
+        for key in ("sampler.gammas", "sampler.betas"):
+            v = tuple(draw(st.lists(finite, min_size=p, max_size=p)))
+            entries[key] = (",".join(map(repr, v)), v)
     if draw(st.booleans()):
         runs = draw(st.integers(1, 1000))
         entries["runs"] = (str(runs), runs)
     for key, (_, cast) in _CONFIG_KEYS.items():
-        if key not in _STRUCTURAL and draw(st.booleans()):
+        if key in _STRUCTURAL or not draw(st.booleans()):
+            continue
+        if key in _VALID:
+            v = draw(_VALID[key])
+            entries[key] = (repr(v), v)
+        else:
             entries[key] = draw(typed_value(cast))
-    # sizes within their budgets for every instance.n (see test_harness for beyond)
-    for key, cap in (("sa.reads", SA_SPIN_BUDGET // NODE_CAP), ("sa.sweeps", SA_SWEEPS_CAP),
-                     ("ndar.shots", SHOTS_CAP), ("sampler.depth", DEPTH_CAP)):
-        if key in entries and entries[key][1] > cap:
-            entries[key] = (str(cap), cap)
     return entries
 
 
@@ -375,3 +400,77 @@ def test_unknown_keys_and_malformed_values_exit_with_code_2(tmp_path_factory, da
         ExperimentConfig.from_file(path)
     assert main(["run", "--config", str(path), "--out", str(root / "out")]) == 2
     assert not (root / "out").exists()
+
+
+# values the config refuses (some only with other keys: sampler.q for the classical kind,
+# sampler.betas of another length than sampler.gammas), among them shot, sweep and run
+# counts beyond their caps
+_INVALID = {
+    "ndar.shots": ["0", str(SHOTS_CAP + 1)],
+    "ndar.iters": ["0"],
+    "ndar.patience": ["0"],
+    "ndar.seed": ["-1"],
+    "sampler.kind": ["mystery"],
+    "sampler.q": ["1.5", "-0.25"],
+    "sampler.t1": ["0", "nan"],
+    "sampler.t_delay": ["-1"],
+    "sampler.gammas": ["0.1"],
+    "sampler.betas": ["0.1,0.2"],
+    "sampler.grid_steps": ["0", "1000"],
+    "sampler.gamma_min": ["nan"],
+    "sampler.beta_max": ["inf"],
+    "sa.reads": ["0"],
+    "sa.sweeps": ["0", str(SA_SWEEPS_CAP + 1)],
+    "sa.beta_min": ["0", "20"],
+    "sa.seed": ["-1"],
+    "runs": ["0", str(RUNS_CAP + 1)],
+}
+
+
+@st.composite
+def config_entries(draw):
+    """(config as {key: (text, parsed value or None)}, whether a drawn value may be refused)."""
+    entries = draw(valid_config_entries())
+    bad = draw(st.lists(st.sampled_from(sorted(_INVALID)), max_size=3, unique=True))
+    for key in bad:
+        entries[key] = (draw(st.sampled_from(_INVALID[key])), None)
+    return entries, bool(bad)
+
+
+class ReachedTheAnnealer(Exception):
+    """Raised in place of the first annealing run: the config passed every check."""
+
+
+def reach_the_annealer(*args, **kwargs):
+    raise ReachedTheAnnealer
+
+
+# what the instance loader returns while the subcommands are compared
+_STAND_IN = gen_weighted_dense(4, 0)
+
+
+@examples
+@given(st.data())
+def test_run_sa_baseline_and_params_search_refuse_the_same_configs(tmp_path_factory, data):
+    # each subcommand loads a small stand-in instance and stops at its first annealing run,
+    # which params-search never starts; what a config gives must not depend on the command
+    root = tmp_path_factory.mktemp("agree")
+    path = root / "exp.cfg"
+    entries, maybe_refused = data.draw(config_entries())
+    path.write_text(config_text(data.draw, entries))
+    codes = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (harness, cli):
+            mp.setattr(module, "load_instance", lambda config: _STAND_IN)
+            mp.setattr(module, "sa_solve", reach_the_annealer)
+        for command in ("run", "sa-baseline", "params-search"):
+            args = [command, "--config", str(path)]
+            if command != "sa-baseline":
+                args += ["--out", str(root / command)]
+            try:
+                codes[command] = main(args)
+            except ReachedTheAnnealer:
+                codes[command] = 0
+    assert len(set(codes.values())) == 1, codes
+    assert maybe_refused or codes["run"] == 0, codes
+    assert not (root / "run").exists()
