@@ -141,7 +141,9 @@ class DampingSpec:
 
 
 def check_depth(depth: int) -> None:
-    """Refuse random circuits deeper than DEPTH_CAP layers before building any gate."""
+    """Refuse random circuits of no layers or deeper than DEPTH_CAP before building a gate."""
+    if depth < 1:
+        raise ValueError(f"random circuit depth must be >= 1, got {depth}")
     if depth > DEPTH_CAP:
         raise ResourceLimitError(f"random circuit depth {depth} exceeds the cap {DEPTH_CAP}")
 
@@ -156,8 +158,6 @@ def build_random_circuit(n: int, depth: int, seed: int) -> Circuit:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     check_depth(depth)
     rng = np.random.default_rng(seed)
     gates = []

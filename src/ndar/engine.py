@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import DampingSpec, QaoaCircuit, QaoaParams, build_random_circuit
+from .circuits import DampingSpec, QaoaCircuit, QaoaParams, build_random_circuit, check_depth
 from .errors import ResourceLimitError
 from .ising import IsingModel, energies, energy, lex_first
 from .simulator import apply_decay, bernoulli, born_table, sample, simulate
@@ -27,11 +27,9 @@ SAMPLER_KINDS = (KIND_QAOA, KIND_RANDOM_CIRCUIT, KIND_CLASSICAL_BERNOULLI)
 # per raw 64-bit output, equal one whole draw
 _CHUNK = 1 << 11
 
-# most shots per iteration accepted. A chunked iteration keeps 8 bytes per shot in its
-# energy vector, and np.unique for the energy histogram about 8 more: tracemalloc measured
-# 11.4 MiB without and 17.7 MiB with histograms for one 10^6-shot dense-300 iteration
-# (4.3 MiB at 10^5), so the cap costs about 130 and 250 MiB. The histogram itself keeps
-# about 88 bytes per distinct energy: few on the integer weights of generated instances
+# most shots per iteration accepted. An iteration keeps 8 bytes per shot in its energy
+# vector and np.unique about 8 more, so the cap costs about 250 MiB; a run keeps two energy
+# histograms, iteration 0's and the last's, at 16 bytes per distinct energy, 256 MiB at most
 SHOTS_CAP = 1 << 24
 
 # stream tags for per-purpose child seeds
@@ -46,6 +44,13 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def check_q_and_depth(q: float | None, depth: int) -> None:
+    """Refuse q outside [0, 1] (None passes) and a depth that check_depth refuses."""
+    if q is not None and not (0.0 <= q <= 1.0):
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    check_depth(depth)
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """Sampling strategy for one NDAR run.
@@ -54,7 +59,7 @@ class SamplerSpec:
     fresh_circuit to redraw the circuit each iteration instead of reusing one),
     and 'classical-bernoulli' (needs q, the per-bit suppress probability).
     Circuit samplers pass their measurement outcomes through the damping channel;
-    the classical sampler ignores `damping`.
+    the classical sampler ignores `damping`. q and depth are checked for every kind.
     """
 
     kind: str
@@ -69,22 +74,18 @@ class SamplerSpec:
             raise ValueError(f"unknown sampler kind {self.kind!r}; expected one of {SAMPLER_KINDS}")
         if self.kind == KIND_QAOA and self.params is None:
             raise ValueError("qaoa sampler requires params")
-        if self.kind == KIND_RANDOM_CIRCUIT and self.depth < 1:
-            raise ValueError("random circuit depth must be >= 1")
-        if self.kind == KIND_CLASSICAL_BERNOULLI:
-            if self.q is None or not (0.0 <= float(self.q) <= 1.0):
-                raise ValueError(f"classical sampler needs q in [0, 1], got {self.q}")
-            object.__setattr__(self, "q", float(self.q))
+        if self.kind == KIND_CLASSICAL_BERNOULLI and self.q is None:
+            raise ValueError("classical sampler needs q in [0, 1], got None")
+        check_q_and_depth(self.q, self.depth)
 
 
 @dataclass(frozen=True)
 class NdarConfig:
-    """Loop controls: shots per iteration, iteration count, seeding, bookkeeping."""
+    """Loop controls: shots per iteration, iteration count, seeding, early stop."""
 
     shots: int
     max_iters: int
     master_seed: int = 0
-    record_distributions: bool = False
     patience: int | None = None
 
     def __post_init__(self):
@@ -118,18 +119,18 @@ class IterationRecord:
     best_cut: float
     cumulative_mask: np.ndarray
     attractor_energy: float
-    energy_histogram: tuple[tuple[float, int], ...] | None = None
-    hamming_histogram: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
 class NdarResult:
-    """Full trace plus the overall best mapped back to the original frame."""
+    """Full trace, the overall best in the original frame, and the sample distributions
+    (iter_index, (energies, counts), weight counts 0..n) of iteration 0 and, if later, the last."""
 
     trace: tuple[IterationRecord, ...]
     best_bits_original_frame: np.ndarray
     best_energy_overall: float
     final_mask: np.ndarray
+    distributions: tuple[tuple[int, tuple[np.ndarray, np.ndarray], np.ndarray], ...]
 
 
 def classical_bernoulli_sample(n: int, q: float, shots: int, seed) -> np.ndarray:
@@ -169,17 +170,17 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
     fail to improve the overall best.
 
     The loop's state is the mask, the records, the index `best` of the first record
-    with the lowest energy, and the circuit state: `probs`, QAOA's |amplitude|^2 in
-    the original frame, and `table`, the iteration's born_table. The attractor energy,
-    the stall count (j - best) and the overall best are read from the records.
+    with the lowest energy, iteration 0's distribution, and the circuit state: `probs`,
+    QAOA's |amplitude|^2 in the original frame, and `table`, the iteration's born_table.
+    The attractor energy, stall count (j - best) and overall best come from the records.
 
     An iteration runs in chunks of _CHUNK shots, so no (shots, n) matrix is built:
     circuit samplers build the iteration's born_table once, each chunk is drawn with
     the iteration's sample and decay generators, scored into the iteration's energy
-    vector, and reduced to its _select_best winner, and the rule runs once more over
-    the chunk winners. The draws fill row-major and the chunks hold an even number of
-    bits, so every result, histograms included, is the one a single whole-batch draw
-    would give.
+    vector and its Hamming-weight counts, and reduced to its _select_best winner, and
+    the rule runs once more over the chunk winners. The draws fill row-major and the
+    chunks hold an even number of bits, so every result is the one a whole-batch draw
+    would give. Only iteration 0's and the last iteration's energies become histograms.
     """
     n = model0.n
     mask = np.zeros(n, dtype=np.uint8)
@@ -198,8 +199,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
             circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, j)
             psi = simulate(build_random_circuit(n, sampler.depth, circuit_seed))
             table = born_table(np.abs(psi) ** 2)
-        if sampler.kind != KIND_CLASSICAL_BERNOULLI:
-            decay_rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_DECAY, j))
+        decay_rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_DECAY, j))
         E = np.empty(config.shots)
         weight_counts = np.zeros(n + 1, dtype=np.int64)
         winners, winner_energies = [], []
@@ -216,19 +216,12 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
             k = _select_best(X, Ec)
             winners.append(X[k].copy())
             winner_energies.append(Ec[k])
-            if config.record_distributions:
-                weight_counts += np.bincount(X.sum(axis=1, dtype=np.uint16), minlength=n + 1)
+            weight_counts += np.bincount(X.sum(axis=1, dtype=np.uint16), minlength=n + 1)
         W = np.array(winners)
         y_best = W[_select_best(W, np.array(winner_energies))].copy()
         new_mask = y_best ^ mask
         # recompute through the scalar path so the stored value matches energy() exactly
         e_best = energy(model0, new_mask)
-        energy_hist = None
-        hamming_hist = None
-        if config.record_distributions:
-            vals, counts = np.unique(E, return_counts=True)
-            energy_hist = tuple((float(v), int(c)) for v, c in zip(vals, counts))
-            hamming_hist = tuple(int(c) for c in weight_counts)
         records.append(IterationRecord(
             iter_index=j,
             best_bits=y_best,
@@ -237,17 +230,20 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> Nd
             cumulative_mask=new_mask,
             # the sampled frame's all-zeros string is the previous iteration's best
             attractor_energy=records[-1].best_energy if records else energy(model0, mask),
-            energy_histogram=energy_hist,
-            hamming_histogram=hamming_hist,
         ))
+        if j == 0:
+            distributions = [(0, np.unique(E, return_counts=True), weight_counts)]
         if e_best < records[best].best_energy:
             best = j
         mask = new_mask
         if config.patience is not None and j - best >= config.patience:
             break
+    if j > 0:
+        distributions.append((j, np.unique(E, return_counts=True), weight_counts))
     return NdarResult(
         trace=tuple(records),
         best_bits_original_frame=records[best].cumulative_mask,
         best_energy_overall=float(records[best].best_energy),
         final_mask=mask,
+        distributions=tuple(distributions),
     )

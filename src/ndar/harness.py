@@ -13,9 +13,9 @@ import numpy as np
 
 from . import svgplot
 from .annealing import SaConfig, check_effort, sa_solve
-from .circuits import DEFAULT_QUBIT_CAP, DampingSpec, QaoaParams, check_depth
-from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT,
-                     NdarConfig, NdarResult, SamplerSpec, derive_seed, run_ndar)
+from .circuits import DEFAULT_QUBIT_CAP, DampingSpec, QaoaParams
+from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT, NdarConfig,
+                     NdarResult, SamplerSpec, check_q_and_depth, derive_seed, run_ndar)
 from .errors import ConfigError, ResourceLimitError
 from .ising import (BRUTE_FORCE_CAP, NODE_CAP, MaxCutInstance, brute_force_best, edge_density,
                     gen_unweighted, gen_weighted_dense, maxcut_to_ising, read_instance)
@@ -145,7 +145,8 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if self.runs > RUNS_CAP:
             raise ResourceLimitError(f"{self.runs} runs exceeds the cap {RUNS_CAP}")
-        check_depth(self.depth)
+        with _naming_keys("sampler.q, sampler.depth"):  # QAOA without angles has no sampler yet
+            check_q_and_depth(self.q, self.depth)
         # the annealer's budget before any instance exists; sa_solve checks a file's n once it
         # is read, and an n that no generator accepts fails there with its own message
         n = self.n if self.family is not None else 1
@@ -163,8 +164,7 @@ class ExperimentConfig:
                 kind, params if kind == KIND_QAOA else None, self.depth,
                 self.q if kind == KIND_CLASSICAL_BERNOULLI else None, damping, self.fresh_circuit)
         with _naming_keys("ndar.shots, ndar.iters, ndar.seed, ndar.patience"):
-            ndar = NdarConfig(self.shots, self.iters, self.seed, self.record_distributions,
-                              self.patience)
+            ndar = NdarConfig(self.shots, self.iters, self.seed, self.patience)
         # an unset sa.seed derives from ndar.seed, so all commands agree
         seed = self.sa_seed if self.sa_seed is not None else derive_seed(self.seed, _STREAM_SA, 0)
         with _naming_keys("sa.reads, sa.sweeps, sa.beta_min/max, sa.seed"):
@@ -304,13 +304,10 @@ def _write_outputs(d: Path, config: ExperimentConfig, graph: MaxCutInstance,
         cost_lines = ["run_index,iter_index,energy,count"]
         ham_lines = ["run_index,iter_index,weight,count"]
         for r, res in enumerate(results):
-            picks = [res.trace[0]] + ([res.trace[-1]] if len(res.trace) > 1 else [])
-            for rec in picks:
-                for e, c in rec.energy_histogram:
-                    cost_lines.append(f"{r},{rec.iter_index},{_fmt(e)},{c}")
-                for w, c in enumerate(rec.hamming_histogram):
-                    if c:
-                        ham_lines.append(f"{r},{rec.iter_index},{w},{c}")
+            for j, (values, counts), weights in res.distributions:
+                cost_lines += [f"{r},{j},{_fmt(e)},{c}"
+                               for e, c in zip(values.tolist(), counts.tolist())]
+                ham_lines += [f"{r},{j},{w},{c}" for w, c in enumerate(weights.tolist()) if c]
         _write_lines(d / "cost_dist.csv", cost_lines)
         _write_lines(d / "hamming_dist.csv", ham_lines)
 

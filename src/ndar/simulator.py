@@ -26,6 +26,9 @@ _WORD = 1 << 32
 # points per grid_scan axis; refused before allocating, as a 256 x 256 grid is 65,536 rows
 GRID_STEPS_CAP = 256
 
+# largest grid bound: beyond 2^52 floats lie 1 or more apart, so no angle is resolved there
+ANGLE_BOUND = 2.0 ** 52
+
 # floats per (edges, n) temporary of the closed form, 0.5 MB; on dense n = 300, blocks of
 # 2^20 floats ran 1.6x slower
 _EDGE_CHUNK = 1 << 16
@@ -257,12 +260,12 @@ def _p1_coefficients(model: IsingModel, gamma: float) -> tuple[float, float, flo
 
 def check_grid(steps: int, gamma_range: tuple[float, float],
                beta_range: tuple[float, float]) -> None:
-    """Refuse an empty grid or non-finite bounds (ValueError) and more than GRID_STEPS_CAP
-    steps (ResourceLimitError), before anything is allocated."""
+    """Refuse an empty grid or a bound beyond +-ANGLE_BOUND (ValueError) and more than
+    GRID_STEPS_CAP steps (ResourceLimitError), before anything is allocated."""
     if steps < 1:
         raise ValueError("empty parameter grid: steps must be >= 1")
-    if not all(map(math.isfinite, (*gamma_range, *beta_range))):
-        raise ValueError(f"grid bounds must be finite, got {gamma_range} and {beta_range}")
+    if not all(abs(v) <= ANGLE_BOUND for v in (*gamma_range, *beta_range)):
+        raise ValueError(f"grid bounds must lie in [-2^52, 2^52], got {gamma_range}, {beta_range}")
     if steps > GRID_STEPS_CAP:
         raise ResourceLimitError(f"parameter grid capped at {GRID_STEPS_CAP} steps per axis, "
                                  f"got {steps}")
@@ -282,16 +285,20 @@ def grid_scan(model: IsingModel,
     beta = 0 point gives exactly the offset (the uniform distribution's mean), so
     symmetric grids hold exact ties: the best point is the first in scan order within
     1e-12 * max(1, |min|) of the minimum, a choice rounding noise cannot flip.
-    The grid must pass check_grid.
+    The grid must pass check_grid, and a landscape with a value that is not finite
+    (gamma times a weight near the float maximum overflows) is refused with ValueError.
     """
     check_grid(steps, gamma_range, beta_range)
     gammas = np.linspace(gamma_range[0], gamma_range[1], steps)
     betas = np.linspace(beta_range[0], beta_range[1], steps)
     s2, s4 = np.sin(2.0 * betas), np.sin(4.0 * betas)
     values = np.empty((steps, steps))
-    for k, g in enumerate(gammas):
-        a, b, d = _p1_coefficients(model, float(g))
-        values[k] = model.offset + s2 * a + s4 * b - s2 * s2 * d
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        for k, g in enumerate(gammas):
+            a, b, d = _p1_coefficients(model, float(g))
+            values[k] = model.offset + s2 * a + s4 * b - s2 * s2 * d
+    if not np.isfinite(values).all():
+        raise ValueError(f"landscape not finite over gamma in {gamma_range}, beta in {beta_range}")
     rows = [(float(g), float(beta), float(v))
             for g, row in zip(gammas, values) for beta, v in zip(betas, row)]
     values = values.ravel()

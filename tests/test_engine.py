@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ndar import (DampingSpec, NdarConfig, QaoaParams, ResourceLimitError, SamplerSpec,
-                  apply_decay, born_table, brute_force_best, classical_bernoulli_sample,
-                  derive_seed, energies, energy, gen_unweighted, gen_weighted_dense,
-                  maxcut_to_ising, run_ndar, sample, simulate)
+from ndar import (DampingSpec, IsingModel, NdarConfig, QaoaParams, ResourceLimitError,
+                  SamplerSpec, apply_decay, born_table, brute_force_best,
+                  classical_bernoulli_sample, derive_seed, energies, energy, gen_unweighted,
+                  gen_weighted_dense, maxcut_to_ising, run_ndar, sample, simulate)
 from ndar import engine
 from ndar.engine import SHOTS_CAP, _STREAM_DECAY, _STREAM_SAMPLE, _select_best
 from oracles import apply_mask, build_qaoa_circuit, gauge_transform
@@ -75,6 +75,11 @@ def test_sampler_spec_validation():
         SamplerSpec("classical-bernoulli", q=1.5)
     with pytest.raises(ValueError):
         SamplerSpec("random-circuit", depth=0)
+    # q and depth are checked whatever the kind reads
+    with pytest.raises(ValueError, match="q must"):
+        SamplerSpec("qaoa", params=QaoaParams((0.1,), (0.2,)), q=5.0)
+    with pytest.raises(ValueError, match="depth"):
+        SamplerSpec("classical-bernoulli", q=0.5, depth=0)
     spec = SamplerSpec("random-circuit", depth=3, fresh_circuit=True)
     assert spec.damping.gamma_damp == 0.0
 
@@ -105,6 +110,10 @@ def assert_same_result(a, b):
     assert np.array_equal(a.best_bits_original_frame, b.best_bits_original_frame)
     assert a.best_energy_overall == b.best_energy_overall
     assert np.array_equal(a.final_mask, b.final_mask)
+    assert len(a.distributions) == len(b.distributions)
+    for (j, (u, c), w), (k, (v, d), x) in zip(a.distributions, b.distributions):
+        assert j == k
+        assert all(np.array_equal(*pair) for pair in ((u, v), (c, d), (w, x)))
 
 
 @pytest.mark.parametrize("sampler", [
@@ -116,7 +125,7 @@ def assert_same_result(a, b):
 def test_chunked_iterations_equal_one_whole_batch(monkeypatch, sampler):
     # 203 shots are one chunk by default; in chunks of 6 rows of 9 bits the last has 5 rows
     model0 = small_model(9, 0.5, seed=3)
-    cfg = NdarConfig(shots=203, max_iters=5, master_seed=4, record_distributions=True)
+    cfg = NdarConfig(shots=203, max_iters=5, master_seed=4)
     whole = run_ndar(model0, sampler, cfg)
     monkeypatch.setattr(engine, "_CHUNK", 6)
     assert_same_result(run_ndar(model0, sampler, cfg), whole)
@@ -152,7 +161,7 @@ def test_born_table_is_built_once_per_iteration(monkeypatch, sampler, tables):
 
 def test_dense_300_iteration_memory_is_bounded():
     model0 = maxcut_to_ising(gen_weighted_dense(300, seed=5))
-    cfg = NdarConfig(shots=10000, max_iters=1, master_seed=2, record_distributions=True)
+    cfg = NdarConfig(shots=10000, max_iters=1, master_seed=2)
     run_ndar(model0, Q95, cfg)  # caches the model's matrices outside the measurement
     tracemalloc.start()
     try:
@@ -166,7 +175,7 @@ def test_dense_300_iteration_memory_is_bounded():
 
 def test_trace_invariants_hold_exactly():
     model0 = small_model(10, 0.5, seed=4)
-    cfg = NdarConfig(shots=300, max_iters=8, master_seed=3, record_distributions=True)
+    cfg = NdarConfig(shots=300, max_iters=8, master_seed=3)
     result = run_ndar(model0, Q95, cfg)
     zeros = np.zeros(10, dtype=np.uint8)
     assert len(result.trace) == 8
@@ -179,19 +188,14 @@ def test_trace_invariants_hold_exactly():
         assert np.array_equal(rec.cumulative_mask, mask)
         # the cumulative mask is the accepted bitstring in the original frame
         assert energy(model0, rec.cumulative_mask) == rec.best_energy
-        assert sum(c for _, c in rec.energy_histogram) == 300
-        assert sum(rec.hamming_histogram) == 300
         if j + 1 < len(result.trace):
             assert result.trace[j + 1].attractor_energy == rec.best_energy
     assert np.array_equal(result.final_mask, mask)
     assert result.best_energy_overall == min(r.best_energy for r in result.trace)
     assert energy(model0, result.best_bits_original_frame) == result.best_energy_overall
-
-
-def test_histograms_absent_by_default():
-    result = run_ndar(small_model(6), Q95, NdarConfig(shots=50, max_iters=2, master_seed=0))
-    assert result.trace[0].energy_histogram is None
-    assert result.trace[0].hamming_histogram is None
+    for _, (_, counts), weights in result.distributions:
+        assert counts.sum() == weights.sum() == 300
+    assert_distributions_match(result, reference_ndar(model0, Q95, cfg))
 
 
 def test_all_zero_sampler_freezes_at_attractor():
@@ -317,31 +321,78 @@ def reference_ndar(model0, sampler, config):
     return trace
 
 
+def assert_distributions_match(result, expected):
+    """The run keeps the oracle's histograms of iteration 0 and of its own last iteration."""
+    last = len(result.trace) - 1
+    picks = [expected[0]] + ([expected[last]] if last else [])
+    assert len(result.distributions) == len(picks)
+    for (j, (values, counts), weights), ref in zip(result.distributions, picks):
+        assert j == ref[0]
+        assert tuple(zip(values.tolist(), counts.tolist())) == ref[5]
+        assert tuple(weights.tolist()) == ref[6]
+
+
 def assert_matches_reference(model0, sampler, cfg):
     result = run_ndar(model0, sampler, cfg)
     expected = reference_ndar(model0, sampler, cfg)
     assert len(result.trace) == len(expected)
-    for rec, (j, y, e, mask, e_attr, e_hist, w_hist) in zip(result.trace, expected):
+    for rec, (j, y, e, mask, e_attr, _, _) in zip(result.trace, expected):
         assert rec.iter_index == j
         assert np.array_equal(rec.best_bits, y)
         assert rec.best_energy == e and rec.best_cut == -e
         assert np.array_equal(rec.cumulative_mask, mask)
         assert rec.attractor_energy == e_attr
-        assert rec.energy_histogram == e_hist
-        assert rec.hamming_histogram == w_hist
     assert np.array_equal(result.final_mask, expected[-1][3])
     assert result.best_energy_overall == min(t[2] for t in expected)
+    assert_distributions_match(result, expected)
 
 
 def test_mask_loop_matches_gauge_transform_loop_dense_300():
     # n = 300 with thousands of shots takes the blocked BLAS path in energies
     model0 = maxcut_to_ising(gen_weighted_dense(300, seed=5))
-    cfg = NdarConfig(shots=3000, max_iters=4, master_seed=11, record_distributions=True)
+    cfg = NdarConfig(shots=3000, max_iters=4, master_seed=11)
     assert_matches_reference(model0, Q95, cfg)
 
 
 def test_mask_loop_matches_gauge_transform_loop_qaoa():
     sampler = SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)),
                           damping=DampingSpec(100.0, 180.0))
-    cfg = NdarConfig(shots=400, max_iters=6, master_seed=12, record_distributions=True)
+    cfg = NdarConfig(shots=400, max_iters=6, master_seed=12)
     assert_matches_reference(small_model(10, 0.6, seed=7), sampler, cfg)
+
+
+def test_patience_stopped_run_keeps_its_own_last_distribution():
+    # the run of test_patience_counts_from_the_first_lowest_record stops at iteration 7;
+    # the oracle runs on to max_iters, and its iteration 7 is the one the run stopped at
+    model0 = small_model(12, 0.5, seed=2)
+    sampler = SamplerSpec("classical-bernoulli", q=0.9)
+    cfg = NdarConfig(shots=4, max_iters=30, master_seed=11, patience=2)
+    result = run_ndar(model0, sampler, cfg)
+    assert [j for j, _, _ in result.distributions] == [0, 7] and len(result.trace) == 8
+    assert_distributions_match(result, reference_ndar(model0, sampler, cfg))
+
+
+def test_kept_distributions_do_not_grow_with_iterations():
+    # normal weights at q = 0.5: nearly every shot has an energy of its own, so each energy
+    # histogram holds about one entry per shot
+    rng = np.random.default_rng(1)
+    iu, ju = np.triu_indices(30, 1)
+    model0 = IsingModel(30, tuple(rng.normal(size=30)),
+                        np.column_stack((iu, ju, rng.normal(size=iu.size))))
+    sampler = SamplerSpec("classical-bernoulli", q=0.5)
+    run_ndar(model0, sampler, NdarConfig(shots=10, max_iters=1))  # caches the model's matrices
+    held, peak = {}, {}
+    for iters in (1, 2, 5):
+        tracemalloc.start()
+        try:
+            result = run_ndar(model0, sampler, NdarConfig(shots=20000, max_iters=iters))
+            held[iters], peak[iters] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [j for j, _, _ in result.distributions] == sorted({0, iters - 1})
+        del result
+    # the result holds two histograms from the second iteration on, so what a run holds
+    # once it returns stops growing there, and the most it holds at once stays near one
+    # iteration's; keeping every iteration's histograms would give 2.5x and 4x
+    assert held[5] < 1.5 * held[2]
+    assert peak[5] < 1.5 * peak[1]

@@ -229,7 +229,7 @@ def test_aggregate_carries_stopped_runs_forward():
     def result(cuts):
         zero = np.zeros(2, dtype=np.uint8)
         trace = tuple(IterationRecord(j, zero, -c, c, zero, 0.0) for j, c in enumerate(cuts))
-        return NdarResult(trace, zero, -max(cuts), zero)
+        return NdarResult(trace, zero, -max(cuts), zero, ())
 
     # the first run stops after two iterations, the second after four, the third after three
     rows = aggregate([result([3.0, 5.0]), result([1.0, 2.0, 4.0, 3.0]), result([2.0, 6.0, 1.0])],
@@ -494,6 +494,10 @@ def test_bad_ndar_values_fail_before_the_baselines(tmp_path, capsys, monkeypatch
     ("classical-bernoulli", "ndar.iters = 0", "ndar.iters", 2),
     ("classical-bernoulli", "ndar.patience = 0", "ndar.patience", 2),
     ("classical-bernoulli", "sampler.q = 1.5", "sampler.q", 2),
+    ("qaoa", "sampler.q = 5", "sampler.q", 2),
+    ("random-circuit", "sampler.q = -1", "sampler.q", 2),
+    ("classical-bernoulli", "sampler.depth = 0", "sampler.depth", 2),
+    ("qaoa", "sampler.depth = 0", "sampler.depth", 2),
     ("classical-bernoulli", "sampler.t1 = 0", "sampler.t1", 2),
     ("classical-bernoulli", "sampler.t_delay = -1", "sampler.t_delay", 2),
     ("qaoa", "sampler.gammas = 0.1\nsampler.betas = 0.1,0.2", "sampler.gammas", 2),
@@ -503,6 +507,7 @@ def test_bad_ndar_values_fail_before_the_baselines(tmp_path, capsys, monkeypatch
     ("classical-bernoulli", "sampler.grid_steps = 0", "sampler.grid_steps", 2),
     ("classical-bernoulli", "sampler.grid_steps = 1000", "sampler.grid_steps", 3),
     ("classical-bernoulli", "sampler.gamma_min = nan", "sampler.gamma_min", 2),
+    ("qaoa", "sampler.gamma_min = 9e307", "sampler.gamma_min", 2),
     ("classical-bernoulli", "ndar.seed = -1", "ndar.seed", 2),
     ("classical-bernoulli", "sa.seed = -1", "sa.seed", 2),
 ])
@@ -518,6 +523,21 @@ def test_every_command_refuses_a_bad_value_and_names_its_key(tmp_path, capsys, k
         assert main(args) == code, command
         assert key in capsys.readouterr().err, command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("command", ["run", "params-search"])
+def test_a_landscape_that_is_not_finite_is_refused(tmp_path, capsys, monkeypatch, command):
+    # J = 8.5e307, so 2 * gamma * J overflows at the default bounds gamma = +-pi/2
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the annealer ran on angles from a landscape that is not finite")
+
+    monkeypatch.setattr(harness, "sa_solve", forbidden)
+    (tmp_path / "g.txt").write_text("3 2\n0 1 1.7e308\n1 2 1\n")
+    text = f"instance.file = {tmp_path / 'g.txt'}\nsampler.kind = qaoa\n"
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "landscape not finite over gamma in (-1.57" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "g.txt"]
 
 
 @pytest.mark.parametrize("command", ["run", "sa-baseline"])

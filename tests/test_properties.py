@@ -19,7 +19,7 @@ from ndar.cli import main
 from ndar.engine import SHOTS_CAP
 from ndar.harness import _CONFIG_KEYS, RUNS_CAP
 from ndar.ising import _canonical_triples, lex_first
-from ndar.simulator import GRID_STEPS_CAP
+from ndar.simulator import ANGLE_BOUND, GRID_STEPS_CAP
 from oracles import all_bitstrings, gauge_transform
 
 # fixed example streams keep the suite reproducible; no example database is written
@@ -269,6 +269,7 @@ def test_vectorized_validation_matches_the_loop(data):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+angle = st.floats(-ANGLE_BOUND, ANGLE_BOUND)
 # text that survives the parser's strip and holds no line break or comment marker
 plain_text = st.text("abcXYZ019._-/", min_size=1, max_size=12)
 # keys whose values decide whether the config is valid, drawn by hand below
@@ -280,6 +281,10 @@ _VALID = {
     "sampler.q": st.floats(0.0, 1.0),
     "sampler.depth": st.integers(1, DEPTH_CAP),
     "sampler.grid_steps": st.integers(1, GRID_STEPS_CAP),
+    "sampler.gamma_min": angle,
+    "sampler.gamma_max": angle,
+    "sampler.beta_min": angle,
+    "sampler.beta_max": angle,
     "sampler.t_delay": st.floats(0.0, allow_infinity=False),
     "sampler.t1": st.floats(0.0, exclude_min=True, allow_infinity=False),
     "ndar.shots": st.integers(1, SHOTS_CAP),
@@ -402,9 +407,9 @@ def test_unknown_keys_and_malformed_values_exit_with_code_2(tmp_path_factory, da
     assert not (root / "out").exists()
 
 
-# values the config refuses (some only with other keys: sampler.q for the classical kind,
-# sampler.betas of another length than sampler.gammas), among them shot, sweep and run
-# counts beyond their caps
+# values the config refuses for every sampler kind, among them sampler.q and sampler.depth,
+# which only one kind reads, and shot, sweep and run counts beyond their caps; a value of
+# sampler.gammas or sampler.betas is refused when the other is unset or of another length
 _INVALID = {
     "ndar.shots": ["0", str(SHOTS_CAP + 1)],
     "ndar.iters": ["0"],
@@ -412,13 +417,14 @@ _INVALID = {
     "ndar.seed": ["-1"],
     "sampler.kind": ["mystery"],
     "sampler.q": ["1.5", "-0.25"],
+    "sampler.depth": ["0"],
     "sampler.t1": ["0", "nan"],
     "sampler.t_delay": ["-1"],
     "sampler.gammas": ["0.1"],
     "sampler.betas": ["0.1,0.2"],
     "sampler.grid_steps": ["0", "1000"],
-    "sampler.gamma_min": ["nan"],
-    "sampler.beta_max": ["inf"],
+    "sampler.gamma_min": ["nan", "9e307"],
+    "sampler.beta_max": ["inf", "-1e300"],
     "sa.reads": ["0"],
     "sa.sweeps": ["0", str(SA_SWEEPS_CAP + 1)],
     "sa.beta_min": ["0", "20"],

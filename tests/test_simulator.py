@@ -10,7 +10,7 @@ from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLi
                   apply_decay, born_table, build_random_circuit, energies, gen_unweighted,
                   gen_weighted_dense, grid_scan, maxcut_to_ising, qaoa_state, sample, simulate)
 from ndar.ising import _index_bits
-from ndar.simulator import GRID_STEPS_CAP, bernoulli
+from ndar.simulator import ANGLE_BOUND, GRID_STEPS_CAP, bernoulli
 from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
                      optimize_params, qaoa_expectation)
 
@@ -487,3 +487,22 @@ def test_grid_scan_caps_the_steps_per_axis():
     assert len(grid_scan(model, steps=GRID_STEPS_CAP)[2]) == GRID_STEPS_CAP ** 2
     with pytest.raises(ResourceLimitError, match="capped"):
         grid_scan(model, steps=GRID_STEPS_CAP + 1)
+
+
+def test_grid_scan_refuses_a_landscape_that_is_not_finite():
+    # the default bounds, but 2 * gamma * J overflows at gamma = +-pi/2
+    model = IsingModel(2, (0.0, 0.0), ((0, 1, 1e308),))
+    with pytest.raises(ValueError, match=r"landscape not finite over gamma in \(-1.57"):
+        grid_scan(model, steps=3)
+    assert len(grid_scan(model, (-0.5, 0.5), (-0.5, 0.5), steps=3)[2]) == 9
+
+
+def test_grid_bounds_beyond_the_angle_bound_are_refused():
+    # on unit weights 2 * gamma overflows at 9e307; any bound beyond 2^52 is refused first
+    model = maxcut_to_ising(gen_weighted_dense(8, 0))
+    for gamma_range, beta_range in (((9e307, 1.0), (-0.5, 0.5)), ((0.0, 1.0), (-0.5, 2e52)),
+                                    ((math.nan, 1.0), (-0.5, 0.5))):
+        with pytest.raises(ValueError, match=r"grid bounds must lie in \[-2\^52, 2\^52\]"):
+            grid_scan(model, gamma_range, beta_range, steps=3)
+    assert len(grid_scan(model, (-ANGLE_BOUND, ANGLE_BOUND), (-ANGLE_BOUND, ANGLE_BOUND),
+                         steps=3)[2]) == 9
