@@ -33,7 +33,6 @@ config file keys (flat `key = value` lines, `#` comments):
   ndar.shots                 samples per iteration (default 1000, at most {SHOTS_CAP})
   ndar.iters                 iterations per run (default 12)
   ndar.seed                  experiment seed (default 0)
-  ndar.record_distributions  write first/last iteration histograms (default true)
   ndar.patience              optional early stop after this many stalled iterations
                              (trajectory.csv carries a stopped run's best cut forward)
   sa.reads, sa.sweeps        annealing effort (defaults 100, 1000; reads x n at most

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import shutil
@@ -24,8 +25,7 @@ from .simulator import check_grid, grid_scan
 FAMILY_UNWEIGHTED = "unweighted-sparse"
 FAMILY_WEIGHTED = "weighted-dense"
 
-# most independent NDAR runs per experiment; every run's trace is kept until the output
-# files are written
+# most independent NDAR runs per experiment; a run's files are written as it ends
 RUNS_CAP = 1 << 10
 
 # harness-level seed streams, distinct from the engine's per-iteration tags
@@ -121,7 +121,6 @@ class ExperimentConfig:
     shots: int = _key("ndar.shots", int, 1000)
     iters: int = _key("ndar.iters", int, 12)
     seed: int = _key("ndar.seed", int, 0)
-    record_distributions: bool = _key("ndar.record_distributions", bool, True)
     patience: int | None = _key("ndar.patience", int)
     sa_reads: int = _key("sa.reads", int, 100)
     sa_sweeps: int = _key("sa.sweeps", int, 1000)
@@ -243,16 +242,15 @@ def _check_reference_cut(sa_cut: float) -> None:
         raise ConfigError("reference cut is zero; ratios are undefined for this instance")
 
 
-def aggregate(results: list[NdarResult], sa_cut: float) -> list[AggregateRow]:
-    """Fold per-run traces into per-iteration rows; ratios divide by the reference cut.
+def aggregate(run_cuts: list[list[float]], sa_cut: float) -> list[AggregateRow]:
+    """Fold per-run lists of best cuts into per-iteration rows; ratios divide by E_SA.
 
     A run that `patience` stopped early counts with its cumulative best cut at every
     iteration after its last, up to the length of the longest run.
     """
     _check_reference_cut(sa_cut)
-    iters = max(len(r.trace) for r in results)
-    traces = [[rec.best_cut for rec in r.trace] for r in results]
-    cuts = np.array([c + [max(c)] * (iters - len(c)) for c in traces])
+    iters = max(len(c) for c in run_cuts)
+    cuts = np.array([c + [max(c)] * (iters - len(c)) for c in run_cuts])
     cum = np.maximum.accumulate(cuts, axis=1)
     rows = []
     for j in range(iters):
@@ -273,44 +271,35 @@ _RUN_FILES = ("meta.txt", "trajectory.csv", "cost_dist.csv", "hamming_dist.csv",
               "ratio_trajectory.svg", "cost_dist.svg", "hamming_dist.svg")
 
 
+def _open(path):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_outputs(d: Path, config: ExperimentConfig, graph: MaxCutInstance,
-                   sampler: SamplerSpec, sa_energy: float, bf_energy,
-                   rows: list[AggregateRow], results: list[NdarResult]) -> None:
-    """Write every output file of a run into directory d, meta.txt last."""
-    (d / "runs").mkdir()
-    header = "iter_index,mean_best_cut,sem_best_cut,mean_ratio,sem_ratio,mean_cumulative_ratio"
-    _write_lines(d / "trajectory.csv", [header] + [
-        ",".join([str(r.iter_index)] + [_fmt(v) for v in (
-            r.mean_best_cut, r.sem_best_cut, r.mean_ratio, r.sem_ratio, r.mean_cumulative_ratio)])
-        for r in rows])
+def _write_run(d: Path, r: int, res: NdarResult, cost, ham) -> list[float]:
+    """Write run r's trace to d/runs and its histograms to the open distribution files;
+    returns its per-iteration best cuts."""
+    cuts = [rec.best_cut for rec in res.trace]
+    with _open(d / "runs" / f"run_{r:03d}.csv") as fh:
+        fh.write("iter_index,best_cut,best_energy,cumulative_best_cut,attractor_energy,"
+                 "best_hamming_weight\n")
+        fh.writelines(f"{rec.iter_index},{_fmt(rec.best_cut)},{_fmt(rec.best_energy)},"
+                      f"{_fmt(cum)},{_fmt(rec.attractor_energy)},{int(rec.best_bits.sum())}\n"
+                      for rec, cum in zip(res.trace, itertools.accumulate(cuts, max)))
+    for j, (values, counts), weights in res.distributions:
+        cost.writelines(f"{r},{j},{_fmt(e)},{c}\n"
+                        for e, c in zip(values.tolist(), counts.tolist()))
+        ham.writelines(f"{r},{j},{w},{c}\n" for w, c in enumerate(weights.tolist()) if c)
+    return cuts
 
-    for r, res in enumerate(results):
-        lines = ["iter_index,best_cut,best_energy,cumulative_best_cut,attractor_energy,best_hamming_weight"]
-        best_so_far = -math.inf
-        for rec in res.trace:
-            best_so_far = max(best_so_far, rec.best_cut)
-            lines.append(",".join([
-                str(rec.iter_index), _fmt(rec.best_cut), _fmt(rec.best_energy),
-                _fmt(best_so_far), _fmt(rec.attractor_energy),
-                str(int(rec.best_bits.sum()))]))
-        _write_lines(d / "runs" / f"run_{r:03d}.csv", lines)
 
-    if config.record_distributions:
-        cost_lines = ["run_index,iter_index,energy,count"]
-        ham_lines = ["run_index,iter_index,weight,count"]
-        for r, res in enumerate(results):
-            for j, (values, counts), weights in res.distributions:
-                cost_lines += [f"{r},{j},{_fmt(e)},{c}"
-                               for e, c in zip(values.tolist(), counts.tolist())]
-                ham_lines += [f"{r},{j},{w},{c}" for w, c in enumerate(weights.tolist()) if c]
-        _write_lines(d / "cost_dist.csv", cost_lines)
-        _write_lines(d / "hamming_dist.csv", ham_lines)
-
+def _write_meta(d: Path, config: ExperimentConfig, graph: MaxCutInstance, sampler: SamplerSpec,
+                sa_energy: float, bf_energy) -> None:
+    """Write d/meta.txt, the file whose presence marks a run directory complete."""
     meta = [
         ("instance", config.instance_file or config.family),
         ("n", graph.n),
@@ -365,13 +354,13 @@ def _publish(tmp: Path, out: Path) -> None:
 def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Run the full experiment and write its output files; returns a summary dict.
 
-    Output layout: trajectory.csv (one AggregateRow per iteration), runs/run_XXX.csv
-    per-run traces, meta.txt (instance, sampler, and baseline facts), and when
-    distribution recording is on, cost_dist.csv and hamming_dist.csv holding the
-    first- and last-iteration histograms of every run. Files are byte-identical
-    across re-executions. A run that fails before its files are written leaves `out`
-    as it was; a new `out` appears whole, but writing into an existing `out` is not
-    atomic (see _publish): the earlier run's files are replaced, other files stay.
+    Output layout: runs/run_XXX.csv per-run traces, cost_dist.csv and hamming_dist.csv
+    holding the first- and last-iteration histograms of every run, trajectory.csv (one
+    AggregateRow per iteration), and meta.txt (instance, sampler, and baseline facts).
+    Each run's files are written as it ends, and only its best cuts are kept. Files are
+    byte-identical across re-executions. A run that fails leaves `out` as it was; a new
+    `out` appears whole, but writing into an existing `out` is not atomic (see _publish):
+    the earlier run's files are replaced, other files stay.
     """
     out = Path(out_dir if out_dir is not None else (config.output_dir or ""))
     if str(out) in ("", "."):
@@ -391,11 +380,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     if model.n <= BRUTE_FORCE_CAP:
         _, bf_energy = brute_force_best(model)
 
-    results = [run_ndar(model, sampler, replace(config.ndar, master_seed=derive_seed(
-        config.seed, _STREAM_RUN, r))) for r in range(config.runs)]
-
-    rows = aggregate(results, sa_cut)
-
     # a crash must not leave a directory that looks like a result, so files go to a
     # hidden sibling that moves to `out` only once meta.txt is written
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -403,7 +387,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     tmp = out.parent / f".{out.name}.{os.urandom(8).hex()}.partial"
     tmp.mkdir()
     try:
-        _write_outputs(tmp, config, graph, sampler, sa_energy, bf_energy, rows, results)
+        (tmp / "runs").mkdir()
+        with _open(tmp / "cost_dist.csv") as cost, _open(tmp / "hamming_dist.csv") as ham:
+            cost.write("run_index,iter_index,energy,count\n")
+            ham.write("run_index,iter_index,weight,count\n")
+            cuts = [_write_run(tmp, r, run_ndar(model, sampler, replace(
+                config.ndar, master_seed=derive_seed(config.seed, _STREAM_RUN, r))), cost, ham)
+                for r in range(config.runs)]
+        rows = aggregate(cuts, sa_cut)
+        _write_lines(tmp / "trajectory.csv", [
+            "iter_index,mean_best_cut,sem_best_cut,mean_ratio,sem_ratio,mean_cumulative_ratio"
+        ] + [",".join([str(r.iter_index)] + [_fmt(v) for v in (
+            r.mean_best_cut, r.sem_best_cut, r.mean_ratio, r.sem_ratio, r.mean_cumulative_ratio)])
+            for r in rows])
+        _write_meta(tmp, config, graph, sampler, sa_energy, bf_energy)
         _publish(tmp, out)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -421,16 +418,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     }
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ConfigError(f"empty CSV: {path}")
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:] if ln]
-    for row in rows:
-        if len(row) != len(header):
-            raise ConfigError(f"corrupt CSV row in {path}: {row}")
-    return header, rows
+def _csv_rows(path):
+    """Yield a CSV file's header, then its non-empty rows, each split on commas; a row
+    whose column count differs from the header's is refused."""
+    with open(path, encoding="utf-8") as fh:
+        lines = (line.rstrip("\n") for line in fh)
+        header = next(lines, None)
+        if header is None:
+            raise ConfigError(f"empty CSV: {path}")
+        header = header.split(",")
+        yield header
+        for row in (line.split(",") for line in lines if line):
+            if len(row) != len(header):
+                raise ConfigError(f"corrupt CSV row in {path}: {row}")
+            yield row
 
 
 def report(run_dir, svg: bool = False) -> str:
@@ -440,7 +441,7 @@ def report(run_dir, svg: bool = False) -> str:
     if not traj.is_file():
         listing = sorted(p.name for p in d.iterdir()) if d.is_dir() else "no such directory"
         raise ConfigError(f"missing trajectory.csv in {run_dir}; contents: {listing}")
-    header, rows = _read_csv(traj)
+    header, *rows = _csv_rows(traj)
     expected = ["iter_index", "mean_best_cut", "sem_best_cut", "mean_ratio", "sem_ratio",
                 "mean_cumulative_ratio"]
     if header != expected or not rows:
@@ -478,12 +479,16 @@ def report(run_dir, svg: bool = False) -> str:
             path = d / f"{stem}.csv"
             if not path.is_file():
                 continue
-            _, drows = _read_csv(path)
-            groups = []
-            for it in sorted({r[1] for r in drows if r[0] == "0"}, key=int):
-                pts = [(float(r[2]), int(r[3])) for r in drows if r[0] == "0" and r[1] == it]
-                groups.append({"label": f"iteration {it}", "centers": [p[0] for p in pts],
-                               "counts": [p[1] for p in pts]})
+            dist = _csv_rows(path)
+            next(dist)  # the header
+            run0: dict[str, tuple[list[float], list[int]]] = {}  # iteration -> centers, counts
+            for row in dist:
+                if row[0] == "0":
+                    centers, counts = run0.setdefault(row[1], ([], []))
+                    centers.append(float(row[2]))
+                    counts.append(int(row[3]))
+            groups = [{"label": f"iteration {it}", "centers": run0[it][0], "counts": run0[it][1]}
+                      for it in sorted(run0, key=int)]
             if groups:
                 svgplot.histogram_chart(d / f"{stem}.svg", title, xname, "count", groups)
                 lines.append(f"wrote {d / (stem + '.svg')}")

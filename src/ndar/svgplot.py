@@ -9,6 +9,9 @@ from __future__ import annotations
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 46
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+# most bar positions a histogram draws; more distinct centers are summed into this many
+# equal-width bins, shared by every group of the chart
+MAX_BARS = 256
 
 
 def _bounds(values, pad_frac=0.06):
@@ -100,13 +103,36 @@ def line_chart(path, title: str, xlabel: str, ylabel: str, series) -> None:
     cv.save(path)
 
 
+def _binned(groups, lo: float, hi: float):
+    """The groups with their counts summed into MAX_BARS equal-width bins over [lo, hi]."""
+    width = (hi - lo) / MAX_BARS
+    binned = []
+    for g in groups:
+        sums: dict[int, float] = {}
+        for x, c in zip(g["centers"], g["counts"]):
+            k = min(int((x - lo) / width), MAX_BARS - 1)
+            sums[k] = sums.get(k, 0) + c
+        ks = sorted(sums)
+        binned.append({**g, "centers": [lo + (k + 0.5) * width for k in ks],
+                       "counts": [sums[k] for k in ks]})
+    return binned
+
+
 def histogram_chart(path, title: str, xlabel: str, ylabel: str, groups) -> None:
-    """Write grouped bar histograms; groups hold centers (x), counts (y), label."""
+    """Write grouped bar histograms; groups hold centers (x), counts (y), label.
+
+    At most MAX_BARS bar positions are drawn: with more distinct centers, the counts are
+    summed into MAX_BARS equal-width bins between the smallest and the largest center.
+    """
     if not groups:
         raise ValueError("histogram needs at least one group")
     all_x = [x for g in groups for x in g["centers"]]
-    all_y = [0.0] + [float(c) for g in groups for c in g["counts"]]
     xs_sorted = sorted(set(all_x))
+    if len(xs_sorted) > MAX_BARS:
+        groups = _binned(groups, xs_sorted[0], xs_sorted[-1])
+        all_x = [x for g in groups for x in g["centers"]]
+        xs_sorted = sorted(set(all_x))
+    all_y = [0.0] + [float(c) for g in groups for c in g["counts"]]
     gap = min((b - a for a, b in zip(xs_sorted, xs_sorted[1:])), default=1.0)
     cv = _Canvas(title, xlabel, ylabel, _bounds([min(all_x) - gap, max(all_x) + gap], 0.02),
                  _bounds(all_y, 0.04))

@@ -141,7 +141,7 @@ def _classical_ratio(family, n, density, inst_seed, q, shots, iters):
     if key not in _RATIOS:
         cfg = ExperimentConfig(family=family, n=n, density=density, instance_seed=inst_seed,
                                sampler_kind=KIND_CLASSICAL_BERNOULLI, q=q, shots=shots,
-                               iters=iters, seed=0, runs=10, record_distributions=False)
+                               iters=iters, seed=0, runs=10)
         with tempfile.TemporaryDirectory() as d:
             _RATIOS[key] = run_experiment(cfg, out_dir=d)["final_mean_ratio"]
     return _RATIOS[key]

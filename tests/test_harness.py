@@ -55,7 +55,6 @@ def test_config_defaults_and_values(tmp_path):
     assert cfg.family == "unweighted-sparse" and cfg.n == 12
     assert cfg.q == 0.9 and cfg.shots == 120 and cfg.runs == 3
     assert cfg.t1 == 180.0 and cfg.t_delay == 0.0  # defaults
-    assert cfg.record_distributions is True
     assert cfg.sa_beta_min == 0.01 and cfg.sa_beta_max == 10.0
 
 
@@ -70,7 +69,8 @@ def test_config_overrides(tmp_path):
     ("runs = 3", "duplicate key"),
     ("just a line", "expected 'key = value'"),
     ("ndar.patience = soon", "cannot parse"),
-    ("ndar.record_distributions = yes", "cannot parse"),
+    ("sampler.fresh_circuit = yes", "cannot parse"),
+    ("ndar.record_distributions = false", "unknown key"),
     ("sampler.gammas = a,b", "cannot parse"),
 ])
 def test_config_rejects_malformed_lines(tmp_path, mutation, fragment):
@@ -211,29 +211,16 @@ runs = 2
 
 
 def test_aggregate_guards_and_sem():
-    from ndar import NdarConfig, SamplerSpec, gen_unweighted, run_ndar
-    model = maxcut_to_ising(gen_unweighted(8, 0.5, seed=1))
-    res = run_ndar(model, SamplerSpec("classical-bernoulli", q=0.9),
-                   NdarConfig(shots=50, max_iters=3, master_seed=0))
     with pytest.raises(ConfigError, match="reference cut is zero"):
-        aggregate([res], 0.0)
-    rows = aggregate([res], 10.0)
+        aggregate([[3.0, 4.0, 4.0]], 0.0)
+    rows = aggregate([[3.0, 4.0, 4.0]], 10.0)
     assert all(r.sem_best_cut == 0.0 and r.sem_ratio == 0.0 for r in rows)  # single run
     assert [r.iter_index for r in rows] == [0, 1, 2]
 
 
 def test_aggregate_carries_stopped_runs_forward():
-    from ndar import NdarResult
-    from ndar.engine import IterationRecord
-
-    def result(cuts):
-        zero = np.zeros(2, dtype=np.uint8)
-        trace = tuple(IterationRecord(j, zero, -c, c, zero, 0.0) for j, c in enumerate(cuts))
-        return NdarResult(trace, zero, -max(cuts), zero, ())
-
     # the first run stops after two iterations, the second after four, the third after three
-    rows = aggregate([result([3.0, 5.0]), result([1.0, 2.0, 4.0, 3.0]), result([2.0, 6.0, 1.0])],
-                     10.0)
+    rows = aggregate([[3.0, 5.0], [1.0, 2.0, 4.0, 3.0], [2.0, 6.0, 1.0]], 10.0)
     assert [r.iter_index for r in rows] == [0, 1, 2, 3]
     assert [r.mean_best_cut for r in rows] == [2.0, 13.0 / 3.0, 10.0 / 3.0, 14.0 / 3.0]
     assert rows[3].mean_cumulative_ratio == pytest.approx((5.0 + 4.0 + 6.0) / 30.0)
@@ -256,6 +243,27 @@ def test_report_text_and_svg(tmp_path):
     (tmp_path / "hollow" / "stray.txt").write_text("x")
     with pytest.raises(ConfigError, match="stray.txt"):
         report(tmp_path / "hollow")
+
+
+def test_histogram_bars_are_capped(tmp_path):
+    from ndar import svgplot
+    cap = svgplot.MAX_BARS
+    frame = 2 + 2  # background, plot frame, and a legend swatch per group
+
+    def rects(groups):
+        svgplot.histogram_chart(tmp_path / "h.svg", "t", "x", "count", groups)
+        return (tmp_path / "h.svg").read_text().count("<rect")
+
+    at_cap = [{"label": f"iteration {j}", "centers": [0.5 * k for k in range(cap)],
+               "counts": [j + 1] * cap} for j in range(2)]
+    assert rects(at_cap) == frame + 2 * cap  # one bar per center, as without a cap
+    many = [{"label": "iteration 0", "centers": list(range(10 * cap)), "counts": [1] * (10 * cap)},
+            {"label": "iteration 9", "centers": [0.5, 7.0 * cap], "counts": [3, 4]}]
+    assert rects(many) <= frame + 2 * cap
+    binned = svgplot._binned(many, 0.0, 10 * cap - 1.0)
+    assert [sum(g["counts"]) for g in binned] == [10 * cap, 7]
+    assert len(binned[0]["centers"]) == cap
+    assert set(binned[1]["centers"]) <= set(binned[0]["centers"])  # the groups share the bins
 
 
 def test_report_flags_single_run(tmp_path):
@@ -646,13 +654,61 @@ def test_run_into_an_existing_directory_removes_the_earlier_run(tmp_path):
     report(out, svg=True)  # the figures of the earlier run go with it
     assert (out / "runs" / "run_002.csv").is_file() and (out / "cost_dist.csv").is_file()
     (out / "landscape.csv").write_text("kept\n")
-    one_run = SMOKE.replace("runs = 3", "runs = 1") + "ndar.record_distributions = false\n"
+    one_run = SMOKE.replace("runs = 3", "runs = 1")
     cfg = ExperimentConfig.from_file(write_config(tmp_path, one_run, "one.cfg"))
     run_experiment(cfg, out_dir=out)
     run_experiment(cfg, out_dir=tmp_path / "fresh")
     assert snapshot(out) == {**snapshot(tmp_path / "fresh"), "landscape.csv": b"kept\n"}
     assert sorted(p.name for p in (out / "runs").iterdir()) == ["run_000.csv"]
-    assert not (out / "cost_dist.csv").exists() and not (out / "hamming_dist.csv").exists()
+    assert not any(out.glob("*.svg"))
+
+
+def test_a_run_that_fails_part_way_leaves_no_trace(tmp_path, monkeypatch):
+    path = write_config(tmp_path, SMOKE)
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig.from_file(path), out_dir=out)
+    before = snapshot(out)
+    run_ndar = harness.run_ndar
+    calls = []
+
+    def fails_on_run_1(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("run 1 failed")
+        return run_ndar(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_ndar", fails_on_run_1)
+    other_seed = ExperimentConfig.from_file(path, seed_override=6)
+    for target in (out, tmp_path / "fresh"):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="run 1 failed"):
+            run_experiment(other_seed, out_dir=target)
+        assert len(calls) == 2
+    assert snapshot(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "out"]
+
+
+def test_experiment_memory_does_not_grow_with_runs(tmp_path):
+    # normal weights make nearly every sampled energy distinct, so a run has about one
+    # cost_dist.csv row per shot and iteration; written as each run ends, the rows of all
+    # runs are never held at once
+    n = 30
+    rng = np.random.default_rng(0)
+    edges = [f"{i} {j} {rng.normal():.17g}" for i in range(n) for j in range(i + 1, n)]
+    (tmp_path / "g.txt").write_text(f"{n} {len(edges)}\n" + "\n".join(edges) + "\n")
+
+    def peak(runs):
+        cfg = ExperimentConfig(instance_file=str(tmp_path / "g.txt"), q=0.5, shots=10000,
+                               iters=2, runs=runs, sa_reads=4, sa_sweeps=20)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, out_dir=tmp_path / f"out{runs}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(1), peak(4)
+    assert four < 1.5 * one, (one, four)
 
 
 def test_config_table_leaves_defaults_to_the_dataclass(tmp_path):
