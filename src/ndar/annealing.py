@@ -1,4 +1,8 @@
-"""Single-flip Metropolis simulated annealing in colored sweeps: the classical reference solver."""
+"""Single-flip Metropolis simulated annealing in colored sweeps: the classical reference solver.
+
+The spins and local fields are float32 where every sum the annealer forms is exact there
+(`IsingModel._float32_terms`) and float64 otherwise; the acceptance thresholds are float64.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +16,9 @@ from .ising import IsingModel, energy, lex_first
 # spins per block of delayed local-field updates
 _BLOCK = 32
 
-# largest annealing effort accepted. The working arrays peak (tracemalloc) at about 50
-# bytes per read and spin, about 420 MB at the budget; the schedule holds 8 bytes a sweep
+# largest annealing effort accepted. The working arrays peak (tracemalloc) at about 30
+# bytes per read and spin with float32 state, about 250 MB at the budget, and at about 45
+# (380 MB) on the float64 path; the schedule holds 8 bytes a sweep
 SA_SPIN_BUDGET = 1 << 23
 SA_SWEEPS_CAP = 1 << 20
 
@@ -87,8 +92,17 @@ def sa_solve(model: IsingModel, config: SaConfig = SaConfig()) -> tuple[np.ndarr
     walked in blocks of about _BLOCK spins, a class sees the fields of its block's start
     plus the block's earlier flips, and one matrix product per block brings every field
     up to date. Each read's energy is computed once per sweep, from its spins and
-    fields. On weights exact in binary every partial sum is exact, so the chain is the
-    one a per-spin loop on the same draws would run.
+    fields, and summed in float64.
+
+    Spins, fields, couplings and block updates are float32 when the model meets the
+    rule of `IsingModel._float32_terms`, and float64 otherwise. Under that rule every
+    value formed is an integer multiple of one unit u no larger than
+    sum |h_i| + 2 sum_{i<j} |J_ij| <= 2^24 u: each partial sum of the initial fields,
+    of a block update, of an in-block correction, and of the sweep energies. So each is
+    exact in both dtypes, and the chain is the one a per-spin loop on the same draws
+    would run. The thresholds stay float64: `s * local >= threshold` compares an exact
+    float32 value, widened exactly to float64, with the float64 threshold, so each
+    acceptance is decided as on the float64 path.
     """
     n = model.n
     reads = config.num_reads
@@ -96,39 +110,40 @@ def sa_solve(model: IsingModel, config: SaConfig = SaConfig()) -> tuple[np.ndarr
     rng = np.random.default_rng(config.seed)
     order, bounds = color_classes(model.coupling_matrix)
     sizes = np.diff(bounds)
-    jm2 = -2.0 * model.coupling_matrix  # field change per unit of the flipped spin's old value
-    h = model._fields
+    h, jm = model._float32_terms or (model._fields, model.coupling_matrix)
+    jm2 = -2 * jm  # field change per unit of the flipped spin's old value
 
     # spins and fields are (n, reads), so one spin's values for all reads are contiguous
-    spins = np.ascontiguousarray(1.0 - 2.0 * rng.integers(0, 2, size=(reads, n)).T)
-    local = model.coupling_matrix @ spins + h[:, None]  # local[i, r] = h_i + sum_j J_ij s_j
+    spins = np.ascontiguousarray(1 - 2 * rng.integers(0, 2, size=(reads, n)).T, dtype=h.dtype)
+    local = jm @ spins + h[:, None]  # local[i, r] = h_i + sum_j J_ij s_j
 
     def sweep_energies():
-        return 0.5 * (h @ spins + (spins * local).sum(axis=0))
+        return 0.5 * (h @ spins + (spins * local).sum(axis=0, dtype=np.float64))
 
     best_e = sweep_energies()
     best_spins = spins.copy()
-    for beta in np.geomspace(config.beta_min, config.beta_max, config.sweeps_per_read):
+    for beta in np.geomspace(config.beta_min, config.beta_max, config.sweeps_per_read).tolist():
         perm = rng.permutation(sizes.size)
         thresholds = rng.random((reads, n))
         np.negative(thresholds, out=thresholds)
         np.log1p(thresholds, out=thresholds)
         thresholds /= 2.0 * beta  # a flip is accepted when s * local >= its threshold
 
-        # the spins in visiting order, class after class, and their thresholds in that order
+        # the spins in visiting order, class after class
         run = sizes[perm]
         ends = np.cumsum(run)
-        visit = order[np.repeat(bounds[perm] + run - ends, run) + np.arange(n)]
-        thresholds = thresholds.T[visit]
+        starts = ends - run
+        visit = order[np.repeat(bounds[perm] - starts, run) + np.arange(n)]
         # a block is the classes that start within one stretch of _BLOCK visiting positions
-        heads = np.flatnonzero(np.diff((ends - run) // _BLOCK, prepend=-1)).tolist()
+        q = starts // _BLOCK
+        heads = [0] + (np.flatnonzero(q[1:] != q[:-1]) + 1).tolist()
         edges = [0] + ends.tolist()
         for first, stop in zip(heads, heads[1:] + [sizes.size]):
             b0, b1 = edges[first], edges[stop]
             idx = visit[b0:b1]
             rows = jm2[idx]
             jb = rows[:, idx]
-            sb, lb, tb = spins[idx], local[idx], thresholds[b0:b1]
+            sb, lb, tb = spins[idx], local[idx], thresholds.T[idx]
             flips = np.empty_like(sb)  # the old spin where a flip was accepted, else 0
             for c in range(first, stop):
                 p0, p1 = edges[c] - b0, edges[c + 1] - b0
@@ -136,16 +151,16 @@ def sa_solve(model: IsingModel, config: SaConfig = SaConfig()) -> tuple[np.ndarr
                 if p0:  # the fields as the block's earlier flips left them
                     loc = loc + jb[p0:p1, :p0] @ flips[:p0]
                 np.multiply(s, s * loc >= tb[p0:p1], out=flips[p0:p1])
-            spins[idx] = sb - 2.0 * flips
+            spins[idx] = sb - 2 * flips
             local += rows.T @ flips
 
         e = sweep_energies()
         improved = e < best_e
-        if np.any(improved):
+        if improved.any():
             best_e[improved] = e[improved]
             best_spins[:, improved] = spins[:, improved]
 
     # bit i of a read is 1 where its spin i is -1
     k = lex_first(np.flatnonzero(best_e == best_e.min()), lambda c, i: best_spins[i, c] < 0, n)
-    winner = ((1.0 - best_spins[:, k]) / 2.0).astype(np.uint8)
+    winner = ((1 - best_spins[:, k]) / 2).astype(np.uint8)
     return winner, energy(model, winner)

@@ -482,11 +482,13 @@ def report(run_dir, svg: bool = False) -> str:
             dist = _csv_rows(path)
             next(dist)  # the header
             run0: dict[str, tuple[list[float], list[int]]] = {}  # iteration -> centers, counts
-            for row in dist:
-                if row[0] == "0":
-                    centers, counts = run0.setdefault(row[1], ([], []))
-                    centers.append(float(row[2]))
-                    counts.append(int(row[3]))
+            for row in dist:  # runs in order (_write_run), so run 0 ends at the first other row
+                if row[0] != "0":
+                    break
+                centers, counts = run0.setdefault(row[1], ([], []))
+                centers.append(float(row[2]))
+                counts.append(int(row[3]))
+            dist.close()
             groups = [{"label": f"iteration {it}", "centers": run0[it][0], "counts": run0[it][1]}
                       for it in sorted(run0, key=int)]
             if groups:

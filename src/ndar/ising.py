@@ -240,14 +240,16 @@ class IsingModel:
         """The fields and coupling matrix in float32 when every energy sum is exact there.
 
         The rule: every h_i and J_ij is an integer multiple of one unit u = 2^-p
-        (p >= 0), and max(sum |h_i|, 2 sum_{i<j} |J_ij|) <= 2^24 u. Then every partial
-        sum of S @ h, S @ J and the row dot of S with S @ J, in any order, is an integer
-        multiple of u no larger than 2^24 u, which float32 holds exactly. It suffices to
-        test the finest unit the bound allows, since a multiple of 2^-p is a multiple of
-        2^-q for every q >= p; p <= 126 keeps u a normal float32. None when the rule fails.
+        (p >= 0), and sum |h_i| + 2 sum_{i<j} |J_ij| <= 2^24 u. Then every partial sum
+        of S @ h, S @ J and the row dot of S with S @ J (`energies`), and of a local
+        field h_i + sum_j J_ij s_j or a change -2 sum_j J_ij s_j of one (`sa_solve`), in
+        any order, is an integer multiple of u no larger than 2^24 u, which float32
+        holds exactly. It suffices to test the finest unit the bound allows, since a
+        multiple of 2^-p is a multiple of 2^-q for every q >= p; p <= 126 keeps u a
+        normal float32. None when the rule fails.
         """
         cw = self._edge_arrays[2]
-        total = max(float(np.abs(self._fields).sum()), 2.0 * float(np.abs(cw).sum()))
+        total = float(np.abs(self._fields).sum()) + 2.0 * float(np.abs(cw).sum())
         mant, exp = math.frexp(total)  # total = mant * 2^exp with 0.5 <= mant < 1
         p = min(126, 24 - exp + (mant == 0.5)) if total else 0
         if p < 0:

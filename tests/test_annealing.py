@@ -56,6 +56,18 @@ def normal_complete_model(n, seed):
     return IsingModel(n, tuple(np.round(rng.normal(size=n) * 256) / 256), couplings, offset=0.25)
 
 
+def large_field_model(excess):
+    """Integer weights and one large field, with sum |h| + 2 sum |J| = 2^24 + excess."""
+    rng = np.random.default_rng(11)
+    n = 24
+    iu, ju = np.triu_indices(n, k=1)
+    w = rng.integers(-3, 4, size=iu.size).astype(np.float64)
+    h = rng.integers(-5, 6, size=n).astype(np.float64)
+    h[0] = 0.0
+    h[0] = 2.0 ** 24 - np.abs(h).sum() - 2.0 * np.abs(w).sum() + excess
+    return IsingModel(n, tuple(h), np.column_stack((iu, ju, w)))
+
+
 def assert_proper_coloring(jm, order, bounds):
     n = jm.shape[0]
     assert sorted(order.tolist()) == list(range(n))  # every spin in exactly one class
@@ -150,6 +162,22 @@ def test_oversized_effort_fails_before_allocating():
     sa_solve(model, SaConfig(num_reads=1, sweeps_per_read=1))  # within the budget
 
 
+def test_working_arrays_peak_under_30_bytes_per_read_and_spin():
+    import tracemalloc
+    model = maxcut_to_ising(gen_weighted_dense(300, seed=0))
+    assert model._float32_terms is not None  # cached outside the measurement, as is the matrix
+    reads = 2000
+    tracemalloc.start()
+    try:
+        sa_solve(model, SaConfig(num_reads=reads, sweeps_per_read=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the figure in SA_SPIN_BUDGET's comment (27 here); a float64 copy of the spins or fields
+    # alive through the sweep would exceed it
+    assert peak < 30 * reads * model.n
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SaConfig(num_reads=0)
@@ -222,6 +250,30 @@ def test_coloring_is_proper(model):
     bounds = np.concatenate(([0], np.cumsum(np.bincount(labels))))
     with pytest.raises(AssertionError, match="coupled spins share class"):
         assert_proper_coloring(jm, np.argsort(labels, kind="stable"), bounds)
+
+
+@pytest.mark.parametrize("excess, float32", [(0, True), (1, False)],
+                         ids=["at-the-float32-bound", "one-unit-past-it"])
+def test_large_fields_match_the_per_spin_loop_on_both_sides_of_the_float32_bound(excess,
+                                                                                 float32):
+    model = large_field_model(excess)
+    assert (model._float32_terms is not None) == float32
+    config = SaConfig(16, 50, seed=8)
+    bits, e = sa_solve(model, config)
+    expected_bits, expected_e = per_spin_sa_solve(model, config)
+    assert np.array_equal(bits, expected_bits)
+    assert e == expected_e
+
+
+def test_weights_inexact_in_binary_take_the_float64_path():
+    g = gen_unweighted(30, 0.3, seed=3)
+    model = IsingModel(g.n, (0.1,) * g.n, [(i, j, 0.1) for i, j, _ in g.edges])
+    assert model._float32_terms is None
+    config = SaConfig(12, 80, seed=2)
+    bits, e = sa_solve(model, config)
+    assert e == energy(model, bits)
+    bits_again, e_again = sa_solve(model, config)
+    assert np.array_equal(bits, bits_again) and e == e_again
 
 
 class CountingGenerator:

@@ -245,6 +245,29 @@ def test_report_text_and_svg(tmp_path):
         report(tmp_path / "hollow")
 
 
+def test_report_svg_reads_the_distributions_only_up_to_run_1(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, SMOKE))
+    out = tmp_path / "out"
+    run_experiment(cfg, out_dir=out)
+    consumed = {}
+    csv_rows = harness._csv_rows
+
+    def counting_rows(path):
+        for row in csv_rows(path):
+            consumed.setdefault(Path(path).name, []).append(row)
+            yield row
+
+    monkeypatch.setattr(harness, "_csv_rows", counting_rows)
+    report(out, svg=True)
+    for name in ("cost_dist.csv", "hamming_dist.csv"):
+        _, *rows = (line.split(",") for line in (out / name).read_text().splitlines())
+        assert {row[0] for row in rows} == {"0", "1", "2"}  # three runs, run-major
+        run0 = [row for row in rows if row[0] == "0"]
+        # the header, every row of run 0, and the first row of run 1, which ends the scan
+        assert consumed[name][1:] == run0 + [rows[len(run0)]]
+        assert rows[len(run0)][0] == "1"
+
+
 def test_histogram_bars_are_capped(tmp_path):
     from ndar import svgplot
     cap = svgplot.MAX_BARS

@@ -107,8 +107,8 @@ def test_float32_energies_are_exact_on_a_dense_300_node_batch():
 
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** -3])
 def test_a_model_at_the_float32_bound_qualifies(scale):
-    # 2 sum |J| = 2^24 u with u = scale: the largest total the rule accepts
-    at_bound = IsingModel(3, (scale, -scale, 0.0), ((0, 1, (2.0 ** 23 - 1) * scale),
+    # sum |h| + 2 sum |J| = 2^24 u with u = scale: the largest total the rule accepts
+    at_bound = IsingModel(3, (scale, -scale, 0.0), ((0, 1, (2.0 ** 23 - 2) * scale),
                                                    (1, 2, scale)), 0.25)
     fields_at_bound = IsingModel(2, ((2.0 ** 24 - 1) * scale, scale), ())
     for model in (at_bound, fields_at_bound):
@@ -124,10 +124,12 @@ def test_a_model_at_the_float32_bound_qualifies(scale):
     IsingModel(2, (2.0 ** 24, 1.0), ()),  # sum |h| = 2^24 + 1 units of 1
     IsingModel(2, (2.0 ** 23, 0.5), ()),  # 2^24 + 1 units of 1/2, under 2^24 units of 1
     IsingModel(3, (0.0,) * 3, ((0, 1, 2.0 ** 22), (1, 2, 0.5))),  # 2 sum |J| = 2^24 + 2 halves
+    # sum |h| = 2 and 2 sum |J| = 2^24: each alone within 2^24 units of 1, together not
+    IsingModel(3, (1.0, -1.0, 0.0), ((0, 1, 2.0 ** 23 - 1), (1, 2, 1.0))),
     IsingModel(2, (2.0 ** 200, 0.0), ()),  # a multiple of 2^200, beyond the float32 range
     IsingModel(2, (2.0 ** -127, 0.0), ()),  # a unit below the smallest normal float32
-], ids=["tenths", "gaussian", "fields-over", "finer-unit-over", "couplings-over", "huge",
-        "tiny-unit"])
+], ids=["tenths", "gaussian", "fields-over", "finer-unit-over", "couplings-over",
+        "fields-plus-couplings-over", "huge", "tiny-unit"])
 def test_models_outside_the_float32_rule_take_the_float64_path(model):
     assert model._float32_terms is None
     X = all_bitstrings(model.n)
