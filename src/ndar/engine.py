@@ -158,43 +158,56 @@ def _select_best(X: np.ndarray, E: np.ndarray) -> int:
     return lex_first(cand, lambda c, i: X[c, i], X.shape[1])
 
 
-def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig) -> NdarResult:
+def qaoa_probs(model0: IsingModel, sampler: SamplerSpec) -> np.ndarray:
+    """|amplitude|^2 of the sampler's QAOA state for model0, in the original frame."""
+    probs = np.abs(simulate(QaoaCircuit(model0, sampler.params)))
+    probs *= probs
+    return probs
+
+
+def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
+             probs: np.ndarray | None = None) -> NdarResult:
     """Run the adaptive remapping loop and return the per-iteration trace.
 
-    Per iteration: draw shots in the current frame (QAOA builds the model0 state
-    once from its cost diagonal and permutes its |amplitude|^2 into the frame; the
-    random circuit is drawn once per run unless fresh_circuit is set), apply the
-    damping channel for circuit samplers, score the shots as energies(model0, X ^ mask),
-    pick the best sample, record it, then XOR it into the mask so it becomes the next
-    all-zeros attractor. Stops early only when `patience` consecutive iterations
-    fail to improve the overall best.
+    Per iteration: draw shots in the current frame (QAOA permutes its model0
+    |amplitude|^2 into the frame; the random circuit is drawn once per run unless
+    fresh_circuit is set), apply the damping channel for circuit samplers, score the
+    shots as energies(model0, X ^ mask), pick the best sample, record it, then XOR it
+    into the mask so it becomes the next all-zeros attractor. Stops early only when
+    `patience` consecutive iterations fail to improve the overall best.
+
+    `probs` is QAOA's |amplitude|^2 in the original frame, as `qaoa_probs` gives it;
+    a caller that runs one sampler on one model many times passes it to every run, and
+    when it is None the run simulates the state once. Other samplers ignore it.
 
     The loop's state is the mask, the records, the index `best` of the first record
-    with the lowest energy, iteration 0's distribution, and the circuit state: `probs`,
-    QAOA's |amplitude|^2 in the original frame, and `table`, the iteration's born_table.
-    The attractor energy, stall count (j - best) and overall best come from the records.
+    with the lowest energy, iteration 0's distribution, and `table`, the born_table of
+    the current frame. The attractor energy, stall count (j - best) and overall best
+    come from the records. QAOA's table is a function of the mask alone, so it is
+    rebuilt only when the frame moved, that is when the previous iteration's best
+    sample was not the all-zeros attractor.
 
     An iteration runs in chunks of _CHUNK shots, so no (shots, n) matrix is built:
-    circuit samplers build the iteration's born_table once, each chunk is drawn with
-    the iteration's sample and decay generators, scored into the iteration's energy
-    vector and its Hamming-weight counts, and reduced to its _select_best winner, and
-    the rule runs once more over the chunk winners. The draws fill row-major and the
-    chunks hold an even number of bits, so every result is the one a whole-batch draw
-    would give. Only iteration 0's and the last iteration's energies become histograms.
+    each chunk is drawn from the table with the iteration's sample and decay
+    generators, scored into the iteration's energy vector and its Hamming-weight
+    counts, and reduced to its _select_best winner, and the rule runs once more over
+    the chunk winners. The draws fill row-major and the chunks hold an even number of
+    bits, so every result is the one a whole-batch draw would give. Only iteration 0's
+    and the last iteration's energies become histograms.
     """
     n = model0.n
     mask = np.zeros(n, dtype=np.uint8)
     records: list[IterationRecord] = []
     best = 0
-    probs = table = None
+    table = None
     gamma = 0.0 if sampler.kind == KIND_CLASSICAL_BERNOULLI else sampler.damping.gamma_damp
     for j in range(config.max_iters):
         rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))
-        if sampler.kind == KIND_QAOA:
+        if sampler.kind == KIND_QAOA and (table is None or records[-1].best_bits.any()):
             if probs is None:
-                probs = np.abs(simulate(QaoaCircuit(model0, sampler.params))) ** 2
+                probs = qaoa_probs(model0, sampler)
             m = int(mask.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64)))
-            table = born_table(probs[np.arange(probs.size) ^ m])
+            table = born_table(probs[np.arange(probs.size) ^ m] if m else probs)
         elif sampler.kind == KIND_RANDOM_CIRCUIT and (table is None or sampler.fresh_circuit):
             circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, j)
             psi = simulate(build_random_circuit(n, sampler.depth, circuit_seed))

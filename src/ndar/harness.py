@@ -16,7 +16,8 @@ from . import svgplot
 from .annealing import SaConfig, check_effort, sa_solve
 from .circuits import DEFAULT_QUBIT_CAP, DampingSpec, QaoaParams
 from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT, NdarConfig,
-                     NdarResult, SamplerSpec, check_q_and_depth, derive_seed, run_ndar)
+                     NdarResult, SamplerSpec, check_q_and_depth, derive_seed, qaoa_probs,
+                     run_ndar)
 from .errors import ConfigError, ResourceLimitError
 from .ising import (BRUTE_FORCE_CAP, NODE_CAP, MaxCutInstance, brute_force_best, edge_density,
                     gen_unweighted, gen_weighted_dense, maxcut_to_ising, read_instance)
@@ -388,12 +389,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     tmp.mkdir()
     try:
         (tmp / "runs").mkdir()
+        # every run samples the one QAOA state, so it is simulated once per experiment
+        probs = qaoa_probs(model, sampler) if sampler.kind == KIND_QAOA else None
         with _open(tmp / "cost_dist.csv") as cost, _open(tmp / "hamming_dist.csv") as ham:
             cost.write("run_index,iter_index,energy,count\n")
             ham.write("run_index,iter_index,weight,count\n")
             cuts = [_write_run(tmp, r, run_ndar(model, sampler, replace(
-                config.ndar, master_seed=derive_seed(config.seed, _STREAM_RUN, r))), cost, ham)
-                for r in range(config.runs)]
+                config.ndar, master_seed=derive_seed(config.seed, _STREAM_RUN, r)), probs=probs),
+                cost, ham) for r in range(config.runs)]
         rows = aggregate(cuts, sa_cut)
         _write_lines(tmp / "trajectory.csv", [
             "iter_index,mean_best_cut,sem_best_cut,mean_ratio,sem_ratio,mean_cumulative_ratio"

@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
+import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -26,10 +28,8 @@ BRUTE_FORCE_CAP = 24
 # NODE_CAP nodes has 523,776 edges and an 8 MB coupling matrix
 NODE_CAP = 1024
 
-# chunk size for exhaustive scans. A block's index bits and its float32 energy terms are
-# the temporaries: building the cost diagonal of a MaxCut model peaks (tracemalloc) at
-# 4.7 MiB for n = 18, 34.7 MiB for n = 22 and 130.8 MiB for n = 24, the 2, 32 and 128 MiB
-# diagonal included (45.5, 84.5 and 185 MiB with blocks of 2^18)
+# block size of brute force's tie scan over the cost diagonal: the candidates of one
+# block and their bit columns are its temporaries, however many strings tie
 _ENUM_CHUNK = 1 << 14
 
 # entries per row block of energies' two float temporaries: 1 MiB each in float32, 873
@@ -38,6 +38,16 @@ _ENUM_CHUNK = 1 << 14
 # to 26 ms on a 2-core host: the allocator handed the larger temporaries back to the OS
 # after every chunk, and faulting them in again cost the difference
 _ENERGY_BLOCK = 1 << 18
+
+# blocks of 2^_DIAG_BITS entries in the cost diagonal's last pass, which adds the offset
+# and the field sum: its two 32 KiB vectors are the build's only temporaries
+_DIAG_BITS = 12
+
+# a line whose first character after blanks is '#': a comment line of an instance file
+_COMMENT_START = re.compile(r"^[^\S\n]*#", re.MULTILINE)
+
+# the columns of an instance file's edge lines
+_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 # edges per block of instance-file text; writing the complete graph on NODE_CAP nodes in
 # one piece peaks (tracemalloc) at 77.5 MiB, in blocks at 28.5 MiB, in the same time
@@ -79,6 +89,17 @@ def _check_enumerable(n: int) -> None:
         raise ValueError("n must be >= 1")
     if n > BRUTE_FORCE_CAP:
         raise ResourceLimitError(f"refusing to enumerate 2^{n} bitstrings (cap {BRUTE_FORCE_CAP})")
+
+
+def _spin_doubling(out: np.ndarray, base: float, weights: np.ndarray) -> None:
+    """Fill out[x] = base - 2 sum_{i: bit i of x is 1} weights[i] for x < 2^len(weights).
+
+    In place, doubling: entries [2^i, 2^(i+1)) are entries [0, 2^i) minus 2 weights[i].
+    With `base` the weights' sum, entry x is sum_i weights[i] s_i for the spins of x.
+    """
+    out[0] = base
+    for i, w in enumerate(weights.tolist()):
+        np.subtract(out[:1 << i], 2.0 * w, out=out[1 << i:2 << i])
 
 
 def _index_bits(idx: np.ndarray, n: int) -> np.ndarray:
@@ -264,16 +285,38 @@ class IsingModel:
     def cost_diagonal(self) -> np.ndarray:
         """Energies of all 2^n bitstrings (offset included), indexed like a statevector.
 
-        Filled in _ENUM_CHUNK-row blocks, so the scan holds one copy of the diagonal;
-        refuses n beyond the enumeration cap before allocating.
+        Built by spin doubling, with no bit matrix. Entry 0 is the coupling sum
+        C = sum_{i<j} J_ij with every spin at +1. For k = 0, ..., n - 1, entries
+        [2^k, 2^(k+1)) are entries [0, 2^k) with spin k flipped: minus twice spin k's
+        coupling field, which is itself doubled over the spins j < k in that half of
+        the diagonal before the half is filled. A last pass in 2^_DIAG_BITS blocks
+        turns C into (offset + sum_i h_i s_i) + C, the order `energies` adds them in.
+
+        Under the rule of `_float32_terms` every coupling and field sum is an exact
+        multiple of its unit, so each entry has the bits `energies` gives that string,
+        whatever the offset. Off the rule (weights such as 0.1) the sums are formed in
+        another order than `energies`' and agree with it to rounding, about 1e-15
+        relative. Refuses n beyond the enumeration cap before allocating.
         """
         _check_enumerable(self.n)
-        total = 1 << self.n
-        diag = np.empty(total)
-        for start in range(0, total, _ENUM_CHUNK):
-            stop = min(start + _ENUM_CHUNK, total)
-            X = _index_bits(np.arange(start, stop, dtype=np.int64), self.n)
-            diag[start:stop] = energies(self, X)
+        n, J, h = self.n, self.coupling_matrix, self._fields
+        diag = np.empty(1 << n)
+        diag[0] = self._edge_arrays[2].sum()
+        for k in range(n):
+            # -2 x spin k's field, for every string of the spins below k (those above are +1)
+            half = diag[1 << k:2 << k]
+            _spin_doubling(half, -2.0 * J[k].sum(), -2.0 * J[k, :k])
+            half += diag[:1 << k]
+        low = min(n, _DIAG_BITS)
+        fields_low = np.empty(1 << low)
+        _spin_doubling(fields_low, h[:low].sum(), h[:low])
+        fields_high = np.empty(1 << (n - low))
+        _spin_doubling(fields_high, h[low:].sum(), h[low:])
+        t = np.empty_like(fields_low)
+        for q, high in enumerate(fields_high.tolist()):
+            np.add(fields_low, high, out=t)
+            t += self.offset
+            diag[q << low:(q + 1) << low] += t
         return diag
 
 
@@ -431,21 +474,24 @@ def write_instance(g: MaxCutInstance, path) -> None:
                               zip(ei[rows].tolist(), ej[rows].tolist(), ks.tolist())]))
 
 
-def read_instance(path) -> MaxCutInstance:
-    """Parse the edge-list text format; rejects self-loops, duplicates, and bad counts."""
+def _parse_header(path, header: str) -> tuple[int, int]:
+    head = header.split()
+    if len(head) != 2:
+        raise ValueError(f"{path}: header must be 'n m', got {header!r}")
+    try:
+        return int(head[0]), int(head[1])
+    except ValueError:
+        raise ValueError(f"{path}: header must hold two integers, got {header!r}") from None
+
+
+def _read_edge_lines(path) -> list[tuple[int, int, float]]:
+    """The line loop: the edges, or a ValueError that names the file's line."""
     with open(path, "r", encoding="utf-8") as fh:
         # (line number, text) of every line that is not blank or a comment
         rows = [(k, ln) for k, ln in enumerate(map(str.strip, fh), 1) if ln and ln[0] != "#"]
     if not rows:
         raise ValueError(f"{path}: empty instance file")
-    header = rows[0][1]
-    head = header.split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'n m', got {header!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"{path}: header must hold two integers, got {header!r}") from None
+    m = _parse_header(path, rows[0][1])[1]
     if len(rows) - 1 != m:
         raise ValueError(f"{path}: header promises {m} edges, file has {len(rows) - 1}")
     edges = []
@@ -457,10 +503,52 @@ def read_instance(path) -> MaxCutInstance:
             i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed edge {ln!r}") from None
-        if i > j:
-            i, j = j, i
-        edges.append((i, j, w))
+        edges.append((min(i, j), max(i, j), w))
+    return edges
+
+
+def _load_edges(path, skip: int, m: int) -> np.ndarray | None:
+    """The m edge lines after the first `skip` lines as an (m, 3) array of sorted (i, j, w)
+    rows, parsed by np.loadtxt in one streamed pass; None when that pass refuses the file
+    or finds another number of edges."""
     try:
-        return MaxCutInstance(n, tuple(edges))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no edge lines, or a deprecated int parse
+            t = np.loadtxt(path, dtype=_EDGE_ROW, comments="#", skiprows=skip, ndmin=1,
+                           encoding="utf-8")
+    except (ValueError, Warning):
+        return None
+    if t.size != m:
+        return None
+    return np.column_stack((np.minimum(t["i"], t["j"]), np.maximum(t["i"], t["j"]), t["w"]))
+
+
+def read_instance(path) -> MaxCutInstance:
+    """Parse the edge-list text format; rejects self-loops, duplicates, and bad counts.
+
+    The file is an 'n m' header line, then 'i j w' per edge, with blank lines and lines
+    starting with '#' skipped; i > j is read as (j, i). The edge lines are parsed in one
+    streamed np.loadtxt pass: int64 indices, which refuse '1e3' and '1.5' as int() does,
+    and float64 weights. A file that pass refuses or miscounts, or with a '#' that does
+    not start a comment line, is read again by the line loop, whose errors name the
+    file's line. The complete graph on NODE_CAP nodes reads in about 0.15 s with a
+    tracemalloc peak of 32 MiB this way; the line loop takes about 1 s and 178 MiB.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, header in enumerate(map(str.strip, fh), 1):
+            if header and header[0] != "#":
+                break
+        else:
+            raise ValueError(f"{path}: empty instance file")
+        n, m = _parse_header(path, header)
+        rest = fh.read()
+    # loadtxt would also drop the rest of a line after an inline '#', which the format refuses
+    inline_hash = rest.count("#") != len(_COMMENT_START.findall(rest))
+    del rest
+    edges = None if inline_hash or not m else _load_edges(path, lineno, m)
+    if edges is None:
+        edges = _read_edge_lines(path)
+    try:
+        return MaxCutInstance(n, edges)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -131,11 +131,16 @@ def test_chunked_iterations_equal_one_whole_batch(monkeypatch, sampler):
     assert_same_result(run_ndar(model0, sampler, cfg), whole)
 
 
-@pytest.mark.parametrize("sampler, tables", [
-    (SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)), damping=DampingSpec(100.0, 180.0)), 5),
-    (SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0)), 1),
-], ids=["qaoa", "reused-random-circuit"])
-def test_born_table_is_built_once_per_iteration(monkeypatch, sampler, tables):
+@pytest.mark.parametrize("sampler, master_seed, tables", [
+    (SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)), damping=DampingSpec(100.0, 180.0)),
+     4, 2),
+    (SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)), damping=DampingSpec(400.0, 180.0)),
+     12, 5),
+    (SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0)), 4, 1),
+    (SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0)), 5, 1),
+], ids=["qaoa-attractor-wins", "qaoa-frame-always-moves", "reused-random-circuit-4",
+        "reused-random-circuit-5"])
+def test_born_table_is_built_once_per_frame(monkeypatch, sampler, master_seed, tables):
     built, draws = [], []
 
     def counting_table(probs):
@@ -150,13 +155,17 @@ def test_born_table_is_built_once_per_iteration(monkeypatch, sampler, tables):
     monkeypatch.setattr(engine, "born_table", counting_table)
     monkeypatch.setattr(engine, "sample", counting_sample)
     model0 = small_model(9, 0.5, seed=3)
-    for master_seed in (4, 5):
-        built.clear()
-        draws.clear()
-        run_ndar(model0, sampler, NdarConfig(shots=203, max_iters=5, master_seed=master_seed))
-        assert built == [1 << 9] * tables
-        # 203 shots in chunks of 6 rows are 34 draws per iteration
-        assert draws == ([6] * 33 + [5]) * 5
+    cfg = NdarConfig(shots=203, max_iters=5, master_seed=master_seed)
+    result = run_ndar(model0, sampler, cfg)
+    assert built == [1 << 9] * tables
+    # 203 shots in chunks of 6 rows are 34 draws per iteration
+    assert draws == ([6] * 33 + [5]) * 5
+    if sampler.kind == "qaoa":
+        # a QAOA table per distinct frame: the frame moves after every iteration whose
+        # best sample is not the all-zeros attractor
+        moves = [rec.best_bits.any() for rec in result.trace[:-1]]
+        assert tables == 1 + sum(moves)
+        assert_matches_reference(model0, sampler, cfg)
 
 
 def test_dense_300_iteration_memory_is_bounded():

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,31 @@ def test_run_reads_edges_and_couplings_as_arrays_only(tmp_path, monkeypatch, kin
     cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
     summary = run_experiment(cfg, out_dir=tmp_path / "out")
     assert summary["e_sa_cut"] > 0 and (tmp_path / "out" / "meta.txt").is_file()
+
+
+def test_qaoa_experiment_simulates_its_state_once(tmp_path, monkeypatch):
+    from ndar import engine
+    calls = []
+    simulate = engine.simulate
+
+    def counting(circuit):
+        calls.append(circuit)
+        return simulate(circuit)
+
+    monkeypatch.setattr(engine, "simulate", counting)
+    text = SMOKE.replace("sampler.kind = classical-bernoulli", "sampler.kind = qaoa")
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
+    assert cfg.runs == 3
+    out = tmp_path / "out"
+    run_experiment(cfg, out_dir=out)
+    assert len(calls) == 1
+    # a run that simulates its own state writes the same cuts as the shared one
+    model = maxcut_to_ising(load_instance(cfg))
+    seed = ndar.derive_seed(cfg.seed, harness._STREAM_RUN, 2)
+    alone = ndar.run_ndar(model, build_sampler(cfg, model), replace(cfg.ndar, master_seed=seed))
+    rows = (out / "runs" / "run_002.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == [rec.best_cut for rec in alone.trace]
+    assert len(calls) == 2
 
 
 def test_trajectory_recomputable_from_run_files(tmp_path):

@@ -314,9 +314,48 @@ def test_brute_force_reads_the_cached_diagonal(monkeypatch):
     assert np.array_equal(bits, expected[0]) and e == expected[1]
 
 
-def test_cost_diagonal_build_holds_one_copy(monkeypatch):
+def dyadic_model(rng, n, density=0.6) -> IsingModel:
+    """Fields in 1/16 and couplings in 1/8 steps (the float32 rule holds), offset not dyadic."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    couplings = tuple((i, j, float(rng.integers(-64, 65)) / 8) for i, j in pairs)
+    h = tuple(float(rng.integers(-64, 65)) / 16 for _ in range(n))
+    return IsingModel(n, h, couplings, float(rng.normal()) * 10)
+
+
+def test_cost_diagonal_is_bit_equal_to_energies_under_the_float32_rule():
+    rng = np.random.default_rng(31)
+    models = [dyadic_model(rng, n) for n in range(1, 15)]
+    models += [dyadic_model(rng, 9, density=0.0), maxcut_to_ising(gen_weighted_dense(12, 2))]
+    for model in models:
+        assert model._float32_terms is not None
+        expected = energies(model, all_bitstrings(model.n))
+        assert np.array_equal(model.cost_diagonal.view(np.int64), expected.view(np.int64)), model.n
+
+
+def test_cost_diagonal_off_the_float32_rule_agrees_to_rounding():
+    n = 12
+    couplings = tuple((i, j, 0.1) for i in range(n) for j in range(i + 1, n) if (i + j) % 3)
+    model = IsingModel(n, (0.1,) * n, couplings, 0.3)
+    assert model._float32_terms is None
+    expected = energies(model, all_bitstrings(n))
+    assert np.allclose(model.cost_diagonal, expected, rtol=1e-12, atol=1e-12)
+    bits, e = brute_force_best(model)
+    assert e == energy(model, bits)
+
+
+def test_cost_diagonal_build_scans_no_bit_rows(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the diagonal was built from bit rows")
+
+    model = dyadic_model(np.random.default_rng(32), 10)
+    expected = energies(model, all_bitstrings(10))
+    monkeypatch.setattr(ising, "energies", forbidden)
+    monkeypatch.setattr(ising, "_index_bits", forbidden)
+    assert np.array_equal(model.cost_diagonal, expected)
+
+
+def test_cost_diagonal_build_holds_one_copy():
     import tracemalloc
-    monkeypatch.setattr(ising, "_ENUM_CHUNK", 256)
     model = maxcut_to_ising(gen_unweighted(18, 0.5, 2))
     tracemalloc.start()
     try:
@@ -324,9 +363,9 @@ def test_cost_diagonal_build_holds_one_copy(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one 2^18 float64 array plus a few chunk-sized temporaries; a list of chunks
-    # joined by concatenate would peak at two copies
-    assert diag.nbytes <= peak < 1.25 * diag.nbytes
+    # one 2^18 float64 array plus the last pass's two 4096-entry vectors; a list of
+    # blocks joined by concatenate would peak at two copies
+    assert diag.nbytes <= peak < 1.05 * diag.nbytes
 
 
 def traced_peak(fn):
@@ -340,10 +379,10 @@ def traced_peak(fn):
 
 
 def test_cost_diagonal_build_peak_at_n_18():
-    # one full _ENUM_CHUNK block: its index bits, and S and S @ J in float32 (about
-    # 46 MiB); in float64 S and S @ J alone are 75 MB and the build peaks at 88 MB
+    # the diagonal and the last pass's 64 KiB; built from blocks of index bits through
+    # `energies` it peaked at 4.7 MiB for this 2 MiB diagonal
     model = maxcut_to_ising(gen_unweighted(18, 0.8, 29))
-    assert traced_peak(lambda: model.cost_diagonal) < 60e6
+    assert traced_peak(lambda: model.cost_diagonal) < 1.05 * 8 * (1 << 18)
 
 
 def test_index_bits_peak_on_one_block():
@@ -458,6 +497,40 @@ def test_instance_file_errors_name_the_line_of_the_file(tmp_path):
     bad.write_text("# c\n\n2 1\n\n0 1\n")
     with pytest.raises(ValueError, match=re.escape(f"{bad}:5: expected 'i j w', got '0 1'")):
         read_instance(bad)
+
+
+def test_instance_file_edge_values_parse_as_the_line_loop_parses_them(tmp_path):
+    path = tmp_path / "g.txt"
+    for text in ("3 1\n1e3 1 1\n", "3 1\n1.5 1 1\n", "3 1\n0 1 1 # c\n", "3 2\n0 1 1 1 2 1\n",
+                 "3 1\n0 1 0x10\n", "3 1\n0 1 nan\n", "3 1\n99999999999999999999 1 1\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}")):
+            read_instance(path)
+    path.write_text("# c\n\n  # d\n4 3\n# e\n2 0 0.1\n\t\n1 3 -2.5e-3\n  #f\n0 1 +7\n")
+    assert read_instance(path).edges == ((0, 2, 0.1), (1, 3, -0.0025), (0, 1, 7.0))
+    # the line loop is the reference on weights that need every digit
+    iu, ju = np.triu_indices(40, 1)
+    w = np.random.default_rng(3).normal(size=iu.size)
+    g = MaxCutInstance(40, np.column_stack((iu, ju, w)))
+    write_instance(g, path)
+    assert read_instance(path) == g == MaxCutInstance(40, ising._read_edge_lines(path))
+
+
+def test_node_cap_instance_file_reads_in_one_pass(tmp_path, monkeypatch):
+    import time
+    path = tmp_path / "k.txt"
+    g = gen_weighted_dense(NODE_CAP, 1)
+    write_instance(g, path)
+
+    def forbidden(*args):
+        raise AssertionError("the node-cap file took the line loop")
+
+    monkeypatch.setattr(ising, "_read_edge_lines", forbidden)
+    start = time.perf_counter()
+    assert read_instance(path) == g
+    # about 0.15 s, and 32 MiB; the line loop takes about 1 s and peaks at 178 MiB
+    assert time.perf_counter() - start < 0.6
+    assert traced_peak(lambda: read_instance(path)) < 48 * 2**20
 
 
 def test_instance_file_normalizes_reversed_indices(tmp_path):
