@@ -40,7 +40,7 @@ _ENUM_CHUNK = 1 << 14
 _ENERGY_BLOCK = 1 << 18
 
 # blocks of 2^_DIAG_BITS entries in the cost diagonal's last pass, which adds the offset
-# and the field sum: its two 32 KiB vectors are the build's only temporaries
+# and the field sum: its three vectors of at most 32 KiB are the build's only temporaries
 _DIAG_BITS = 12
 
 # a line whose first character after blanks is '#': a comment line of an instance file

@@ -144,15 +144,14 @@ def test_run_reads_edges_and_couplings_as_arrays_only(tmp_path, monkeypatch, kin
 
 
 def test_qaoa_experiment_simulates_its_state_once(tmp_path, monkeypatch):
-    from ndar import engine
     calls = []
-    simulate = engine.simulate
+    simulate = ndar.engine.simulate
 
     def counting(circuit):
         calls.append(circuit)
         return simulate(circuit)
 
-    monkeypatch.setattr(engine, "simulate", counting)
+    monkeypatch.setattr(ndar.engine, "simulate", counting)
     text = SMOKE.replace("sampler.kind = classical-bernoulli", "sampler.kind = qaoa")
     cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
     assert cfg.runs == 3

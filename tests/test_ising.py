@@ -363,7 +363,7 @@ def test_cost_diagonal_build_holds_one_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one 2^18 float64 array plus the last pass's two 4096-entry vectors; a list of
+    # one 2^18 float64 array plus the last pass's vectors of at most 4096 entries; a list of
     # blocks joined by concatenate would peak at two copies
     assert diag.nbytes <= peak < 1.05 * diag.nbytes
 
