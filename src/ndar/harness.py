@@ -271,6 +271,9 @@ def aggregate(run_cuts: list[list[float]], sa_cut: float) -> list[AggregateRow]:
 _RUN_FILES = ("meta.txt", "trajectory.csv", "cost_dist.csv", "hamming_dist.csv",
               "ratio_trajectory.svg", "cost_dist.svg", "hamming_dist.svg")
 
+# trajectory.csv's columns, as run_experiment writes them and report reads them
+_TRAJECTORY_COLUMNS = tuple(f.name for f in fields(AggregateRow))
+
 
 def _open(path):
     return open(path, "w", encoding="utf-8", newline="\n")
@@ -398,10 +401,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
                 config.ndar, master_seed=derive_seed(config.seed, _STREAM_RUN, r)), probs=probs),
                 cost, ham) for r in range(config.runs)]
         rows = aggregate(cuts, sa_cut)
-        _write_lines(tmp / "trajectory.csv", [
-            "iter_index,mean_best_cut,sem_best_cut,mean_ratio,sem_ratio,mean_cumulative_ratio"
-        ] + [",".join([str(r.iter_index)] + [_fmt(v) for v in (
-            r.mean_best_cut, r.sem_best_cut, r.mean_ratio, r.sem_ratio, r.mean_cumulative_ratio)])
+        _write_lines(tmp / "trajectory.csv", [",".join(_TRAJECTORY_COLUMNS)] + [
+            ",".join([str(r.iter_index)] + [_fmt(getattr(r, c)) for c in _TRAJECTORY_COLUMNS[1:]])
             for r in rows])
         _write_meta(tmp, config, graph, sampler, sa_energy, bf_energy)
         _publish(tmp, out)
@@ -445,9 +446,7 @@ def report(run_dir, svg: bool = False) -> str:
         listing = sorted(p.name for p in d.iterdir()) if d.is_dir() else "no such directory"
         raise ConfigError(f"missing trajectory.csv in {run_dir}; contents: {listing}")
     header, *rows = _csv_rows(traj)
-    expected = ["iter_index", "mean_best_cut", "sem_best_cut", "mean_ratio", "sem_ratio",
-                "mean_cumulative_ratio"]
-    if header != expected or not rows:
+    if tuple(header) != _TRAJECTORY_COLUMNS or not rows:
         raise ConfigError(f"corrupt trajectory.csv in {run_dir}")
     data = {name: [float(row[k]) for row in rows] for k, name in enumerate(header)}
     meta: dict[str, str] = {}

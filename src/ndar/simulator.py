@@ -33,89 +33,95 @@ ANGLE_BOUND = 2.0 ** 52
 # 2^20 floats ran 1.6x slower
 _EDGE_CHUNK = 1 << 16
 
-# qubits per RX block of the QAOA mixer: one (2^5 x 2^5) matrix product replaces five
-# per-qubit passes over the state
+# qubits per block of _rotate: one (2^5 x 2^5) matrix product replaces five per-qubit
+# passes over the state
 _MIXER_BLOCK = 5
 
 
 def _one_qubit_matrix(kind: str, theta: float | None) -> np.ndarray:
-    if kind == "H":
-        return np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128)
-    if kind == "X":
-        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    if kind == "Y":
-        return np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-    if kind == "RX":
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if kind == "RY":
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    raise ValueError(f"not a dense one-qubit gate: {kind}")
+    c, s = (1.0, 0.0) if theta is None else (math.cos(theta / 2.0), math.sin(theta / 2.0))
+    rows = {
+        "H": [[_SQ2, _SQ2], [_SQ2, -_SQ2]],
+        "X": [[0, 1], [1, 0]],
+        "Y": [[0, -1j], [1j, 0]],
+        "Z": [[1, 0], [0, -1]],
+        "S": [[1, 0], [0, 1j]],
+        "T": [[1, 0], [0, np.exp(1j * math.pi / 4.0)]],
+        "RX": [[c, -1j * s], [-1j * s, c]],
+        "RY": [[c, -s], [s, c]],
+        "RZ": [[complex(c, -s), 0], [0, complex(c, s)]],
+    }
+    return np.array(rows[kind], dtype=np.complex128)
 
 
-def _diag_phases(kind: str, theta: float | None) -> np.ndarray:
-    if kind == "Z":
-        return np.array([1.0, -1.0], dtype=np.complex128)
-    if kind == "S":
-        return np.array([1.0, 1j], dtype=np.complex128)
-    if kind == "T":
-        return np.array([1.0, np.exp(1j * math.pi / 4.0)], dtype=np.complex128)
-    if kind == "RZ":
-        return np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)], dtype=np.complex128)
-    raise ValueError(f"not a diagonal one-qubit gate: {kind}")
+def _rotate(psi: np.ndarray, buf: np.ndarray, mats: list) -> tuple[np.ndarray, np.ndarray]:
+    """Apply mats[q] to qubit q for every q, where None leaves the qubit alone.
+
+    Qubits go _MIXER_BLOCK at a time: the k qubits from q on take one matrix product with
+    the Kronecker product of their matrices on a (-1, 2^k, 2^q) view of the state, written
+    into `buf`. The block's top qubit is its most significant bit, so the product takes the
+    matrices in reversed order. A block of only None is skipped. Returns (state, spare
+    buffer); each is one of the two arrays passed in.
+    """
+    for q in range(0, len(mats), _MIXER_BLOCK):
+        block = mats[q:q + _MIXER_BLOCK]
+        if all(u is None for u in block):
+            continue
+        k = len(block)
+        m = functools.reduce(np.kron, [np.eye(2) if u is None else u for u in reversed(block)])
+        if q == 0:
+            np.matmul(psi.reshape(-1, 1 << k), m.T, out=buf.reshape(-1, 1 << k))
+        else:
+            np.matmul(m, psi.reshape(-1, 1 << k, 1 << q), out=buf.reshape(-1, 1 << k, 1 << q))
+        psi, buf = buf, psi
+    return psi, buf
 
 
 def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
     """Apply the circuit to |0...0> and return the 2^n statevector (complex128).
 
-    A QaoaCircuit runs from its model's cost diagonal (qaoa_state); a Circuit runs gate by gate.
+    A QaoaCircuit runs from its model's cost diagonal (qaoa_state). A Circuit keeps one
+    pending 2 x 2 matrix per qubit, into which each one-qubit gate is multiplied. A
+    two-qubit gate on a qubit with a pending matrix first applies all pending matrices in
+    one _rotate pass; CX, CZ and RZZ then act in place on a (2,) * n view of the state.
+    A last _rotate applies what is still pending.
     """
     if isinstance(circuit, QaoaCircuit):
         return qaoa_state(circuit.model, circuit.params)
     n = circuit.n
     if n > DEFAULT_QUBIT_CAP:
         raise ResourceLimitError(f"statevector simulation capped at n <= {DEFAULT_QUBIT_CAP}, got {n}")
-    psi = np.zeros((2,) * n, dtype=np.complex128)
-    psi.flat[0] = 1.0
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    psi[0] = 1.0
+    buf = np.empty_like(psi)
+    pending = [None] * n
     for gate in circuit.gates:
         kind = gate.kind
-        if kind in ("H", "X", "Y", "RX", "RY"):
-            ax = n - 1 - gate.targets[0]
+        if len(gate.targets) == 1:
+            t = gate.targets[0]
             u = _one_qubit_matrix(kind, gate.theta)
-            psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [ax])), 0, ax)
-        elif kind in ("Z", "S", "T", "RZ"):
-            ax = n - 1 - gate.targets[0]
-            ph = _diag_phases(kind, gate.theta)
-            shape = [1] * n
-            shape[ax] = 2
-            psi = psi * ph.reshape(shape)
-        elif kind == "CX":
-            ax_c, ax_t = (n - 1 - t for t in gate.targets)
-            sl = [slice(None)] * n
-            sl[ax_c] = 1
-            sub = psi[tuple(sl)]
+            pending[t] = u if pending[t] is None else u @ pending[t]
+            continue
+        if any(pending[t] is not None for t in gate.targets):
+            psi, buf = _rotate(psi, buf, pending)
+            pending = [None] * n
+        view = psi.reshape((2,) * n)
+        ax_a, ax_b = (n - 1 - t for t in gate.targets)
+        sl = [slice(None)] * n
+        sl[ax_a] = 1
+        if kind == "CX":
             # fixing the control axis drops it, shifting later axes down by one
-            psi[tuple(sl)] = np.flip(sub, axis=ax_t - (1 if ax_c < ax_t else 0))
+            view[tuple(sl)] = np.flip(view[tuple(sl)], axis=ax_b - (1 if ax_a < ax_b else 0))
         elif kind == "CZ":
-            ax_a, ax_b = (n - 1 - t for t in gate.targets)
-            sl = [slice(None)] * n
-            sl[ax_a] = 1
             sl[ax_b] = 1
-            psi[tuple(sl)] = -psi[tuple(sl)]
-        elif kind == "RZZ":
-            ax_a, ax_b = (n - 1 - t for t in gate.targets)
-            eq = np.exp(-0.5j * gate.theta)
-            ne = np.exp(0.5j * gate.theta)
-            ph = np.array([[eq, ne], [ne, eq]], dtype=np.complex128)
+            view[tuple(sl)] = -view[tuple(sl)]
+        else:  # RZZ
+            eq, ne = np.exp(-0.5j * gate.theta), np.exp(0.5j * gate.theta)
             shape = [1] * n
-            shape[min(ax_a, ax_b)] = 2
-            shape[max(ax_a, ax_b)] = 2
+            shape[ax_a] = shape[ax_b] = 2
             # symmetric phase matrix, so axis ordering does not matter
-            psi = psi * ph.reshape(shape)
-        else:  # pragma: no cover - Gate validation rejects unknown kinds
-            raise ValueError(f"unhandled gate kind {kind}")
-    return psi.reshape(-1)
+            view *= np.array([[eq, ne], [ne, eq]]).reshape(shape)
+    return _rotate(psi, buf, pending)[0]
 
 
 def born_table(probs: np.ndarray) -> np.ndarray:
@@ -186,9 +192,9 @@ def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
 
     Each layer multiplies by exp(i gamma (E(x) - offset)), the phase that RZ(-2 gamma h_i)
     and RZZ(-2 gamma J_ij) gates would apply, then rotates every qubit by RX(2 beta) =
-    cos(beta) I - i sin(beta) X. The rotations go _MIXER_BLOCK qubits at a time: the k
-    qubits from q on take one matrix product with RX(2 beta)^(x)k on a (-1, 2^k, 2^q)
-    view of the state, written into the buffer that held the phase.
+    cos(beta) I - i sin(beta) X in one _rotate pass, written into the buffer that held the
+    phase. The rotation is built from beta itself, not from _one_qubit_matrix("RX", 2 beta),
+    because 2 beta overflows for |beta| > 8.9e307, which QaoaParams accepts.
     """
     n = model.n
     if n > DEFAULT_QUBIT_CAP:
@@ -202,14 +208,7 @@ def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
         psi *= buf
         c, s = math.cos(beta), -1j * math.sin(beta)
         rx = np.array([[c, s], [s, c]])
-        for q in range(0, n, _MIXER_BLOCK):
-            k = min(_MIXER_BLOCK, n - q)
-            m = functools.reduce(np.kron, [rx] * k)
-            if q == 0:
-                np.matmul(psi.reshape(-1, 1 << k), m.T, out=buf.reshape(-1, 1 << k))
-            else:
-                np.matmul(m, psi.reshape(-1, 1 << k, 1 << q), out=buf.reshape(-1, 1 << k, 1 << q))
-            psi, buf = buf, psi
+        psi, buf = _rotate(psi, buf, [rx] * n)
     return psi
 
 

@@ -6,6 +6,11 @@ Each one computes, by a different route, something the package computes once:
   `model0` and one bit mask; `apply_mask` is the XOR of a mask into a bitstring.
 * `build_qaoa_circuit` spells QAOA out gate by gate for `simulate`, where
   `qaoa_state` runs from the model's cost diagonal.
+* `simulate_gate_by_gate` applies a `Circuit` one gate at a time over the whole state,
+  where `simulate` multiplies the one-qubit gates of each qubit together and applies
+  them in Kronecker blocks.
+* `qaoa_state_inline_mixer` is `qaoa_state` with its mixer written out as a loop of
+  Kronecker blocks, where `qaoa_state` calls the kernel `simulate` shares.
 * `cut_value` sums the crossing edge weights, where the package scores with
   `energy`/`energies` (energy == -cut for MaxCut-derived models).
 * `density_matrix_reference` applies the amplitude-damping Kraus channel to the
@@ -21,6 +26,7 @@ Each one computes, by a different route, something the package computes once:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,7 +34,7 @@ import numpy as np
 from ndar.circuits import DEFAULT_QUBIT_CAP, Circuit, Gate, QaoaParams
 from ndar.errors import ResourceLimitError
 from ndar.ising import IsingModel, MaxCutInstance, _check_enumerable, _index_bits, as_bits
-from ndar.simulator import grid_scan, qaoa_state, simulate
+from ndar.simulator import _MIXER_BLOCK, _one_qubit_matrix, grid_scan, qaoa_state, simulate
 
 DENSITY_MATRIX_CAP = 6
 
@@ -103,6 +109,91 @@ def build_qaoa_circuit(model: IsingModel, params: QaoaParams) -> Circuit:
         for q in range(model.n):
             gates.append(Gate("RX", (q,), 2.0 * beta))
     return Circuit(model.n, tuple(gates))
+
+
+def _diag_phases(kind: str, theta: float | None) -> np.ndarray:
+    if kind == "Z":
+        return np.array([1.0, -1.0], dtype=np.complex128)
+    if kind == "S":
+        return np.array([1.0, 1j], dtype=np.complex128)
+    if kind == "T":
+        return np.array([1.0, np.exp(1j * math.pi / 4.0)], dtype=np.complex128)
+    if kind == "RZ":
+        return np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)], dtype=np.complex128)
+    raise ValueError(f"not a diagonal one-qubit gate: {kind}")
+
+
+def simulate_gate_by_gate(circuit: Circuit) -> np.ndarray:
+    """The 2^n statevector of the circuit on |0...0>, one pass over a (2,) * n state per gate:
+    a tensordot for H, X, Y, RX and RY, a broadcast phase for Z, S, T, RZ and RZZ, and slice
+    updates for CX and CZ."""
+    n = circuit.n
+    if n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"statevector simulation capped at n <= {DEFAULT_QUBIT_CAP}, got {n}")
+    psi = np.zeros((2,) * n, dtype=np.complex128)
+    psi.flat[0] = 1.0
+    for gate in circuit.gates:
+        kind = gate.kind
+        if kind in ("H", "X", "Y", "RX", "RY"):
+            ax = n - 1 - gate.targets[0]
+            u = _one_qubit_matrix(kind, gate.theta)
+            psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [ax])), 0, ax)
+        elif kind in ("Z", "S", "T", "RZ"):
+            ax = n - 1 - gate.targets[0]
+            ph = _diag_phases(kind, gate.theta)
+            shape = [1] * n
+            shape[ax] = 2
+            psi = psi * ph.reshape(shape)
+        elif kind == "CX":
+            ax_c, ax_t = (n - 1 - t for t in gate.targets)
+            sl = [slice(None)] * n
+            sl[ax_c] = 1
+            sub = psi[tuple(sl)]
+            # fixing the control axis drops it, shifting later axes down by one
+            psi[tuple(sl)] = np.flip(sub, axis=ax_t - (1 if ax_c < ax_t else 0))
+        elif kind == "CZ":
+            ax_a, ax_b = (n - 1 - t for t in gate.targets)
+            sl = [slice(None)] * n
+            sl[ax_a] = 1
+            sl[ax_b] = 1
+            psi[tuple(sl)] = -psi[tuple(sl)]
+        elif kind == "RZZ":
+            ax_a, ax_b = (n - 1 - t for t in gate.targets)
+            eq = np.exp(-0.5j * gate.theta)
+            ne = np.exp(0.5j * gate.theta)
+            ph = np.array([[eq, ne], [ne, eq]], dtype=np.complex128)
+            shape = [1] * n
+            shape[min(ax_a, ax_b)] = 2
+            shape[max(ax_a, ax_b)] = 2
+            # symmetric phase matrix, so axis ordering does not matter
+            psi = psi * ph.reshape(shape)
+        else:
+            raise ValueError(f"unhandled gate kind {kind}")
+    return psi.reshape(-1)
+
+
+def qaoa_state_inline_mixer(model: IsingModel, params: QaoaParams) -> np.ndarray:
+    """QAOA statevector as qaoa_state computes it, with the mixer written out: the k qubits
+    from q on take one matrix product with RX(2 beta)^(x)k on a (-1, 2^k, 2^q) view."""
+    n = model.n
+    shifted = model.cost_diagonal - model.offset
+    psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=np.complex128)
+    buf = np.empty_like(psi)
+    for gamma, beta in zip(params.gammas, params.betas):
+        np.multiply(shifted, 1j * gamma, out=buf)
+        np.exp(buf, out=buf)
+        psi *= buf
+        c, s = math.cos(beta), -1j * math.sin(beta)
+        rx = np.array([[c, s], [s, c]])
+        for q in range(0, n, _MIXER_BLOCK):
+            k = min(_MIXER_BLOCK, n - q)
+            m = functools.reduce(np.kron, [rx] * k)
+            if q == 0:
+                np.matmul(psi.reshape(-1, 1 << k), m.T, out=buf.reshape(-1, 1 << k))
+            else:
+                np.matmul(m, psi.reshape(-1, 1 << k, 1 << q), out=buf.reshape(-1, 1 << k, 1 << q))
+            psi, buf = buf, psi
+    return psi
 
 
 def density_matrix_reference(circuit: Circuit, gamma: float) -> np.ndarray:

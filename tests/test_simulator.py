@@ -9,10 +9,12 @@ from scipy.linalg import expm
 from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLimitError,
                   apply_decay, born_table, build_random_circuit, energies, gen_unweighted,
                   gen_weighted_dense, grid_scan, maxcut_to_ising, qaoa_state, sample, simulate)
+from ndar.circuits import ONE_QUBIT_GATES, ROTATION_GATES, TWO_QUBIT_GATES
 from ndar.ising import _index_bits
 from ndar.simulator import ANGLE_BOUND, GRID_STEPS_CAP, bernoulli
 from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
-                     optimize_params, qaoa_expectation)
+                     optimize_params, qaoa_expectation, qaoa_state_inline_mixer,
+                     simulate_gate_by_gate)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -115,6 +117,58 @@ def test_random_circuits_match_oracle():
         assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
 
+def drawn_gates(rng, qubits, count, kinds=ONE_QUBIT_GATES + TWO_QUBIT_GATES):
+    """`count` gates of the given kinds on the given qubits, two-qubit kinds only when
+    there are two qubits, with angles uniform in [-pi, pi)."""
+    qubits = list(qubits)
+    if len(qubits) < 2:
+        kinds = [k for k in kinds if k in ONE_QUBIT_GATES]
+    gates = []
+    for _ in range(count):
+        kind = kinds[rng.integers(len(kinds))]
+        targets = rng.choice(qubits, 1 if kind in ONE_QUBIT_GATES else 2, replace=False)
+        theta = float(rng.uniform(-math.pi, math.pi)) if kind in ROTATION_GATES else None
+        gates.append(Gate(kind, tuple(int(t) for t in targets), theta))
+    return gates
+
+
+def gate_lists(rng, n):
+    """Named gate lists that exercise how simulate batches one-qubit gates."""
+    yield "empty", []
+    yield "drawn", drawn_gates(rng, range(n), 6 * n)
+    # every one-qubit kind stacked on one qubit, over a pending H on every qubit
+    stacked = [Gate("H", (q,)) for q in range(n)] + [
+        Gate(kind, (0,), 0.3 + k if kind in ROTATION_GATES else None)
+        for k, kind in enumerate(ONE_QUBIT_GATES)]
+    yield "stacked", stacked
+    # blocks of five qubits: beyond n = 5 the gates stay in the second block, the last at n < 10
+    block = range(5, min(10, n)) if n > 5 else range(n)
+    yield "one-block", [Gate("H", (q,)) for q in block] + drawn_gates(rng, block, 4 * len(block))
+    if n < 2:
+        return
+    a, b, c = 0, n - 1, n // 2
+    yield "pending-and-not", stacked + [
+        Gate("CX", (a, b)),  # both targets pending: flushes
+        Gate("CZ", (b, a)),  # nothing pending
+        Gate("RZZ", (a, b), 0.8),
+        Gate("T", (c,)), Gate("RY", (c,), -1.1),
+        Gate("RZZ", (a, b), -0.4),  # pending only on c, which it does not touch when n > 2
+        Gate("CX", (c, a)),  # the control is pending: flushes
+        Gate("RX", (a,), 0.5), Gate("S", (b,))]  # left for the last flush
+    yield "two-qubit-only", drawn_gates(rng, range(n), 4 * n, TWO_QUBIT_GATES)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_simulate_matches_the_gate_by_gate_oracle(n):
+    rng = np.random.default_rng(300 + n)
+    kinds = set()
+    for name, gates in gate_lists(rng, n):
+        c = Circuit(n, tuple(gates))
+        kinds.update(g.kind for g in gates)
+        assert np.allclose(simulate(c), simulate_gate_by_gate(c), rtol=0.0, atol=1e-12), name
+    assert len(kinds) == (12 if n > 1 else 9)
+
+
 def test_bell_state():
     psi = simulate(Circuit(2, (Gate("H", (0,)), Gate("CX", (0, 1)))))
     expected = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -127,6 +181,20 @@ def test_bit_order_is_little_endian():
     assert psi[2] == 1.0 and np.count_nonzero(psi) == 1
     rows = sample(born_table(np.abs(psi) ** 2), 5, seed=0)
     assert np.array_equal(rows, np.tile([0, 1, 0], (5, 1)))
+
+
+def test_simulate_holds_two_states_and_a_half():
+    # the state, one buffer for _rotate, and the half-state copy of a CX's slice swap
+    import tracemalloc
+    n = 16
+    circuit = build_random_circuit(n, 2, 5)
+    tracemalloc.start()
+    try:
+        simulate(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 16 * (1 << n)
 
 
 def test_simulate_respects_qubit_cap():
@@ -362,6 +430,15 @@ def test_qaoa_state_matches_gate_level_circuit():
             assert max_err(qaoa_state(model, params), psi_gate) <= 1e-12, (n, p)
             by_gates = float((np.abs(psi_gate) ** 2) @ energies(model, all_bitstrings(n)))
             assert abs(qaoa_expectation(model, params) - by_gates) <= 1e-12, (n, p)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 6, 11, 13])
+def test_qaoa_state_equals_the_inline_mixer_loop(n):
+    rng = np.random.default_rng(60 + n)
+    model = random_field_model(rng, n)
+    for p in (1, 2):
+        params = QaoaParams(tuple(rng.uniform(-1.6, 1.6, p)), tuple(rng.uniform(-0.8, 0.8, p)))
+        assert np.array_equal(qaoa_state(model, params), qaoa_state_inline_mixer(model, params))
 
 
 def test_qaoa_state_refuses_over_cap_before_allocating():
