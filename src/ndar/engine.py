@@ -199,7 +199,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
     mask = np.zeros(n, dtype=np.uint8)
     records: list[IterationRecord] = []
     best = 0
-    table = None
+    table = index = None
     gamma = 0.0 if sampler.kind == KIND_CLASSICAL_BERNOULLI else sampler.damping.gamma_damp
     for j in range(config.max_iters):
         rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))
@@ -207,7 +207,15 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
             if probs is None:
                 probs = qaoa_probs(model0, sampler)
             m = int(mask.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64)))
-            table = born_table(probs[np.arange(probs.size) ^ m] if m else probs)
+            table = None  # the last frame's table is freed before this one is built
+            if m:
+                if index is None:  # the first moved frame: the ramp and a buffer, once a run
+                    index, frame, moved = np.arange(probs.size), 0, np.empty_like(probs)
+                index ^= m ^ frame  # now index[k] = k ^ m
+                frame = m
+                # every index is in range, and "clip" writes into `moved` unbuffered
+                np.take(probs, index, out=moved, mode="clip")
+            table = born_table(moved if m else probs)
         elif sampler.kind == KIND_RANDOM_CIRCUIT and (table is None or sampler.fresh_circuit):
             circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, j)
             psi = simulate(build_random_circuit(n, sampler.depth, circuit_seed))

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ndar import (IsingModel, MaxCutInstance, ResourceLimitError, SaConfig, brute_force_best,
                   energy, gen_unweighted, gen_weighted_dense, maxcut_to_ising, sa_solve)
 from ndar import annealing
-from ndar.annealing import color_classes
+from ndar.annealing import _ceil_float32, color_classes
 from ndar.ising import lex_first
 from oracles import bits_to_str
 
@@ -178,6 +180,22 @@ def test_working_arrays_peak_under_30_bytes_per_read_and_spin():
     assert peak < 30 * reads * model.n
 
 
+def test_one_block_working_arrays_peak_under_30_bytes_per_read_and_spin():
+    import tracemalloc
+    model = maxcut_to_ising(gen_unweighted(18, 0.8, seed=29))
+    assert model._float32_terms is not None  # cached outside the measurement, as is the matrix
+    reads = 20000
+    tracemalloc.start()
+    try:
+        sa_solve(model, SaConfig(num_reads=reads, sweeps_per_read=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the figure in SA_SPIN_BUDGET's comment holds when a sweep is one block too (28 here);
+    # copies of the spins, fields and float64 thresholds gathered for the block exceed it
+    assert peak < 30 * reads * model.n
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SaConfig(num_reads=0)
@@ -196,9 +214,11 @@ def test_config_validation():
     (maxcut_to_ising(gen_weighted_dense(30, seed=4)), SaConfig(1, 50, seed=2)),
     (normal_complete_model(25, seed=3), SaConfig(16, 100, seed=3)),
     (maxcut_to_ising(gen_weighted_dense(300, seed=3)), SaConfig(100, 4, seed=5)),
-], ids=["dense-30", "dense-30-one-read", "normal-complete-25", "dense-300"])
+    (maxcut_to_ising(gen_weighted_dense(22, seed=6)), SaConfig(30, 120, seed=9)),
+], ids=["dense-30", "dense-30-one-read", "normal-complete-25", "dense-300", "dense-22"])
 def test_colored_sweeps_match_the_per_spin_loop_on_complete_graphs(model, config):
-    # one class per spin, so every block of delayed updates holds _BLOCK classes
+    # one class per spin: every block of delayed updates holds _BLOCK classes, and up to
+    # n = _BLOCK the whole sweep is one block
     order, bounds = color_classes(model.coupling_matrix)
     assert np.array_equal(order, np.arange(model.n)) and bounds.size == model.n + 1
     bits, e = sa_solve(model, config)
@@ -220,10 +240,76 @@ def test_blocked_sweeps_match_the_per_spin_loop_on_colored_graphs(model, config,
     if block is not None:  # blocks of one class each, some classes larger than a block
         monkeypatch.setattr(annealing, "_BLOCK", block)
         assert np.diff(bounds).max() > block
+    blocked = record_blocked_sweeps(monkeypatch)
     bits, e = sa_solve(model, config)
+    if block is not None:
+        assert len(blocked) == config.sweeps_per_read
     expected_bits, expected_e = per_spin_sa_solve(model, config)
     assert np.array_equal(bits, expected_bits)
     assert e == expected_e
+
+
+def record_blocked_sweeps(monkeypatch):
+    """Patch annealing._blocked_sweep to log each call; the returned list fills as it runs."""
+    calls = []
+    blocked_sweep = annealing._blocked_sweep
+    monkeypatch.setattr(annealing, "_blocked_sweep",
+                        lambda *args: calls.append(1) or blocked_sweep(*args))
+    return calls
+
+
+def edgeless_model(n, seed):
+    """Fields that are multiples of 1/256 and no coupling: all n spins form one class."""
+    rng = np.random.default_rng(seed)
+    return IsingModel(n, tuple(np.round(rng.normal(size=n) * 256) / 256), ())
+
+
+@pytest.mark.parametrize("model, config, one_block", [
+    (maxcut_to_ising(gen_unweighted(32, 0.3, seed=1)), SaConfig(40, 100, seed=3), True),
+    (maxcut_to_ising(gen_unweighted(33, 0.3, seed=1)), SaConfig(40, 100, seed=3), False),
+    (edgeless_model(40, seed=5), SaConfig(20, 60, seed=4), True),
+], ids=["unweighted-32", "unweighted-33", "edgeless-40"])
+def test_sweeps_on_both_sides_of_one_block_match_the_per_spin_loop(model, config, one_block,
+                                                                     monkeypatch):
+    # at n = _BLOCK every order of the classes is one block; at n = 33 the last class can
+    # start beyond the first block, and one class of any size is always one block
+    blocked = record_blocked_sweeps(monkeypatch)
+    bits, e = sa_solve(model, config)
+    assert len(blocked) == (0 if one_block else config.sweeps_per_read)
+    expected_bits, expected_e = per_spin_sa_solve(model, config)
+    assert np.array_equal(bits, expected_bits)
+    assert e == expected_e
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.one_of(st.floats(max_value=0.0), st.floats(-1e-36, 0.0),
+                 st.floats(-1e40, -1e37)))
+@example(-0.75)  # exactly a float32
+@example(-0.0)
+@example(-(1.0 + 2.0 ** -24))  # halfway between -1 and the float32 below it
+@example(-(2.0 ** -149) * 1.5)  # halfway between two subnormal float32 values
+@example(-F32_TINY / 2)  # halfway between -0 and the least subnormal
+@example(-F32_MAX * (1 + 2.0 ** -25))  # below -FLT_MAX, nearer it than -inf
+@example(-1e300)
+@example(-np.inf)
+def test_thresholds_rounded_to_float32_decide_every_comparison_as_float64_does(t):
+    t = np.float64(t)  # so that a float32 compared with t is widened, not t narrowed
+    c = _ceil_float32(np.array([t]))[0]
+    with np.errstate(over="ignore"):
+        assert c.dtype == np.float32 and c >= t
+        assert c == -np.inf or np.nextafter(c, np.float32(-np.inf)) < t  # the least such
+        near = [np.float32(t), c, np.float32(-0.0), np.float32(0.0), np.float32(-np.inf)]
+        for direction in (np.float32(-np.inf), np.float32(np.inf)):
+            g = np.float32(t)
+            for _ in range(3):
+                g = np.nextafter(g, direction)
+                near.append(g)
+    for g in near:
+        assert (g >= t) == (g >= c), (t, g, c)
 
 
 @pytest.mark.parametrize("model", [
