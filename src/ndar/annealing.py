@@ -20,9 +20,11 @@ from .ising import IsingModel, energy, lex_first
 _BLOCK = 32
 
 # largest annealing effort accepted. The working arrays peak (tracemalloc) at about 30
-# bytes per read and spin with float32 state, about 250 MB at the budget (27 measured at
-# n = 18 in one block, 26 at n = 300 in blocks), and at about 45 (380 MB) on the float64
-# path (44 at n = 18); the schedule holds 8 bytes a sweep
+# bytes per read and spin with float32 state (24 measured at n = 300 in blocks, 27 at
+# n = 18 in one block), and at up to 32, 270 MB at the budget, in one block of few large
+# color classes, whose buffers are sized to the largest class (31.3 at n = 40 and 31.7 at
+# n = 300 with no edges, one class); at about 45 (380 MB) on the float64 path (44 at
+# n = 18); the schedule holds 8 bytes a sweep
 SA_SPIN_BUDGET = 1 << 23
 SA_SWEEPS_CAP = 1 << 20
 

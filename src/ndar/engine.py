@@ -16,7 +16,8 @@ import numpy as np
 from .circuits import DampingSpec, QaoaCircuit, QaoaParams, build_random_circuit, check_depth
 from .errors import ResourceLimitError
 from .ising import IsingModel, energies, energy, lex_first
-from .simulator import apply_decay, bernoulli, born_table, sample, simulate
+from .simulator import (_SCRATCH, apply_decay, bernoulli, born_probs, born_table, sample,
+                        simulate)
 
 KIND_QAOA = "qaoa"
 KIND_RANDOM_CIRCUIT = "random-circuit"
@@ -160,9 +161,20 @@ def _select_best(X: np.ndarray, E: np.ndarray) -> int:
 
 def qaoa_probs(model0: IsingModel, sampler: SamplerSpec) -> np.ndarray:
     """|amplitude|^2 of the sampler's QAOA state for model0, in the original frame."""
-    probs = np.abs(simulate(QaoaCircuit(model0, sampler.params)))
-    probs *= probs
-    return probs
+    return born_probs(simulate(QaoaCircuit(model0, sampler.params)))
+
+
+def _xor_gather(probs: np.ndarray, m: int, out: np.ndarray) -> None:
+    """out[k] = probs[k ^ m] for every k, a block of s = min(_SCRATCH, size) entries at a
+    time: for a block start a, a multiple of s, and k < s, (a + k) ^ m == k ^ (m ^ a), so
+    each block reads one source block through one index vector of s entries."""
+    s = min(_SCRATCH, probs.size)
+    perm = np.arange(s)
+    perm ^= m & (s - 1)
+    for a in range(0, probs.size, s):
+        src = (a ^ m) & -s
+        # every index is in range, and "clip" writes into `out` unbuffered
+        np.take(probs[src:src + s], perm, out=out[a:a + s], mode="clip")
 
 
 def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
@@ -182,10 +194,13 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
 
     The loop's state is the mask, the records, the index `best` of the first record
     with the lowest energy, iteration 0's distribution, and `table`, the born_table of
-    the current frame. The attractor energy, stall count (j - best) and overall best
-    come from the records. QAOA's table is a function of the mask alone, so it is
-    rebuilt only when the frame moved, that is when the previous iteration's best
-    sample was not the all-zeros attractor.
+    the current frame, built in one float64 buffer of 2^n entries that the run reuses.
+    The attractor energy, stall count (j - best) and overall best come from the records.
+    QAOA's table is a function of the mask alone, so it is rebuilt only when the frame
+    moved, that is when the previous iteration's best sample was not the all-zeros
+    attractor; a moved frame m is gathered into the buffer as table[k] = probs[k ^ m].
+    A random circuit writes its |amplitude|^2 into the buffer and drops the state before
+    the table is built.
 
     An iteration runs in chunks of _CHUNK shots, so no (shots, n) matrix is built:
     each chunk is drawn from the table with the iteration's sample and decay
@@ -199,27 +214,25 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
     mask = np.zeros(n, dtype=np.uint8)
     records: list[IterationRecord] = []
     best = 0
-    table = index = None
+    table = None
     gamma = 0.0 if sampler.kind == KIND_CLASSICAL_BERNOULLI else sampler.damping.gamma_damp
     for j in range(config.max_iters):
         rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))
-        if sampler.kind == KIND_QAOA and (table is None or records[-1].best_bits.any()):
+        if sampler.kind == KIND_QAOA and (j == 0 or records[-1].best_bits.any()):
             if probs is None:
                 probs = qaoa_probs(model0, sampler)
+            if table is None:
+                table = np.empty_like(probs)
             m = int(mask.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64)))
-            table = None  # the last frame's table is freed before this one is built
             if m:
-                if index is None:  # the first moved frame: the ramp and a buffer, once a run
-                    index, frame, moved = np.arange(probs.size), 0, np.empty_like(probs)
-                index ^= m ^ frame  # now index[k] = k ^ m
-                frame = m
-                # every index is in range, and "clip" writes into `moved` unbuffered
-                np.take(probs, index, out=moved, mode="clip")
-            table = born_table(moved if m else probs)
-        elif sampler.kind == KIND_RANDOM_CIRCUIT and (table is None or sampler.fresh_circuit):
+                _xor_gather(probs, m, table)
+            born_table(table if m else probs, out=table)
+        elif sampler.kind == KIND_RANDOM_CIRCUIT and (j == 0 or sampler.fresh_circuit):
             circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, j)
             psi = simulate(build_random_circuit(n, sampler.depth, circuit_seed))
-            table = born_table(np.abs(psi) ** 2)
+            table = born_probs(psi, out=table)
+            del psi
+            born_table(table, out=table)
         decay_rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_DECAY, j))
         E = np.empty(config.shots)
         weight_counts = np.zeros(n + 1, dtype=np.int64)

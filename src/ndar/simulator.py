@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .circuits import DEFAULT_QUBIT_CAP, Circuit, QaoaCircuit, QaoaParams
+from .circuits import DEFAULT_QUBIT_CAP, Circuit, Gate, QaoaCircuit, QaoaParams
 from .errors import ResourceLimitError
 from .ising import IsingModel, _index_bits
 
@@ -37,6 +37,10 @@ _EDGE_CHUNK = 1 << 16
 # passes over the state
 _MIXER_BLOCK = 5
 
+# complex entries of the one scratch buffer (256 KiB) through which the statevector
+# kernels work in place, a block at a time; at least 2^_MIXER_BLOCK
+_SCRATCH = 1 << 14
+
 
 def _one_qubit_matrix(kind: str, theta: float | None) -> np.ndarray:
     c, s = (1.0, 0.0) if theta is None else (math.cos(theta / 2.0), math.sin(theta / 2.0))
@@ -54,14 +58,32 @@ def _one_qubit_matrix(kind: str, theta: float | None) -> np.ndarray:
     return np.array(rows[kind], dtype=np.complex128)
 
 
-def _rotate(psi: np.ndarray, buf: np.ndarray, mats: list) -> tuple[np.ndarray, np.ndarray]:
-    """Apply mats[q] to qubit q for every q, where None leaves the qubit alone.
+def _blocks(shape: tuple, size: int):
+    """Index tuples whose blocks cover an array of `shape`, each at most `size` entries:
+    the trailing axes that fit whole, a run of indices along the axis before them, and
+    one index on each earlier axis."""
+    axis, inner = len(shape), 1
+    while axis and inner * shape[axis - 1] <= size:
+        axis -= 1
+        inner *= shape[axis]
+    if axis == 0:
+        yield ()
+        return
+    step = size // inner
+    for outer in np.ndindex(*shape[:axis - 1]):
+        for start in range(0, shape[axis - 1], step):
+            yield outer + (slice(start, start + step),)
+
+
+def _rotate(psi: np.ndarray, mats: list, scratch: np.ndarray) -> None:
+    """Apply mats[q] to qubit q for every q, in place, where None leaves the qubit alone.
 
     Qubits go _MIXER_BLOCK at a time: the k qubits from q on take one matrix product with
-    the Kronecker product of their matrices on a (-1, 2^k, 2^q) view of the state, written
-    into `buf`. The block's top qubit is its most significant bit, so the product takes the
-    matrices in reversed order. A block of only None is skipped. Returns (state, spare
-    buffer); each is one of the two arrays passed in.
+    the Kronecker product of their matrices on a (-1, 2^k, 2^q) view of the state (rows
+    times its transpose at q = 0). The block's top qubit is its most significant bit, so
+    the product takes the matrices in reversed order. A block of only None is skipped.
+    The view goes through `scratch` in blocks of whole 2^k axes, which are rows at q = 0,
+    runs of the leading axis, or runs of columns where one (2^k, 2^q) slab exceeds it.
     """
     for q in range(0, len(mats), _MIXER_BLOCK):
         block = mats[q:q + _MIXER_BLOCK]
@@ -69,12 +91,60 @@ def _rotate(psi: np.ndarray, buf: np.ndarray, mats: list) -> tuple[np.ndarray, n
             continue
         k = len(block)
         m = functools.reduce(np.kron, [np.eye(2) if u is None else u for u in reversed(block)])
-        if q == 0:
-            np.matmul(psi.reshape(-1, 1 << k), m.T, out=buf.reshape(-1, 1 << k))
-        else:
-            np.matmul(m, psi.reshape(-1, 1 << k, 1 << q), out=buf.reshape(-1, 1 << k, 1 << q))
-        psi, buf = buf, psi
-    return psi, buf
+        view = psi.reshape(-1, 1 << k, 1 << q)
+        for idx in _blocks(view[:, 0].shape, scratch.size >> k):
+            idx = idx[:1] + (slice(None),) + idx[1:]
+            src = view[idx]
+            out = scratch[:src.size].reshape(src.shape)
+            if q == 0:
+                np.matmul(src[..., 0], m.T, out=out[..., 0])
+            else:
+                np.matmul(m, src, out=out)
+            view[idx] = out
+
+
+def _two_qubit(psi: np.ndarray, gate: Gate, scratch: np.ndarray) -> None:
+    """Apply a CX, CZ or RZZ gate to the state in place.
+
+    Each acts on the quarter-state slices fixed by the bits of its two qubits: a CX swaps
+    the two whose control bit is 1, a CZ negates the one whose bits are both 1, and an
+    RZZ multiplies each by its phase. A slice goes through half of `scratch` a block at a
+    time, because numpy would buffer an operation on it, or copy one slice into another
+    through a temporary as they may overlap.
+    """
+    a, _ = gate.targets
+    lo, hi = sorted(gate.targets)
+    v = psi.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+
+    def quarter(i, j):  # where gate.targets[0] has bit i and gate.targets[1] bit j
+        return v[:, i, :, j] if a == hi else v[:, j, :, i]
+
+    half = scratch.size // 2
+    if gate.kind == "RZZ":
+        eq, ne = np.exp(-0.5j * gate.theta), np.exp(0.5j * gate.theta)
+    for idx in _blocks(v[:, 0, :, 0].shape, half):
+        if gate.kind == "CX":
+            x, y = quarter(1, 0)[idx], quarter(1, 1)[idx]
+            tx, ty = _copy_into(scratch, x), _copy_into(scratch[half:], y)
+            x[...] = ty
+            y[...] = tx
+        elif gate.kind == "CZ":
+            z = quarter(1, 1)[idx]
+            t = _copy_into(scratch, z)
+            z[...] = np.negative(t, out=t)
+        else:  # RZZ, whose phase depends only on whether the two bits are equal
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                z = quarter(i, j)[idx]
+                t = _copy_into(scratch, z)
+                t *= eq if i == j else ne
+                z[...] = t
+
+
+def _copy_into(buf: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A copy of z in the front of buf, with z's shape."""
+    t = buf[:z.size].reshape(z.shape)
+    t[...] = z
+    return t
 
 
 def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
@@ -83,8 +153,8 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
     A QaoaCircuit runs from its model's cost diagonal (qaoa_state). A Circuit keeps one
     pending 2 x 2 matrix per qubit, into which each one-qubit gate is multiplied. A
     two-qubit gate on a qubit with a pending matrix first applies all pending matrices in
-    one _rotate pass; CX, CZ and RZZ then act in place on a (2,) * n view of the state.
-    A last _rotate applies what is still pending.
+    one _rotate pass; CX, CZ and RZZ then act in place (_two_qubit). A last _rotate
+    applies what is still pending. Beyond the state, only the _SCRATCH buffer is held.
     """
     if isinstance(circuit, QaoaCircuit):
         return qaoa_state(circuit.model, circuit.params)
@@ -93,7 +163,7 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
         raise ResourceLimitError(f"statevector simulation capped at n <= {DEFAULT_QUBIT_CAP}, got {n}")
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[0] = 1.0
-    buf = np.empty_like(psi)
+    scratch = np.empty(min(_SCRATCH, psi.size), dtype=np.complex128)
     pending = [None] * n
     for gate in circuit.gates:
         kind = gate.kind
@@ -103,39 +173,34 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
             pending[t] = u if pending[t] is None else u @ pending[t]
             continue
         if any(pending[t] is not None for t in gate.targets):
-            psi, buf = _rotate(psi, buf, pending)
+            _rotate(psi, pending, scratch)
             pending = [None] * n
-        view = psi.reshape((2,) * n)
-        ax_a, ax_b = (n - 1 - t for t in gate.targets)
-        sl = [slice(None)] * n
-        sl[ax_a] = 1
-        if kind == "CX":
-            # fixing the control axis drops it, shifting later axes down by one
-            view[tuple(sl)] = np.flip(view[tuple(sl)], axis=ax_b - (1 if ax_a < ax_b else 0))
-        elif kind == "CZ":
-            sl[ax_b] = 1
-            view[tuple(sl)] = -view[tuple(sl)]
-        else:  # RZZ
-            eq, ne = np.exp(-0.5j * gate.theta), np.exp(0.5j * gate.theta)
-            shape = [1] * n
-            shape[ax_a] = shape[ax_b] = 2
-            # symmetric phase matrix, so axis ordering does not matter
-            view *= np.array([[eq, ne], [ne, eq]]).reshape(shape)
-    return _rotate(psi, buf, pending)[0]
+        _two_qubit(psi, gate, scratch)
+    _rotate(psi, pending, scratch)
+    return psi
 
 
-def born_table(probs: np.ndarray) -> np.ndarray:
+def born_probs(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|amplitude|^2 of the state as float64, written into `out` when it is given."""
+    out = np.abs(psi, out=out)
+    out *= out
+    return out
+
+
+def born_table(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The cumulative table Generator.choice builds from unnormalised probabilities.
 
     p = probs / probs.sum(), then cdf = p.cumsum() / its last entry, as in choice.
     Raises ValueError unless the total is finite and positive: for |amplitude|^2 >= 0
-    that catches any NaN or inf and the all-zero state.
+    that catches any NaN or inf and the all-zero state. The table is built in `out`
+    when it is given, which may be `probs` itself, and in a new array otherwise.
     """
     probs = np.asarray(probs).reshape(-1)
     total = probs.sum()
     if not (math.isfinite(total) and total > 0.0):
         raise ValueError(f"probabilities must have a finite positive total, got {total}")
-    cdf = (probs / total).cumsum()
+    cdf = np.divide(probs, total, out=out)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     return cdf
 
@@ -191,24 +256,26 @@ def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
     """QAOA statevector from the model's cost diagonal, starting from the uniform superposition.
 
     Each layer multiplies by exp(i gamma (E(x) - offset)), the phase that RZ(-2 gamma h_i)
-    and RZZ(-2 gamma J_ij) gates would apply, then rotates every qubit by RX(2 beta) =
-    cos(beta) I - i sin(beta) X in one _rotate pass, written into the buffer that held the
-    phase. The rotation is built from beta itself, not from _one_qubit_matrix("RX", 2 beta),
+    and RZZ(-2 gamma J_ij) gates would apply, built a _SCRATCH block at a time, then
+    rotates every qubit by RX(2 beta) = cos(beta) I - i sin(beta) X in one _rotate pass.
+    The rotation is built from beta itself, not from _one_qubit_matrix("RX", 2 beta),
     because 2 beta overflows for |beta| > 8.9e307, which QaoaParams accepts.
     """
     n = model.n
     if n > DEFAULT_QUBIT_CAP:
         raise ResourceLimitError(f"QAOA state needs n <= {DEFAULT_QUBIT_CAP}, got n = {n}")
-    shifted = model.cost_diagonal - model.offset
+    diag = model.cost_diagonal
     psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=np.complex128)
-    buf = np.empty_like(psi)
+    scratch = np.empty(min(_SCRATCH, psi.size), dtype=np.complex128)
     for gamma, beta in zip(params.gammas, params.betas):
-        np.multiply(shifted, 1j * gamma, out=buf)
-        np.exp(buf, out=buf)
-        psi *= buf
+        for a in range(0, psi.size, scratch.size):
+            np.subtract(diag[a:a + scratch.size], model.offset, out=scratch)
+            scratch *= 1j * gamma
+            np.exp(scratch, out=scratch)
+            psi[a:a + scratch.size] *= scratch
         c, s = math.cos(beta), -1j * math.sin(beta)
         rx = np.array([[c, s], [s, c]])
-        psi, buf = _rotate(psi, buf, [rx] * n)
+        _rotate(psi, [rx] * n, scratch)
     return psi
 
 

@@ -9,8 +9,11 @@ Each one computes, by a different route, something the package computes once:
 * `simulate_gate_by_gate` applies a `Circuit` one gate at a time over the whole state,
   where `simulate` multiplies the one-qubit gates of each qubit together and applies
   them in Kronecker blocks.
-* `qaoa_state_inline_mixer` is `qaoa_state` with its mixer written out as a loop of
-  Kronecker blocks, where `qaoa_state` calls the kernel `simulate` shares.
+* `rotate_ping_pong` applies the Kronecker blocks of `_rotate` as whole-state matrix
+  products into a second state-sized buffer, where `_rotate` works in place through a
+  fixed scratch, a block of the state at a time.
+* `qaoa_state_ping_pong` is `qaoa_state` with whole-state temporaries: the shifted cost
+  diagonal, a phase buffer, and `rotate_ping_pong` as the mixer.
 * `cut_value` sums the crossing edge weights, where the package scores with
   `energy`/`energies` (energy == -cut for MaxCut-derived models).
 * `density_matrix_reference` applies the amplitude-damping Kraus channel to the
@@ -172,9 +175,29 @@ def simulate_gate_by_gate(circuit: Circuit) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def qaoa_state_inline_mixer(model: IsingModel, params: QaoaParams) -> np.ndarray:
-    """QAOA statevector as qaoa_state computes it, with the mixer written out: the k qubits
-    from q on take one matrix product with RX(2 beta)^(x)k on a (-1, 2^k, 2^q) view."""
+def rotate_ping_pong(psi: np.ndarray, mats: list) -> np.ndarray:
+    """mats[q] applied to qubit q for every q (None leaves it alone), as a new state: the
+    k qubits from q on take one matrix product with the Kronecker product of their
+    matrices on a whole (-1, 2^k, 2^q) view, written into the other of two buffers."""
+    psi, buf = psi.copy(), np.empty_like(psi)
+    for q in range(0, len(mats), _MIXER_BLOCK):
+        block = mats[q:q + _MIXER_BLOCK]
+        if all(u is None for u in block):
+            continue
+        k = len(block)
+        m = functools.reduce(np.kron, [np.eye(2) if u is None else u for u in reversed(block)])
+        if q == 0:
+            np.matmul(psi.reshape(-1, 1 << k), m.T, out=buf.reshape(-1, 1 << k))
+        else:
+            np.matmul(m, psi.reshape(-1, 1 << k, 1 << q), out=buf.reshape(-1, 1 << k, 1 << q))
+        psi, buf = buf, psi
+    return psi
+
+
+def qaoa_state_ping_pong(model: IsingModel, params: QaoaParams) -> np.ndarray:
+    """QAOA statevector with whole-state temporaries: each layer multiplies by
+    exp(i gamma (E - offset)) built in a state-sized buffer, then rotate_ping_pong
+    applies RX(2 beta) to every qubit."""
     n = model.n
     shifted = model.cost_diagonal - model.offset
     psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=np.complex128)
@@ -184,15 +207,7 @@ def qaoa_state_inline_mixer(model: IsingModel, params: QaoaParams) -> np.ndarray
         np.exp(buf, out=buf)
         psi *= buf
         c, s = math.cos(beta), -1j * math.sin(beta)
-        rx = np.array([[c, s], [s, c]])
-        for q in range(0, n, _MIXER_BLOCK):
-            k = min(_MIXER_BLOCK, n - q)
-            m = functools.reduce(np.kron, [rx] * k)
-            if q == 0:
-                np.matmul(psi.reshape(-1, 1 << k), m.T, out=buf.reshape(-1, 1 << k))
-            else:
-                np.matmul(m, psi.reshape(-1, 1 << k, 1 << q), out=buf.reshape(-1, 1 << k, 1 << q))
-            psi, buf = buf, psi
+        psi = rotate_ping_pong(psi, [np.array([[c, s], [s, c]])] * n)
     return psi
 
 

@@ -175,7 +175,7 @@ def test_working_arrays_peak_under_30_bytes_per_read_and_spin():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the figure in SA_SPIN_BUDGET's comment (27 here); a float64 copy of the spins or fields
+    # the figure in SA_SPIN_BUDGET's comment (24 here); a float64 copy of the spins or fields
     # alive through the sweep would exceed it
     assert peak < 30 * reads * model.n
 

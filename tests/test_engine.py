@@ -143,9 +143,9 @@ def test_chunked_iterations_equal_one_whole_batch(monkeypatch, sampler):
 def test_born_table_is_built_once_per_frame(monkeypatch, sampler, master_seed, tables):
     built, draws = [], []
 
-    def counting_table(probs):
+    def counting_table(probs, out=None):
         built.append(probs.size)
-        return born_table(probs)
+        return born_table(probs, out=out)
 
     def counting_sample(table, shots, seed):
         draws.append(shots)
@@ -166,6 +166,43 @@ def test_born_table_is_built_once_per_frame(monkeypatch, sampler, master_seed, t
         moves = [rec.best_bits.any() for rec in result.trace[:-1]]
         assert tables == 1 + sum(moves)
         assert_matches_reference(model0, sampler, cfg)
+
+
+@pytest.mark.parametrize("scratch", [None, 1 << 4], ids=["scratch-default", "scratch-2^4"])
+def test_xor_gather_reads_the_probabilities_at_k_xor_m(monkeypatch, scratch):
+    if scratch:  # 2^10 entries then go in 64 blocks
+        monkeypatch.setattr(engine, "_SCRATCH", scratch)
+    n = 10
+    probs = np.random.default_rng(3).random(1 << n)
+    out = np.empty_like(probs)
+    for m in (0, 1, 15, 16, 0x2A5, (1 << n) - 1):
+        engine._xor_gather(probs, m, out)
+        assert np.array_equal(out, probs[np.arange(1 << n) ^ m]), m
+
+
+@pytest.mark.parametrize("sampler", [
+    SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)), damping=DampingSpec(400.0, 180.0)),
+    SamplerSpec("random-circuit", depth=2, fresh_circuit=True,
+                damping=DampingSpec(60.0, 180.0)),
+], ids=["qaoa", "fresh-random-circuit"])
+def test_circuit_runs_hold_one_table_buffer_and_the_scratch(sampler):
+    n = 18
+    model0 = small_model(n, 0.5, seed=3)
+    cfg = NdarConfig(shots=2000, max_iters=3, master_seed=12)
+    probs = engine.qaoa_probs(model0, sampler) if sampler.kind == "qaoa" else None
+    energies(model0, np.zeros((1, n), dtype=np.uint8))  # caches the model's matrices
+    tracemalloc.start()
+    try:
+        result = run_ndar(model0, sampler, cfg, probs=probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if sampler.kind == "qaoa":
+        assert result.trace[0].best_bits.any()  # so a moved frame was gathered
+    state = 0 if sampler.kind == "qaoa" else 16 << n  # a random circuit's state
+    # the table buffer, the scratch and 1 MiB for a chunk's samples and energies; a
+    # second table-sized array exceeds it
+    assert peak <= state + (8 << n) + 16 * engine._SCRATCH + (1 << 20)
 
 
 def test_dense_300_iteration_memory_is_bounded():

@@ -11,10 +11,11 @@ from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLi
                   gen_weighted_dense, grid_scan, maxcut_to_ising, qaoa_state, sample, simulate)
 from ndar.circuits import ONE_QUBIT_GATES, ROTATION_GATES, TWO_QUBIT_GATES
 from ndar.ising import _index_bits
-from ndar.simulator import ANGLE_BOUND, GRID_STEPS_CAP, bernoulli
+from ndar import simulator
+from ndar.simulator import ANGLE_BOUND, GRID_STEPS_CAP, _MIXER_BLOCK, _rotate, bernoulli
 from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
-                     optimize_params, qaoa_expectation, qaoa_state_inline_mixer,
-                     simulate_gate_by_gate)
+                     optimize_params, qaoa_expectation, qaoa_state_ping_pong,
+                     rotate_ping_pong, simulate_gate_by_gate)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -158,8 +159,12 @@ def gate_lists(rng, n):
     yield "two-qubit-only", drawn_gates(rng, range(n), 4 * n, TWO_QUBIT_GATES)
 
 
+@pytest.mark.parametrize("scratch", [None, 1 << _MIXER_BLOCK], ids=["scratch-default",
+                                                                   "scratch-smallest"])
 @pytest.mark.parametrize("n", range(1, 14))
-def test_simulate_matches_the_gate_by_gate_oracle(n):
+def test_simulate_matches_the_gate_by_gate_oracle(monkeypatch, n, scratch):
+    if scratch:  # every kernel then goes through the scratch in many blocks
+        monkeypatch.setattr(simulator, "_SCRATCH", scratch)
     rng = np.random.default_rng(300 + n)
     kinds = set()
     for name, gates in gate_lists(rng, n):
@@ -183,18 +188,70 @@ def test_bit_order_is_little_endian():
     assert np.array_equal(rows, np.tile([0, 1, 0], (5, 1)))
 
 
-def test_simulate_holds_two_states_and_a_half():
-    # the state, one buffer for _rotate, and the half-state copy of a CX's slice swap
+def peak_bytes(f):
     import tracemalloc
-    n = 16
-    circuit = build_random_circuit(n, 2, 5)
     tracemalloc.start()
     try:
-        simulate(circuit)
-        _, peak = tracemalloc.get_traced_memory()
+        f()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * 16 * (1 << n)
+
+
+# the 2^n state and the scratch, plus 128 KiB for the small matrices and index tuples;
+# a second state-sized buffer, or a copy of a quarter of the state, exceeds it
+def one_state_and_the_scratch(n):
+    return 16 * (1 << n) + 16 * simulator._SCRATCH + (1 << 17)
+
+
+def test_simulate_holds_one_state_and_the_scratch():
+    n = 16
+    # random circuits draw no RZZ, so one is appended
+    circuit = build_random_circuit(n, 2, 5)
+    circuit = Circuit(n, circuit.gates + (Gate("RZZ", (3, 12), 0.7),))
+    assert {g.kind for g in circuit.gates} >= {"CX", "CZ", "RZZ"}
+    assert peak_bytes(lambda: simulate(circuit)) <= one_state_and_the_scratch(n)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_qaoa_state_holds_one_state_and_the_scratch(p):
+    n = 16
+    model = maxcut_to_ising(gen_unweighted(n, 0.5, 3))
+    model.cost_diagonal  # cached outside the measurement
+    params = QaoaParams((0.4, 0.2, 0.7)[:p], (0.3, 0.1, 0.5)[:p])
+    assert peak_bytes(lambda: qaoa_state(model, params)) <= one_state_and_the_scratch(n)
+
+
+@pytest.mark.parametrize("scratch", [None, 1 << 10], ids=["scratch-default", "scratch-2^10"])
+@pytest.mark.parametrize("n", [1, 4, 5, 6, 10, 11, 16])
+def test_rotate_in_place_equals_the_ping_pong_oracle(monkeypatch, n, scratch):
+    kinds = set()
+    blocks = simulator._blocks
+
+    def spy(shape, size):  # rotate views are (rows, 1) at q = 0 and (batches, columns) after
+        for idx in blocks(shape, size):
+            if idx:
+                kinds.add("rows" if shape[1] == 1 else "batches" if len(idx) == 1 else "columns")
+            yield idx
+
+    monkeypatch.setattr(simulator, "_blocks", spy)
+    if scratch:
+        monkeypatch.setattr(simulator, "_SCRATCH", scratch)
+    rng = np.random.default_rng(70 + n)
+    for trial in range(3):
+        mats = [None if rng.random() < 0.3 else
+                np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                for _ in range(n)]
+        if trial == 2 and n > _MIXER_BLOCK:
+            mats[:_MIXER_BLOCK] = [None] * _MIXER_BLOCK  # a block that is skipped
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        want = rotate_ping_pong(psi, mats)
+        _rotate(psi, mats, np.empty(min(simulator._SCRATCH, psi.size), dtype=complex))
+        assert np.array_equal(psi, want), trial
+    if n == 16 and scratch:
+        # 2^11 rows of 2^5 at q = 0, 2^6 (2^5 x 2^5) slabs at q = 5, two (2^5 x 2^10) at
+        # q = 10 and one (2 x 2^15) at q = 15, through 2^10 entries
+        assert kinds == {"rows", "batches", "columns"}
 
 
 def test_simulate_respects_qubit_cap():
@@ -233,6 +290,22 @@ def test_born_table_refuses_nan_and_all_zero_states():
     for psi in (np.array([0.5, np.nan, 0.5, 0.5], dtype=complex), np.zeros(4, dtype=complex)):
         with pytest.raises(ValueError):
             born_table(np.abs(psi) ** 2)
+        with pytest.raises(ValueError):
+            born_table(np.abs(psi) ** 2, out=np.empty(4))
+
+
+@pytest.mark.parametrize("n", [1, 5, 18])
+def test_born_table_in_a_buffer_equals_the_allocating_call(n):
+    rng = np.random.default_rng(200 + n)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi[::3] = 0.0
+    probs = simulator.born_probs(psi)
+    assert np.array_equal(probs, np.abs(psi) ** 2)
+    want = born_table(probs)
+    buf = np.empty_like(probs)
+    assert born_table(probs, out=buf) is buf and np.array_equal(buf, want)
+    simulator.born_probs(psi, out=buf)
+    assert born_table(buf, out=buf) is buf and np.array_equal(buf, want)
 
 
 def test_apply_decay_edge_cases():
@@ -432,13 +505,16 @@ def test_qaoa_state_matches_gate_level_circuit():
             assert abs(qaoa_expectation(model, params) - by_gates) <= 1e-12, (n, p)
 
 
-@pytest.mark.parametrize("n", [1, 4, 5, 6, 11, 13])
-def test_qaoa_state_equals_the_inline_mixer_loop(n):
+@pytest.mark.parametrize("scratch", [None, 1 << 10], ids=["scratch-default", "scratch-2^10"])
+@pytest.mark.parametrize("n", [1, 4, 5, 6, 11, 13, 16])
+def test_qaoa_state_equals_the_ping_pong_oracle(monkeypatch, n, scratch):
+    if scratch:
+        monkeypatch.setattr(simulator, "_SCRATCH", scratch)
     rng = np.random.default_rng(60 + n)
     model = random_field_model(rng, n)
-    for p in (1, 2):
+    for p in (1, 2, 3):
         params = QaoaParams(tuple(rng.uniform(-1.6, 1.6, p)), tuple(rng.uniform(-0.8, 0.8, p)))
-        assert np.array_equal(qaoa_state(model, params), qaoa_state_inline_mixer(model, params))
+        assert np.array_equal(qaoa_state(model, params), qaoa_state_ping_pong(model, params))
 
 
 def test_qaoa_state_refuses_over_cap_before_allocating():
