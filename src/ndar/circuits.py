@@ -21,7 +21,9 @@ TWO_QUBIT_GATES = ("CX", "CZ", "RZZ")
 ROTATION_GATES = frozenset({"RX", "RY", "RZ", "RZZ"})
 GATE_KINDS = frozenset(ONE_QUBIT_GATES) | frozenset(TWO_QUBIT_GATES)
 
-# the pool build_random_circuit draws from; RZZ is reserved for cost evolution
+# the pool build_random_circuit draws from. It holds no RZZ, which only gate-level
+# circuits use, such as a QAOA cost layer built gate by gate; QAOA itself runs from
+# the cost diagonal
 RANDOM_GATE_POOL = ("H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ", "CX", "CZ")
 
 

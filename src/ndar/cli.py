@@ -9,9 +9,9 @@ from .annealing import SA_SPIN_BUDGET, SA_SWEEPS_CAP, sa_solve
 from .circuits import DEPTH_CAP
 from .engine import SHOTS_CAP
 from .errors import ConfigError, ResourceLimitError
-from .harness import (RUNS_CAP, ExperimentConfig, load_instance, params_search, report,
+from .harness import (FAMILIES, RUNS_CAP, ExperimentConfig, load_instance, params_search, report,
                       run_experiment)
-from .ising import edge_density, gen_unweighted, gen_weighted_dense, maxcut_to_ising, write_instance
+from .ising import edge_density, maxcut_to_ising, write_instance
 from .simulator import GRID_STEPS_CAP
 
 _RUN_EPILOG = f"""\
@@ -53,10 +53,7 @@ output files:
 
 
 def _cmd_gen_instance(args) -> int:
-    if args.family == "unweighted-sparse":
-        g = gen_unweighted(args.n, args.density, args.seed)
-    else:  # argparse's choices admit only the two families
-        g = gen_weighted_dense(args.n, args.seed)
+    g = FAMILIES[args.family](args.n, args.density, args.seed)
     write_instance(g, args.out)
     print(f"wrote {args.out}: n = {g.n}, edges = {len(g.edges)}, "
           f"density = {edge_density(g):.12g}")
@@ -99,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-instance", help="generate a benchmark graph and write it to a file")
-    p.add_argument("--family", required=True, choices=["unweighted-sparse", "weighted-dense"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)

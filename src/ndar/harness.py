@@ -26,6 +26,10 @@ from .simulator import check_grid, grid_scan
 FAMILY_UNWEIGHTED = "unweighted-sparse"
 FAMILY_WEIGHTED = "weighted-dense"
 
+# instance family -> its generator of (n, density, seed); only unweighted-sparse reads density
+FAMILIES = {FAMILY_UNWEIGHTED: gen_unweighted,
+            FAMILY_WEIGHTED: lambda n, density, seed: gen_weighted_dense(n, seed)}
+
 # most independent NDAR runs per experiment; a run's files are written as it ends
 RUNS_CAP = 1 << 10
 
@@ -135,7 +139,7 @@ class ExperimentConfig:
         if (self.instance_file is None) == (self.family is None):
             raise ConfigError("set exactly one of instance.file or instance.family")
         if self.family is not None:
-            if self.family not in (FAMILY_UNWEIGHTED, FAMILY_WEIGHTED):
+            if self.family not in FAMILIES:
                 raise ConfigError(f"unknown instance family {self.family!r}")
             if self.n is None:
                 raise ConfigError("generated instances need instance.n")
@@ -195,9 +199,7 @@ def load_instance(config: ExperimentConfig) -> MaxCutInstance:
     """Materialize the instance from a file or from the named generator family."""
     if config.instance_file is not None:
         return read_instance(config.instance_file)
-    if config.family == FAMILY_UNWEIGHTED:
-        return gen_unweighted(config.n, config.density, config.instance_seed)
-    return gen_weighted_dense(config.n, config.instance_seed)
+    return FAMILIES[config.family](config.n, config.density, config.instance_seed)
 
 
 def build_sampler(config: ExperimentConfig, model) -> SamplerSpec:

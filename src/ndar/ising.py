@@ -217,8 +217,9 @@ class IsingModel:
     `couplings` takes (i, j, J_ij) triples with i < j, as a sequence or an (m, 3)
     array. They are stored once, as the int64/int64/float64 arrays `_edge_arrays`;
     the field holds a TripleView over them, which yields (int, int, float) tuples
-    on demand. The constant offset is part of every energy so that MaxCut-derived
-    models satisfy energy == -cut exactly.
+    on demand. `h` is converted once, to the read-only float64 array `_fields`, and
+    the field holds that array's tuple. The constant offset is part of every energy so
+    that MaxCut-derived models satisfy energy == -cut exactly.
     """
 
     n: int
@@ -229,23 +230,21 @@ class IsingModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        h = tuple(float(v) for v in self.h)
-        if len(h) != self.n:
-            raise ValueError(f"h has length {len(h)}, expected {self.n}")
-        if h and not np.all(np.isfinite(h)):
+        fields = np.array(self.h, dtype=np.float64)
+        if fields.shape != (self.n,):
+            raise ValueError(f"h must hold {self.n} values, got shape {fields.shape}")
+        if not np.isfinite(fields).all():
             raise ValueError("h contains non-finite values")
         if not np.isfinite(self.offset):
             raise ValueError("offset must be finite")
-        object.__setattr__(self, "h", h)
+        fields.flags.writeable = False
+        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "h", tuple(fields.tolist()))
         object.__setattr__(self, "offset", float(self.offset))
         couplings, arrays = _canonical_triples(self.couplings, self.n, "coupling")
         object.__setattr__(self, "couplings", couplings)
         # (i, j, J_ij) as int64/int64/float64 arrays: the one stored form of `couplings`
         object.__setattr__(self, "_edge_arrays", arrays)
-
-    @functools.cached_property
-    def _fields(self) -> np.ndarray:
-        return np.array(self.h, dtype=np.float64)
 
     @functools.cached_property
     def coupling_matrix(self) -> np.ndarray:
@@ -389,8 +388,6 @@ class MaxCutInstance:
 
 def edge_density(g: MaxCutInstance) -> float:
     """|E| divided by the number of node pairs n(n-1)/2."""
-    if g.n < 2:
-        raise ValueError("edge density needs n >= 2")
     return len(g.edges) / (g.n * (g.n - 1) / 2)
 
 
@@ -474,28 +471,17 @@ def write_instance(g: MaxCutInstance, path) -> None:
                               zip(ei[rows].tolist(), ej[rows].tolist(), ks.tolist())]))
 
 
-def _parse_header(path, header: str) -> tuple[int, int]:
-    head = header.split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'n m', got {header!r}")
-    try:
-        return int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"{path}: header must hold two integers, got {header!r}") from None
-
-
-def _read_edge_lines(path) -> list[tuple[int, int, float]]:
-    """The line loop: the edges, or a ValueError that names the file's line."""
+def _read_edge_lines(path, header_line: int, m: int) -> list[tuple[int, int, float]]:
+    """The line loop over the lines after the header, which is file line `header_line`:
+    the m edges, or a ValueError that names the file's line."""
     with open(path, "r", encoding="utf-8") as fh:
-        # (line number, text) of every line that is not blank or a comment
-        rows = [(k, ln) for k, ln in enumerate(map(str.strip, fh), 1) if ln and ln[0] != "#"]
-    if not rows:
-        raise ValueError(f"{path}: empty instance file")
-    m = _parse_header(path, rows[0][1])[1]
-    if len(rows) - 1 != m:
-        raise ValueError(f"{path}: header promises {m} edges, file has {len(rows) - 1}")
+        # (line number, text) of every edge line: past the header, not blank, not a comment
+        rows = [(k, ln) for k, ln in enumerate(map(str.strip, fh), 1)
+                if k > header_line and ln and ln[0] != "#"]
+    if len(rows) != m:
+        raise ValueError(f"{path}: header promises {m} edges, file has {len(rows)}")
     edges = []
-    for lineno, ln in rows[1:]:
+    for lineno, ln in rows:
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'i j w', got {ln!r}")
@@ -533,6 +519,7 @@ def read_instance(path) -> MaxCutInstance:
     not start a comment line, is read again by the line loop, whose errors name the
     file's line. The complete graph on NODE_CAP nodes reads in about 0.15 s with a
     tracemalloc peak of 32 MiB this way; the line loop takes about 1 s and 178 MiB.
+    An n beyond NODE_CAP is refused from the header, before any edge line is read.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, header in enumerate(map(str.strip, fh), 1):
@@ -540,14 +527,21 @@ def read_instance(path) -> MaxCutInstance:
                 break
         else:
             raise ValueError(f"{path}: empty instance file")
-        n, m = _parse_header(path, header)
+        head = header.split()
+        if len(head) != 2:
+            raise ValueError(f"{path}: header must be 'n m', got {header!r}")
+        try:
+            n, m = int(head[0]), int(head[1])
+        except ValueError:
+            raise ValueError(f"{path}: header must hold two integers, got {header!r}") from None
+        _check_node_count(n)
         rest = fh.read()
     # loadtxt would also drop the rest of a line after an inline '#', which the format refuses
-    inline_hash = rest.count("#") != len(_COMMENT_START.findall(rest))
+    inline_hash = "#" in rest and rest.count("#") != len(_COMMENT_START.findall(rest))
     del rest
     edges = None if inline_hash or not m else _load_edges(path, lineno, m)
     if edges is None:
-        edges = _read_edge_lines(path)
+        edges = _read_edge_lines(path, lineno, m)
     try:
         return MaxCutInstance(n, edges)
     except ValueError as exc:

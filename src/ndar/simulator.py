@@ -107,10 +107,11 @@ def _two_qubit(psi: np.ndarray, gate: Gate, scratch: np.ndarray) -> None:
     """Apply a CX, CZ or RZZ gate to the state in place.
 
     Each acts on the quarter-state slices fixed by the bits of its two qubits: a CX swaps
-    the two whose control bit is 1, a CZ negates the one whose bits are both 1, and an
-    RZZ multiplies each by its phase. A slice goes through half of `scratch` a block at a
-    time, because numpy would buffer an operation on it, or copy one slice into another
-    through a temporary as they may overlap.
+    the two whose control bit is 1, and CZ and RZZ multiply slices by phases, CZ the one
+    whose bits are both 1 by -1 and RZZ each by the phase of whether its bits are equal.
+    A slice goes through half of `scratch` a block at a time, because numpy would buffer
+    an operation on it, or copy one slice into another through a temporary as they may
+    overlap.
     """
     a, _ = gate.targets
     lo, hi = sorted(gate.targets)
@@ -120,24 +121,23 @@ def _two_qubit(psi: np.ndarray, gate: Gate, scratch: np.ndarray) -> None:
         return v[:, i, :, j] if a == hi else v[:, j, :, i]
 
     half = scratch.size // 2
-    if gate.kind == "RZZ":
+    if gate.kind == "CZ":
+        phases = (((1, 1), -1.0),)
+    elif gate.kind == "RZZ":
         eq, ne = np.exp(-0.5j * gate.theta), np.exp(0.5j * gate.theta)
+        phases = (((0, 0), eq), ((0, 1), ne), ((1, 0), ne), ((1, 1), eq))
     for idx in _blocks(v[:, 0, :, 0].shape, half):
         if gate.kind == "CX":
             x, y = quarter(1, 0)[idx], quarter(1, 1)[idx]
             tx, ty = _copy_into(scratch, x), _copy_into(scratch[half:], y)
             x[...] = ty
             y[...] = tx
-        elif gate.kind == "CZ":
-            z = quarter(1, 1)[idx]
+            continue
+        for (i, j), phase in phases:
+            z = quarter(i, j)[idx]
             t = _copy_into(scratch, z)
-            z[...] = np.negative(t, out=t)
-        else:  # RZZ, whose phase depends only on whether the two bits are equal
-            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                z = quarter(i, j)[idx]
-                t = _copy_into(scratch, z)
-                t *= eq if i == j else ne
-                z[...] = t
+            t *= phase
+            z[...] = t
 
 
 def _copy_into(buf: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -458,7 +458,10 @@ runs = 1
 def test_node_cap_refuses_huge_graphs_before_allocating(tmp_path, capsys):
     huge = tmp_path / "huge.txt"
     huge.write_text("100000000 0\n")
-    sources = (f"instance.file = {huge}\n",
+    # the header decides: no edge line after an over-cap header is read
+    long = tmp_path / "long.txt"
+    long.write_text("5000 100000\n" + "0 1 1\n" * 100000)
+    sources = (f"instance.file = {huge}\n", f"instance.file = {long}\n",
                "instance.family = unweighted-sparse\ninstance.n = 1000000\n")
     for k, source in enumerate(sources):
         path = write_config(tmp_path, source + "sampler.q = 0.9\n", name=f"huge{k}.cfg")

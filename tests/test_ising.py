@@ -513,7 +513,8 @@ def test_instance_file_edge_values_parse_as_the_line_loop_parses_them(tmp_path):
     w = np.random.default_rng(3).normal(size=iu.size)
     g = MaxCutInstance(40, np.column_stack((iu, ju, w)))
     write_instance(g, path)
-    assert read_instance(path) == g == MaxCutInstance(40, ising._read_edge_lines(path))
+    assert read_instance(path) == g == MaxCutInstance(
+        40, ising._read_edge_lines(path, 1, len(g.edges)))
 
 
 def test_node_cap_instance_file_reads_in_one_pass(tmp_path, monkeypatch):
