@@ -19,7 +19,7 @@ from .harness import (AggregateRow, ExperimentConfig, aggregate, params_search, 
 from .ising import (BRUTE_FORCE_CAP, NODE_CAP, IsingModel, MaxCutInstance, as_bits,
                     brute_force_best, edge_density, energies, energy, gen_unweighted,
                     gen_weighted_dense, maxcut_to_ising, read_instance, write_instance)
-from .simulator import apply_decay, born_table, grid_scan, qaoa_state, sample, simulate
+from .simulator import apply_decay, born_tree, grid_scan, qaoa_state, sample, simulate
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "DEFAULT_QUBIT_CAP", "ExperimentConfig", "Gate", "IsingModel", "IterationRecord",
     "KIND_CLASSICAL_BERNOULLI", "KIND_QAOA", "KIND_RANDOM_CIRCUIT", "MaxCutInstance",
     "NODE_CAP", "NdarConfig", "NdarResult", "QaoaCircuit", "QaoaParams", "ResourceLimitError",
-    "SaConfig", "SamplerSpec", "aggregate", "apply_decay", "as_bits", "born_table",
+    "SaConfig", "SamplerSpec", "aggregate", "apply_decay", "as_bits", "born_tree",
     "brute_force_best", "build_random_circuit", "classical_bernoulli_sample", "derive_seed",
     "edge_density", "energies", "energy", "gen_unweighted", "gen_weighted_dense", "grid_scan",
     "maxcut_to_ising", "params_search", "qaoa_state", "read_instance",

@@ -16,8 +16,7 @@ import numpy as np
 from .circuits import DampingSpec, QaoaCircuit, QaoaParams, build_random_circuit, check_depth
 from .errors import ResourceLimitError
 from .ising import IsingModel, energies, energy, lex_first
-from .simulator import (_SCRATCH, apply_decay, bernoulli, born_probs, born_table, sample,
-                        simulate)
+from .simulator import apply_decay, bernoulli, born_probs, born_tree, sample, simulate
 
 KIND_QAOA = "qaoa"
 KIND_RANDOM_CIRCUIT = "random-circuit"
@@ -164,46 +163,30 @@ def qaoa_probs(model0: IsingModel, sampler: SamplerSpec) -> np.ndarray:
     return born_probs(simulate(QaoaCircuit(model0, sampler.params)))
 
 
-def _xor_gather(probs: np.ndarray, m: int, out: np.ndarray) -> None:
-    """out[k] = probs[k ^ m] for every k, a block of s = min(_SCRATCH, size) entries at a
-    time: for a block start a, a multiple of s, and k < s, (a + k) ^ m == k ^ (m ^ a), so
-    each block reads one source block through one index vector of s entries."""
-    s = min(_SCRATCH, probs.size)
-    perm = np.arange(s)
-    perm ^= m & (s - 1)
-    for a in range(0, probs.size, s):
-        src = (a ^ m) & -s
-        # every index is in range, and "clip" writes into `out` unbuffered
-        np.take(probs[src:src + s], perm, out=out[a:a + s], mode="clip")
-
-
 def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
-             probs: np.ndarray | None = None) -> NdarResult:
+             tree: list[np.ndarray] | None = None) -> NdarResult:
     """Run the adaptive remapping loop and return the per-iteration trace.
 
-    Per iteration: draw shots in the current frame (QAOA permutes its model0
-    |amplitude|^2 into the frame; the random circuit is drawn once per run unless
+    Per iteration: draw shots in the current frame (QAOA reads its model0
+    |amplitude|^2 in the frame; the random circuit is drawn once per run unless
     fresh_circuit is set), apply the damping channel for circuit samplers, score the
     shots as energies(model0, X ^ mask), pick the best sample, record it, then XOR it
     into the mask so it becomes the next all-zeros attractor. Stops early only when
     `patience` consecutive iterations fail to improve the overall best.
 
-    `probs` is QAOA's |amplitude|^2 in the original frame, as `qaoa_probs` gives it;
-    a caller that runs one sampler on one model many times passes it to every run, and
-    when it is None the run simulates the state once. Other samplers ignore it.
+    `tree` is QAOA's born_tree(qaoa_probs(...)), in the original frame; a caller that
+    runs one sampler on one model many times passes it to every run, and when it is
+    None the run builds it. Other samplers ignore it.
 
     The loop's state is the mask, the records, the index `best` of the first record
-    with the lowest energy, iteration 0's distribution, and `table`, the born_table of
-    the current frame, built in one float64 buffer of 2^n entries that the run reuses.
-    The attractor energy, stall count (j - best) and overall best come from the records.
-    QAOA's table is a function of the mask alone, so it is rebuilt only when the frame
-    moved, that is when the previous iteration's best sample was not the all-zeros
-    attractor; a moved frame m is gathered into the buffer as table[k] = probs[k ^ m].
-    A random circuit writes its |amplitude|^2 into the buffer and drops the state before
-    the table is built.
+    with the lowest energy, iteration 0's distribution, and the tree. QAOA draws every
+    frame from its one tree, passing the mask to sample as an integer, so no frame
+    costs 2^n work. A random circuit builds its tree when its circuit is drawn, once the
+    previous tree is dropped, and draws in frame 0. The attractor energy, stall count
+    (j - best) and overall best come from the records.
 
     An iteration runs in chunks of _CHUNK shots, so no (shots, n) matrix is built:
-    each chunk is drawn from the table with the iteration's sample and decay
+    each chunk is drawn from the tree with the iteration's sample and decay
     generators, scored into the iteration's energy vector and its Hamming-weight
     counts, and reduced to its _select_best winner, and the rule runs once more over
     the chunk winners. The draws fill row-major and the chunks hold an even number of
@@ -214,25 +197,18 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
     mask = np.zeros(n, dtype=np.uint8)
     records: list[IterationRecord] = []
     best = 0
-    table = None
+    frame = 0
+    if sampler.kind == KIND_QAOA and tree is None:
+        tree = born_tree(qaoa_probs(model0, sampler))
     gamma = 0.0 if sampler.kind == KIND_CLASSICAL_BERNOULLI else sampler.damping.gamma_damp
     for j in range(config.max_iters):
         rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))
-        if sampler.kind == KIND_QAOA and (j == 0 or records[-1].best_bits.any()):
-            if probs is None:
-                probs = qaoa_probs(model0, sampler)
-            if table is None:
-                table = np.empty_like(probs)
-            m = int(mask.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64)))
-            if m:
-                _xor_gather(probs, m, table)
-            born_table(table if m else probs, out=table)
+        if sampler.kind == KIND_QAOA:
+            frame = int(mask.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64)))
         elif sampler.kind == KIND_RANDOM_CIRCUIT and (j == 0 or sampler.fresh_circuit):
-            circuit_seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, j)
-            psi = simulate(build_random_circuit(n, sampler.depth, circuit_seed))
-            table = born_probs(psi, out=table)
-            del psi
-            born_table(table, out=table)
+            seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, j)
+            tree = None  # dropped before the next state exists
+            tree = born_tree(born_probs(simulate(build_random_circuit(n, sampler.depth, seed))))
         decay_rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_DECAY, j))
         E = np.empty(config.shots)
         weight_counts = np.zeros(n + 1, dtype=np.int64)
@@ -242,7 +218,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
             if sampler.kind == KIND_CLASSICAL_BERNOULLI:
                 X = classical_bernoulli_sample(n, sampler.q, rows, rng)
             else:
-                X = sample(table, rows, rng)
+                X = sample(tree, rows, rng, frame)
                 if gamma > 0.0:
                     X = apply_decay(X, gamma, decay_rng)
             Ec = E[start:start + rows]

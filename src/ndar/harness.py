@@ -21,7 +21,7 @@ from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT, N
 from .errors import ConfigError, ResourceLimitError
 from .ising import (BRUTE_FORCE_CAP, NODE_CAP, MaxCutInstance, brute_force_best, edge_density,
                     gen_unweighted, gen_weighted_dense, maxcut_to_ising, read_instance)
-from .simulator import check_grid, grid_scan
+from .simulator import born_tree, check_grid, grid_scan
 
 FAMILY_UNWEIGHTED = "unweighted-sparse"
 FAMILY_WEIGHTED = "weighted-dense"
@@ -394,13 +394,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     tmp.mkdir()
     try:
         (tmp / "runs").mkdir()
-        # every run samples the one QAOA state, so it is simulated once per experiment
-        probs = qaoa_probs(model, sampler) if sampler.kind == KIND_QAOA else None
+        # every run samples the one QAOA state, so its tree is built once per experiment
+        tree = born_tree(qaoa_probs(model, sampler)) if sampler.kind == KIND_QAOA else None
         with _open(tmp / "cost_dist.csv") as cost, _open(tmp / "hamming_dist.csv") as ham:
             cost.write("run_index,iter_index,energy,count\n")
             ham.write("run_index,iter_index,weight,count\n")
             cuts = [_write_run(tmp, r, run_ndar(model, sampler, replace(
-                config.ndar, master_seed=derive_seed(config.seed, _STREAM_RUN, r)), probs=probs),
+                config.ndar, master_seed=derive_seed(config.seed, _STREAM_RUN, r)), tree=tree),
                 cost, ham) for r in range(config.runs)]
         rows = aggregate(cuts, sa_cut)
         _write_lines(tmp / "trajectory.csv", [",".join(_TRAJECTORY_COLUMNS)] + [

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -475,11 +476,12 @@ def _read_edge_lines(path, header_line: int, m: int) -> list[tuple[int, int, flo
     """The line loop over the lines after the header, which is file line `header_line`:
     the m edges, or a ValueError that names the file's line."""
     with open(path, "r", encoding="utf-8") as fh:
-        # (line number, text) of every edge line: past the header, not blank, not a comment
-        rows = [(k, ln) for k, ln in enumerate(map(str.strip, fh), 1)
-                if k > header_line and ln and ln[0] != "#"]
+        # (line number, text) of the edge lines, up to one beyond the m promised
+        rows = list(itertools.islice(((k, ln) for k, ln in enumerate(map(str.strip, fh), 1)
+                                      if k > header_line and ln and ln[0] != "#"), m + 1))
     if len(rows) != m:
-        raise ValueError(f"{path}: header promises {m} edges, file has {len(rows)}")
+        raise ValueError(f"{path}: header promises {m} edges, file has "
+                         f"{'more' if len(rows) > m else len(rows)}")
     edges = []
     for lineno, ln in rows:
         parts = ln.split()
@@ -495,13 +497,13 @@ def _read_edge_lines(path, header_line: int, m: int) -> list[tuple[int, int, flo
 
 def _load_edges(path, skip: int, m: int) -> np.ndarray | None:
     """The m edge lines after the first `skip` lines as an (m, 3) array of sorted (i, j, w)
-    rows, parsed by np.loadtxt in one streamed pass; None when that pass refuses the file
-    or finds another number of edges."""
+    rows, parsed by np.loadtxt in one streamed pass that stops one edge line beyond m;
+    None when that pass refuses the file or finds another number of edges."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no edge lines, or a deprecated int parse
             t = np.loadtxt(path, dtype=_EDGE_ROW, comments="#", skiprows=skip, ndmin=1,
-                           encoding="utf-8")
+                           encoding="utf-8", max_rows=m + 1)
     except (ValueError, Warning):
         return None
     if t.size != m:
@@ -517,8 +519,9 @@ def read_instance(path) -> MaxCutInstance:
     streamed np.loadtxt pass: int64 indices, which refuse '1e3' and '1.5' as int() does,
     and float64 weights. A file that pass refuses or miscounts, or with a '#' that does
     not start a comment line, is read again by the line loop, whose errors name the
-    file's line. The complete graph on NODE_CAP nodes reads in about 0.15 s with a
-    tracemalloc peak of 32 MiB this way; the line loop takes about 1 s and 178 MiB.
+    file's line; both stop one edge line beyond the header's count. The complete graph
+    on NODE_CAP nodes reads in about 0.15 s with a tracemalloc peak of 32 MiB this way;
+    the line loop takes about 1 s and 178 MiB.
     An n beyond NODE_CAP is refused from the header, before any edge line is read.
     """
     with open(path, "r", encoding="utf-8") as fh:

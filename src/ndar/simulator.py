@@ -1,9 +1,9 @@
 """Exact statevector simulation, Born sampling, the amplitude-damping channel as bit decay,
 and the single-layer QAOA grid search, which reads a closed form and builds no state.
 
-Born sampling is split in two: born_table builds the cumulative table of |amplitude|^2
-once per distribution, and sample draws rows from it as Generator.choice would, so a
-table serves any number of draws.
+Born sampling is split in two: born_tree builds the pairwise sums of |amplitude|^2 once
+per state, and sample descends them in any gauge frame m, where outcome k has the
+probability of k ^ m, so one tree serves every draw of every frame.
 
 Statevector indexing is little-endian: the amplitude at flat index x describes
 the bitstring whose bit i (qubit i) equals (x >> i) & 1.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuits import DEFAULT_QUBIT_CAP, Circuit, Gate, QaoaCircuit, QaoaParams
 from .errors import ResourceLimitError
-from .ising import IsingModel, _index_bits
+from .ising import IsingModel
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _WORD = 1 << 32
@@ -180,46 +180,65 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
     return psi
 
 
-def born_probs(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|amplitude|^2 of the state as float64, written into `out` when it is given."""
-    out = np.abs(psi, out=out)
+def born_probs(psi: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 of the state as float64."""
+    out = np.abs(psi)
     out *= out
     return out
 
 
-def born_table(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The cumulative table Generator.choice builds from unnormalised probabilities.
+def born_tree(probs: np.ndarray) -> list[np.ndarray]:
+    """The levels of pairwise sums of unnormalised probabilities, from which sample draws.
 
-    p = probs / probs.sum(), then cdf = p.cumsum() / its last entry, as in choice.
-    Raises ValueError unless the total is finite and positive: for |amplitude|^2 >= 0
-    that catches any NaN or inf and the all-zero state. The table is built in `out`
-    when it is given, which may be `probs` itself, and in a new array otherwise.
+    Level 0 is `probs` itself and level b holds 2^(n-b) sums, each built as
+    a[0::2] + a[1::2] from the level a below, so entry f of level b sums the entries of
+    `probs` in [f 2^b, (f + 1) 2^b) and level n holds the total. Raises ValueError unless
+    there are 2^n >= 2 entries with a finite positive total: for |amplitude|^2 >= 0 that
+    catches any NaN or inf and the all-zero state.
     """
-    probs = np.asarray(probs).reshape(-1)
-    total = probs.sum()
-    if not (math.isfinite(total) and total > 0.0):
-        raise ValueError(f"probabilities must have a finite positive total, got {total}")
-    cdf = np.divide(probs, total, out=out)
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    return cdf
+    a = np.asarray(probs).reshape(-1)
+    if a.size < 2 or a.size & (a.size - 1):
+        raise ValueError(f"{a.size} probabilities are not a power of two >= 2")
+    levels = [a]
+    while a.size > 1:
+        a = a[0::2] + a[1::2]
+        levels.append(a)
+    if not (math.isfinite(a[0]) and a[0] > 0.0):
+        raise ValueError(f"probabilities must have a finite positive total, got {a[0]}")
+    return levels
 
 
-def sample(table: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Draw `shots` bitstrings from a born_table, returned as a (shots, n) uint8 matrix.
+def sample(tree: list[np.ndarray], shots: int, seed, mask: int = 0) -> np.ndarray:
+    """Draw `shots` bitstrings from a born_tree in the gauge frame `mask`, returned as a
+    (shots, n) uint8 matrix: row bits k come with probability probs[k ^ mask] / total.
 
-    Bit i of each row corresponds to qubit i. `seed` is an int or a Generator, which
-    the draw advances by `shots` uniforms; rows are drawn in order, so consecutive
-    draws on one Generator equal one whole draw, and each equals Generator.choice's.
+    Bit i of each row corresponds to qubit i. `seed` is an int or a Generator, which the
+    draw advances by `shots` uniforms; rows are drawn in order, so consecutive draws on
+    one Generator equal one whole draw. Each uniform u becomes t = u * total, which
+    descends from the root: on level b - 1 the row takes bit b - 1 = 1, and t less the
+    left child's sum, when t is at least that sum and the right child's sum is positive,
+    so no outcome of probability 0 is drawn. The row is the one Generator.choice draws
+    on the same uniform unless u lies within rounding of a cumulative boundary, where
+    the two add in different orders: a chance below about 2^n 2^-52 per draw.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    cdf = np.asarray(table)
-    n = int(cdf.size).bit_length() - 1
-    if cdf.size != (1 << n) or n < 1:
-        raise ValueError(f"table length {cdf.size} is not a power of two >= 2")
-    u = np.random.default_rng(seed).random(shots)
-    return _index_bits(cdf.searchsorted(u, side="right"), n)
+    n = len(tree) - 1
+    t = np.random.default_rng(seed).random(shots)
+    t *= tree[n][0]
+    rows = np.empty((shots, n), dtype=np.uint8)
+    node = np.zeros(shots, dtype=np.intp)  # tree node f ^ (mask >> b) of frame node f
+    for b in range(n, 0, -1):
+        below = tree[b - 1]
+        node <<= 1
+        node ^= (mask >> (b - 1)) & 1  # the left child, (2f) ^ (mask >> (b - 1))
+        left = below[node]
+        right = below[node ^ 1] > 0.0
+        right &= t >= left
+        np.subtract(t, left, out=t, where=right)
+        node ^= right
+        rows[:, b - 1] = right
+    return rows
 
 
 def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:

@@ -22,6 +22,9 @@ Each one computes, by a different route, something the package computes once:
 * `optimize_params` returns only the best angles of `grid_scan`.
 * `qaoa_expectation` is the statevector mean energy at any depth p, where `grid_scan`
   reads the closed form of p = 1.
+* `born_table` builds the cumulative table `Generator.choice` builds, `sample_table` looks
+  a draw's uniforms up in it, and `xor_gather` moves probabilities into gauge frame m as
+  out[k] = probs[k ^ m], where `sample` descends one `born_tree` with the frame mask.
 * `write_instance_from_tuples` writes the instance file from the sorted edge tuples,
   formatting every weight, where `write_instance` orders the edge arrays with
   `np.lexsort` and formats each distinct weight once.
@@ -54,6 +57,26 @@ def all_bitstrings(n: int) -> np.ndarray:
     """
     _check_enumerable(n)
     return _index_bits(np.arange(1 << n, dtype=np.int64), n)
+
+
+def born_table(probs: np.ndarray) -> np.ndarray:
+    """Generator.choice's table of unnormalised probabilities: cdf = (probs / probs.sum())
+    cumulated, then divided by its last entry."""
+    probs = np.asarray(probs).reshape(-1)
+    cdf = np.cumsum(probs / probs.sum())
+    return cdf / cdf[-1]
+
+
+def sample_table(table: np.ndarray, shots: int, seed) -> np.ndarray:
+    """The rows of the indices at which `shots` uniforms of `seed` fall in a born_table,
+    looked up as Generator.choice looks them up."""
+    u = np.random.default_rng(seed).random(shots)
+    return _index_bits(table.searchsorted(u, side="right"), table.size.bit_length() - 1)
+
+
+def xor_gather(probs: np.ndarray, m: int) -> np.ndarray:
+    """The probabilities in gauge frame m: out[k] = probs[k ^ m]."""
+    return probs[np.arange(probs.size) ^ m]
 
 
 def gauge_transform(model: IsingModel, y) -> IsingModel:

@@ -14,7 +14,7 @@ from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_referenc
                      gauge_transform, optimize_params, qaoa_expectation)
 
 from ndar import (DampingSpec, IsingModel, NdarConfig, QaoaParams, SaConfig, SamplerSpec,
-                  apply_decay, born_table, brute_force_best, build_random_circuit,
+                  apply_decay, born_tree, brute_force_best, build_random_circuit,
                   derive_seed, energies, energy, gen_unweighted, gen_weighted_dense,
                   maxcut_to_ising, run_ndar, sa_solve, sample, simulate)
 from ndar.cli import main
@@ -84,8 +84,8 @@ def test_damping_channel_equivalence():
         if err > 1e-10:
             problems.append(f"circuit {k}: analytic mismatch {err:.2e}")
 
-        table = born_table(np.abs(psi) ** 2)
-        rows = apply_decay(sample(table, shots, seed=3000 + k), gamma, seed=4000 + k)
+        tree = born_tree(np.abs(psi) ** 2)
+        rows = apply_decay(sample(tree, shots, seed=3000 + k), gamma, seed=4000 + k)
         counts = np.bincount(rows @ (1 << np.arange(n)), minlength=1 << n)
         for z in range(1 << n):
             sd = math.sqrt(ref[z] * (1.0 - ref[z]) * shots)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from ndar import (DampingSpec, IsingModel, NdarConfig, QaoaParams, ResourceLimitError,
-                  SamplerSpec, apply_decay, born_table, brute_force_best,
+                  SamplerSpec, apply_decay, born_tree, brute_force_best,
                   classical_bernoulli_sample, derive_seed, energies, energy, gen_unweighted,
                   gen_weighted_dense, maxcut_to_ising, run_ndar, sample, simulate)
-from ndar import engine
+from ndar import engine, simulator
 from ndar.engine import SHOTS_CAP, _STREAM_DECAY, _STREAM_SAMPLE, _select_best
-from oracles import apply_mask, build_qaoa_circuit, gauge_transform
+from oracles import apply_mask, born_table, build_qaoa_circuit, gauge_transform, sample_table
 
 Q95 = SamplerSpec("classical-bernoulli", q=0.95)
 
@@ -131,53 +131,44 @@ def test_chunked_iterations_equal_one_whole_batch(monkeypatch, sampler):
     assert_same_result(run_ndar(model0, sampler, cfg), whole)
 
 
-@pytest.mark.parametrize("sampler, master_seed, tables", [
+@pytest.mark.parametrize("sampler, master_seed, trees, moves", [
     (SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)), damping=DampingSpec(100.0, 180.0)),
-     4, 2),
+     4, 1, 1),
     (SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)), damping=DampingSpec(400.0, 180.0)),
-     12, 5),
-    (SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0)), 4, 1),
-    (SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0)), 5, 1),
+     12, 1, 4),
+    (SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0)), 4, 1, None),
+    (SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0)), 5, 1, None),
+    (SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0),
+                 fresh_circuit=True), 4, 5, None),
 ], ids=["qaoa-attractor-wins", "qaoa-frame-always-moves", "reused-random-circuit-4",
-        "reused-random-circuit-5"])
-def test_born_table_is_built_once_per_frame(monkeypatch, sampler, master_seed, tables):
+        "reused-random-circuit-5", "fresh-random-circuit"])
+def test_born_tree_is_built_once_per_state(monkeypatch, sampler, master_seed, trees, moves):
     built, draws = [], []
 
-    def counting_table(probs, out=None):
+    def counting_tree(probs):
         built.append(probs.size)
-        return born_table(probs, out=out)
+        return born_tree(probs)
 
-    def counting_sample(table, shots, seed):
+    def counting_sample(tree, shots, seed, mask=0):
         draws.append(shots)
-        return sample(table, shots, seed)
+        return sample(tree, shots, seed, mask)
 
     monkeypatch.setattr(engine, "_CHUNK", 6)
-    monkeypatch.setattr(engine, "born_table", counting_table)
+    monkeypatch.setattr(engine, "born_tree", counting_tree)
     monkeypatch.setattr(engine, "sample", counting_sample)
     model0 = small_model(9, 0.5, seed=3)
     cfg = NdarConfig(shots=203, max_iters=5, master_seed=master_seed)
     result = run_ndar(model0, sampler, cfg)
-    assert built == [1 << 9] * tables
+    # one tree per QAOA run, which builds its own when none is passed, and one per
+    # drawn random circuit
+    assert built == [1 << 9] * trees
     # 203 shots in chunks of 6 rows are 34 draws per iteration
     assert draws == ([6] * 33 + [5]) * 5
     if sampler.kind == "qaoa":
-        # a QAOA table per distinct frame: the frame moves after every iteration whose
-        # best sample is not the all-zeros attractor
-        moves = [rec.best_bits.any() for rec in result.trace[:-1]]
-        assert tables == 1 + sum(moves)
+        # the frame moves after every iteration whose best sample is not the all-zeros
+        # attractor, and every frame is drawn from the one tree
+        assert sum(rec.best_bits.any() for rec in result.trace[:-1]) == moves
         assert_matches_reference(model0, sampler, cfg)
-
-
-@pytest.mark.parametrize("scratch", [None, 1 << 4], ids=["scratch-default", "scratch-2^4"])
-def test_xor_gather_reads_the_probabilities_at_k_xor_m(monkeypatch, scratch):
-    if scratch:  # 2^10 entries then go in 64 blocks
-        monkeypatch.setattr(engine, "_SCRATCH", scratch)
-    n = 10
-    probs = np.random.default_rng(3).random(1 << n)
-    out = np.empty_like(probs)
-    for m in (0, 1, 15, 16, 0x2A5, (1 << n) - 1):
-        engine._xor_gather(probs, m, out)
-        assert np.array_equal(out, probs[np.arange(1 << n) ^ m]), m
 
 
 @pytest.mark.parametrize("sampler", [
@@ -185,24 +176,25 @@ def test_xor_gather_reads_the_probabilities_at_k_xor_m(monkeypatch, scratch):
     SamplerSpec("random-circuit", depth=2, fresh_circuit=True,
                 damping=DampingSpec(60.0, 180.0)),
 ], ids=["qaoa", "fresh-random-circuit"])
-def test_circuit_runs_hold_one_table_buffer_and_the_scratch(sampler):
+def test_circuit_runs_hold_one_tree_and_the_scratch(sampler):
     n = 18
     model0 = small_model(n, 0.5, seed=3)
     cfg = NdarConfig(shots=2000, max_iters=3, master_seed=12)
-    probs = engine.qaoa_probs(model0, sampler) if sampler.kind == "qaoa" else None
+    tree = born_tree(engine.qaoa_probs(model0, sampler)) if sampler.kind == "qaoa" else None
     energies(model0, np.zeros((1, n), dtype=np.uint8))  # caches the model's matrices
     tracemalloc.start()
     try:
-        result = run_ndar(model0, sampler, cfg, probs=probs)
+        result = run_ndar(model0, sampler, cfg, tree=tree)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     if sampler.kind == "qaoa":
-        assert result.trace[0].best_bits.any()  # so a moved frame was gathered
+        assert result.trace[0].best_bits.any()  # so a moved frame was sampled
     state = 0 if sampler.kind == "qaoa" else 16 << n  # a random circuit's state
-    # the table buffer, the scratch and 1 MiB for a chunk's samples and energies; a
-    # second table-sized array exceeds it
-    assert peak <= state + (8 << n) + 16 * engine._SCRATCH + (1 << 20)
+    # a random circuit's |amplitude|^2 beside its state, or its tree's 2^n sums, the
+    # scratch and 1 MiB for a chunk's samples and energies; a second table-sized array
+    # beside the state, or a previous circuit's tree, exceeds it
+    assert peak <= state + (8 << n) + 16 * simulator._SCRATCH + (1 << 20)
 
 
 def test_dense_300_iteration_memory_is_bounded():
@@ -351,7 +343,7 @@ def reference_ndar(model0, sampler, config):
         seed = derive_seed(config.master_seed, _STREAM_SAMPLE, j)
         if sampler.kind == "qaoa":
             psi = simulate(build_qaoa_circuit(model, sampler.params))
-            X = sample(born_table(np.abs(psi) ** 2), config.shots, seed)
+            X = sample_table(born_table(np.abs(psi) ** 2), config.shots, seed)
             X = apply_decay(X, sampler.damping.gamma_damp,
                             derive_seed(config.master_seed, _STREAM_DECAY, j))
         else:

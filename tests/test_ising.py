@@ -484,6 +484,15 @@ def test_instance_file_rejects_bad_content(tmp_path):
     bad.write_text("2 3\n0 1 1.0\n")
     with pytest.raises(ValueError):
         read_instance(bad)  # edge count mismatch
+    # too many edges: both passes stop one edge line beyond the header's count, where
+    # reading all 300,000 lines took 1.3 s and a 42 MiB peak
+    bad.write_text("1024 1\n" + "0 1 1\n" * 300000)
+
+    def refused():
+        with pytest.raises(ValueError, match="header promises 1 edges, file has more"):
+            read_instance(bad)
+
+    assert traced_peak(refused) < 4 << 20  # the text after the header is 1.7 MiB
     bad.write_text("oops\n")
     with pytest.raises(ValueError):
         read_instance(bad)

@@ -7,15 +7,15 @@ import pytest
 from scipy.linalg import expm
 
 from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLimitError,
-                  apply_decay, born_table, build_random_circuit, energies, gen_unweighted,
+                  apply_decay, born_tree, build_random_circuit, energies, gen_unweighted,
                   gen_weighted_dense, grid_scan, maxcut_to_ising, qaoa_state, sample, simulate)
 from ndar.circuits import ONE_QUBIT_GATES, ROTATION_GATES, TWO_QUBIT_GATES
 from ndar.ising import _index_bits
 from ndar import simulator
 from ndar.simulator import ANGLE_BOUND, GRID_STEPS_CAP, _MIXER_BLOCK, _rotate, bernoulli
-from oracles import (all_bitstrings, build_qaoa_circuit, density_matrix_reference,
+from oracles import (all_bitstrings, born_table, build_qaoa_circuit, density_matrix_reference,
                      optimize_params, qaoa_expectation, qaoa_state_ping_pong,
-                     rotate_ping_pong, simulate_gate_by_gate)
+                     rotate_ping_pong, sample_table, simulate_gate_by_gate, xor_gather)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -184,7 +184,7 @@ def test_bit_order_is_little_endian():
     # X on qubit 1 of three: bitstring 010, so flat index 2
     psi = simulate(Circuit(3, (Gate("X", (1,)),)))
     assert psi[2] == 1.0 and np.count_nonzero(psi) == 1
-    rows = sample(born_table(np.abs(psi) ** 2), 5, seed=0)
+    rows = sample(born_tree(np.abs(psi) ** 2), 5, seed=0)
     assert np.array_equal(rows, np.tile([0, 1, 0], (5, 1)))
 
 
@@ -261,18 +261,18 @@ def test_simulate_respects_qubit_cap():
 
 def test_sample_statistics_and_shape():
     psi = simulate(Circuit(2, (Gate("H", (0,)), Gate("CX", (0, 1)))))
-    table = born_table(np.abs(psi) ** 2)
-    rows = sample(table, 40000, seed=5)
+    tree = born_tree(np.abs(psi) ** 2)
+    rows = sample(tree, 40000, seed=5)
     assert rows.shape == (40000, 2) and rows.dtype == np.uint8
     assert np.array_equal(rows[:, 0], rows[:, 1])  # Bell correlations are exact
     frac = rows[:, 0].mean()
     assert abs(frac - 0.5) < 0.02
-    assert np.array_equal(rows, sample(table, 40000, seed=5))
-    assert not np.array_equal(rows, sample(table, 40000, seed=6))
+    assert np.array_equal(rows, sample(tree, 40000, seed=5))
+    assert not np.array_equal(rows, sample(tree, 40000, seed=6))
     with pytest.raises(ValueError):
-        sample(table, 0, seed=0)
+        sample(tree, 0, seed=0)
     with pytest.raises(ValueError):
-        sample(born_table(np.ones(3)), 5, seed=0)
+        sample(born_tree(np.ones(3)), 5, seed=0)
 
 
 @pytest.mark.parametrize("n", [1, 5, 18])
@@ -283,29 +283,78 @@ def test_sample_draws_the_rows_of_generator_choice(n):
     probs = np.abs(psi) ** 2
     shots = 5000
     want = np.random.default_rng(7).choice(probs.size, size=shots, p=probs / probs.sum())
-    assert np.array_equal(sample(born_table(probs), shots, seed=7), _index_bits(want, n))
+    assert np.array_equal(sample(born_tree(probs), shots, seed=7), _index_bits(want, n))
 
 
-def test_born_table_refuses_nan_and_all_zero_states():
+def zero_heavy_probs(n, seed):
+    """|amplitude|^2 of a random state in which qubit 0 is never excited and every fifth
+    amplitude is 0 as well."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi[1::2] = 0.0
+    psi[::5] = 0.0
+    return simulator.born_probs(psi)
+
+
+class FixedUniforms(np.random.Generator):
+    """A generator whose random(size) hands out the first `size` of fixed uniforms."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64())
+        self.u = u
+
+    def random(self, size=None):
+        return self.u[:size]
+
+
+@pytest.mark.parametrize("n", [4, 10, 14])
+def test_sample_never_draws_an_outcome_of_probability_zero(n):
+    # a descent that entered a child of sum 0 would draw one at n = 4, seed 8 and at
+    # n = 10, seed 3, where a remainder rounds to the sum of the node it reaches
+    for seed in range(10):
+        probs = zero_heavy_probs(n, seed)
+        tree = born_tree(probs)
+        for m in (0, 1, 2, (1 << n) - 1):
+            cdf = born_table(xor_gather(probs, m))
+            # every entry of the reference table and the floats one ulp to either side
+            u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0]])
+            u = u[u < 1.0]
+            rows = sample(tree, u.size, FixedUniforms(u), mask=m)
+            k = rows.astype(np.int64) @ (1 << np.arange(n))
+            assert (probs[k ^ m] > 0.0).all(), (seed, m)
+            assert (rows[:, 0] == m & 1).all()  # the frame's qubit 0 is never excited
+
+
+def test_sample_in_a_frame_equals_the_gathered_table_draw():
+    n = 14
+    probs = zero_heavy_probs(n, 17)
+    tree = born_tree(probs)
+    for m in (0, 1, 0x2A5, (1 << n) - 1):
+        want = sample_table(born_table(xor_gather(probs, m)), 50000, 40 + m)
+        assert np.array_equal(sample(tree, 50000, 40 + m, mask=m), want), m
+
+
+def test_born_tree_refuses_nan_and_all_zero_states():
     for psi in (np.array([0.5, np.nan, 0.5, 0.5], dtype=complex), np.zeros(4, dtype=complex)):
-        with pytest.raises(ValueError):
-            born_table(np.abs(psi) ** 2)
-        with pytest.raises(ValueError):
-            born_table(np.abs(psi) ** 2, out=np.empty(4))
+        with pytest.raises(ValueError, match="finite positive total"):
+            born_tree(np.abs(psi) ** 2)
+    for size in (1, 3, 6):
+        with pytest.raises(ValueError, match="power of two"):
+            born_tree(np.ones(size))
 
 
 @pytest.mark.parametrize("n", [1, 5, 18])
-def test_born_table_in_a_buffer_equals_the_allocating_call(n):
+def test_born_tree_levels_are_pairwise_sums(n):
     rng = np.random.default_rng(200 + n)
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi[::3] = 0.0
     probs = simulator.born_probs(psi)
     assert np.array_equal(probs, np.abs(psi) ** 2)
-    want = born_table(probs)
-    buf = np.empty_like(probs)
-    assert born_table(probs, out=buf) is buf and np.array_equal(buf, want)
-    simulator.born_probs(psi, out=buf)
-    assert born_table(buf, out=buf) is buf and np.array_equal(buf, want)
+    tree = born_tree(probs)
+    assert len(tree) == n + 1 and np.shares_memory(tree[0], probs)
+    for b in range(1, n + 1):
+        assert np.array_equal(tree[b], tree[b - 1][0::2] + tree[b - 1][1::2])
+    assert math.isclose(tree[n][0], probs.sum(), rel_tol=1e-12)
 
 
 def test_apply_decay_edge_cases():
@@ -397,7 +446,7 @@ def test_sampled_decay_agrees_with_density_matrix():
     gamma = 0.426247
     ref = density_matrix_reference(c, gamma)
     shots = 200000
-    rows = apply_decay(sample(born_table(np.abs(simulate(c)) ** 2), shots, seed=9), gamma,
+    rows = apply_decay(sample(born_tree(np.abs(simulate(c)) ** 2), shots, seed=9), gamma,
                        seed=10)
     idx = rows @ (1 << np.arange(3))
     counts = np.bincount(idx, minlength=8)
