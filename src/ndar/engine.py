@@ -158,9 +158,9 @@ def _select_best(X: np.ndarray, E: np.ndarray) -> int:
     return lex_first(cand, lambda c, i: X[c, i], X.shape[1])
 
 
-def qaoa_probs(model0: IsingModel, sampler: SamplerSpec) -> np.ndarray:
-    """|amplitude|^2 of the sampler's QAOA state for model0, in the original frame."""
-    return born_probs(simulate(QaoaCircuit(model0, sampler.params)))
+def qaoa_tree(model0: IsingModel, sampler: SamplerSpec) -> list[np.ndarray]:
+    """The born_tree of the sampler's QAOA state for model0, in the original frame."""
+    return born_tree(born_probs(simulate(QaoaCircuit(model0, sampler.params))))
 
 
 def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
@@ -174,9 +174,9 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
     into the mask so it becomes the next all-zeros attractor. Stops early only when
     `patience` consecutive iterations fail to improve the overall best.
 
-    `tree` is QAOA's born_tree(qaoa_probs(...)), in the original frame; a caller that
-    runs one sampler on one model many times passes it to every run, and when it is
-    None the run builds it. Other samplers ignore it.
+    `tree` is QAOA's `qaoa_tree`; a caller that runs one sampler on one model many
+    times passes it to every run, and when it is None the run builds it. Other samplers
+    ignore it.
 
     The loop's state is the mask, the records, the index `best` of the first record
     with the lowest energy, iteration 0's distribution, and the tree. QAOA draws every
@@ -199,7 +199,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
     best = 0
     frame = 0
     if sampler.kind == KIND_QAOA and tree is None:
-        tree = born_tree(qaoa_probs(model0, sampler))
+        tree = qaoa_tree(model0, sampler)
     gamma = 0.0 if sampler.kind == KIND_CLASSICAL_BERNOULLI else sampler.damping.gamma_damp
     for j in range(config.max_iters):
         rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))

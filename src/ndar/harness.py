@@ -16,12 +16,12 @@ from . import svgplot
 from .annealing import SaConfig, check_effort, sa_solve
 from .circuits import DEFAULT_QUBIT_CAP, DampingSpec, QaoaParams
 from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT, NdarConfig,
-                     NdarResult, SamplerSpec, check_q_and_depth, derive_seed, qaoa_probs,
+                     NdarResult, SamplerSpec, check_q_and_depth, derive_seed, qaoa_tree,
                      run_ndar)
 from .errors import ConfigError, ResourceLimitError
 from .ising import (BRUTE_FORCE_CAP, NODE_CAP, MaxCutInstance, brute_force_best, edge_density,
                     gen_unweighted, gen_weighted_dense, maxcut_to_ising, read_instance)
-from .simulator import born_tree, check_grid, grid_scan
+from .simulator import check_grid, grid_scan
 
 FAMILY_UNWEIGHTED = "unweighted-sparse"
 FAMILY_WEIGHTED = "weighted-dense"
@@ -395,7 +395,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     try:
         (tmp / "runs").mkdir()
         # every run samples the one QAOA state, so its tree is built once per experiment
-        tree = born_tree(qaoa_probs(model, sampler)) if sampler.kind == KIND_QAOA else None
+        tree = qaoa_tree(model, sampler) if sampler.kind == KIND_QAOA else None
         with _open(tmp / "cost_dist.csv") as cost, _open(tmp / "hamming_dist.csv") as ham:
             cost.write("run_index,iter_index,energy,count\n")
             ham.write("run_index,iter_index,weight,count\n")

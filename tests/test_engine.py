@@ -180,7 +180,7 @@ def test_circuit_runs_hold_one_tree_and_the_scratch(sampler):
     n = 18
     model0 = small_model(n, 0.5, seed=3)
     cfg = NdarConfig(shots=2000, max_iters=3, master_seed=12)
-    tree = born_tree(engine.qaoa_probs(model0, sampler)) if sampler.kind == "qaoa" else None
+    tree = engine.qaoa_tree(model0, sampler) if sampler.kind == "qaoa" else None
     energies(model0, np.zeros((1, n), dtype=np.uint8))  # caches the model's matrices
     tracemalloc.start()
     try:
