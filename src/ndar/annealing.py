@@ -1,7 +1,7 @@
 """Single-flip Metropolis simulated annealing in colored sweeps: the classical reference solver.
 
-The spins and local fields are float32 where every sum the annealer forms is exact there
-(`IsingModel._float32_terms`) and float64 otherwise. A model whose every sweep is one block
+The spins and local fields take the dtype of `IsingModel.terms`: float32 where every sum
+the annealer forms is exact there, float64 otherwise. A model whose every sweep is one block
 of delayed field updates (every model of at most _BLOCK spins) is annealed in color order,
 where each color class is a contiguous slice of every array; a larger one gathers each
 block's rows in the sweep's visiting order.
@@ -105,8 +105,8 @@ def sa_solve(model: IsingModel, config: SaConfig = SaConfig()) -> tuple[np.ndarr
     gather each block's rows. Each read's doubled energy is computed once per sweep,
     from its spins and fields.
 
-    Spins, fields, couplings and block updates are float32 when the model meets the
-    rule of `IsingModel._float32_terms`, and float64 otherwise. Under that rule every
+    Spins, fields, couplings and block updates take the dtype of `IsingModel.terms`:
+    float32 when the model meets its rule, float64 otherwise. Under that rule every
     value formed is an integer multiple of one unit u no larger than
     sum |h_i| + 2 sum_{i<j} |J_ij| <= 2^24 u: each partial sum of the initial fields,
     of a block update or a color-order field change, of an in-block correction, and of
@@ -123,7 +123,7 @@ def sa_solve(model: IsingModel, config: SaConfig = SaConfig()) -> tuple[np.ndarr
     rng = np.random.default_rng(config.seed)
     order, bounds = color_classes(model.coupling_matrix)
     sizes = np.diff(bounds)
-    h, jm = model._float32_terms or (model._fields, model.coupling_matrix)
+    h, jm = model.terms
     # whatever the order of the classes, the last one starts within the first _BLOCK spins
     one_block = n - sizes.min() < _BLOCK
     if one_block:  # color order: class c is rows bounds[c]:bounds[c + 1] of every array

@@ -21,14 +21,14 @@ config file keys (flat `key = value` lines, `#` comments):
   instance.n                 node count (generated instances)
   instance.density           edge probability, unweighted-sparse only (default 0.3)
   instance.seed              generator seed (default 0)
-  sampler.kind               qaoa | random-circuit | classical-bernoulli
+  sampler.kind               classical-bernoulli (default) | qaoa | random-circuit
   sampler.q                  bit-suppress probability (classical-bernoulli), in [0, 1]
   sampler.depth              layers of the random circuit (default 2, at most {DEPTH_CAP})
   sampler.fresh_circuit      redraw the random circuit each iteration (default false)
-  sampler.gammas/betas       comma-separated QAOA angles; omit to grid-search
+  sampler.gammas, sampler.betas   comma-separated QAOA angles; omit both to grid-search
   sampler.grid_steps         grid resolution per axis (default 20, at most {GRID_STEPS_CAP})
-  sampler.gamma_min/max      grid range for gamma (default -pi/2, pi/2), within +-2^52
-  sampler.beta_min/max       grid range for beta (default -pi/4, pi/4), within +-2^52
+  sampler.gamma_min, sampler.gamma_max   grid range (default -pi/2, pi/2), within +-2^52
+  sampler.beta_min, sampler.beta_max     grid range (default -pi/4, pi/4), within +-2^52
   sampler.t_delay, sampler.t1   delay and relaxation times in us (default 0, 180)
   ndar.shots                 samples per iteration (default 1000, at most {SHOTS_CAP})
   ndar.iters                 iterations per run (default 12)

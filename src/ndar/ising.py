@@ -33,11 +33,9 @@ NODE_CAP = 1024
 # block and their bit columns are its temporaries, however many strings tie
 _ENUM_CHUNK = 1 << 14
 
-# entries per row block of energies' two float temporaries: 1 MiB each in float32, 873
-# rows at n = 300. In the chunked NDAR loop, two such reused buffers in place of two
-# (2048, 300) temporaries per chunk took a 10,000-shot dense-300 iteration from about 37
-# to 26 ms on a 2-core host: the allocator handed the larger temporaries back to the OS
-# after every chunk, and faulting them in again cost the difference
+# entries per row block of energies' two reused float temporaries: 1 MiB each in float32,
+# 873 rows at n = 300. Fresh (2048, 300) temporaries per chunk, faulted in again after every
+# chunk, made a 10,000-shot dense-300 iteration take 37 against 26 ms on a 2-core host
 _ENERGY_BLOCK = 1 << 18
 
 # blocks of 2^_DIAG_BITS entries in the cost diagonal's last pass, which adds the offset
@@ -46,6 +44,9 @@ _DIAG_BITS = 12
 
 # a line whose first character after blanks is '#': a comment line of an instance file
 _COMMENT_START = re.compile(r"^[^\S\n]*#", re.MULTILINE)
+
+# characters per block of an instance file's inline-'#' scan, which bounds its memory
+_SCAN_BLOCK = 1 << 16
 
 # the columns of an instance file's edge lines
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
@@ -172,13 +173,12 @@ class TripleView(Sequence):
         return f"TripleView({tuple(self)!r})"
 
 
-def _canonical_triples(triples, n: int, what: str):
-    """Validate (i, j, value) triples in one numpy pass; return a view and its arrays.
+def _canonical_triples(triples, n: int, what: str) -> TripleView:
+    """Validate (i, j, value) triples in one numpy pass; return a view over their arrays.
 
     `triples` is a sequence of triples or an (m, 3) array. Indices must be integers in
-    [0, n) with i < j, pairs unique, values finite. The result is a TripleView over
-    the read-only (i, j, value) int64/int64/float64 arrays, and those arrays; no
-    per-triple Python object is built.
+    [0, n) with i < j, pairs unique, values finite. The view holds the read-only
+    (i, j, value) int64/int64/float64 arrays; no per-triple Python object is built.
     """
     try:
         t = np.asarray(triples, dtype=np.float64)
@@ -208,78 +208,78 @@ def _canonical_triples(triples, n: int, what: str):
         raise ValueError(f"duplicate {what} pair")
     for a in arrays:
         a.flags.writeable = False
-    return TripleView(arrays), arrays
+    return TripleView(arrays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsingModel:
     """Cost model offset + sum_i h[i] s_i + sum_{i<j} J_ij s_i s_j with s_i = 1 - 2 x_i.
 
-    `couplings` takes (i, j, J_ij) triples with i < j, as a sequence or an (m, 3)
-    array. They are stored once, as the int64/int64/float64 arrays `_edge_arrays`;
-    the field holds a TripleView over them, which yields (int, int, float) tuples
-    on demand. `h` is converted once, to the read-only float64 array `_fields`, and
-    the field holds that array's tuple. The constant offset is part of every energy so
-    that MaxCut-derived models satisfy energy == -cut exactly.
+    `h` takes n values and holds them as a read-only float64 array. `couplings` takes
+    (i, j, J_ij) triples with i < j, as a sequence or an (m, 3) array, and holds a
+    TripleView over the int64/int64/float64 arrays `couplings.arrays`. Models with equal
+    n, offset, h and couplings are equal and hash equal (0.0 and -0.0 alike). The offset
+    is part of every energy so that MaxCut-derived models satisfy energy == -cut exactly.
     """
 
     n: int
-    h: tuple[float, ...]
+    h: np.ndarray
     couplings: Sequence[tuple[int, int, float]]
     offset: float = 0.0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        fields = np.array(self.h, dtype=np.float64)
-        if fields.shape != (self.n,):
-            raise ValueError(f"h must hold {self.n} values, got shape {fields.shape}")
-        if not np.isfinite(fields).all():
+        h = np.array(self.h, dtype=np.float64)
+        if h.shape != (self.n,):
+            raise ValueError(f"h must hold {self.n} values, got shape {h.shape}")
+        if not np.isfinite(h).all():
             raise ValueError("h contains non-finite values")
         if not np.isfinite(self.offset):
             raise ValueError("offset must be finite")
-        fields.flags.writeable = False
-        object.__setattr__(self, "_fields", fields)
-        object.__setattr__(self, "h", tuple(fields.tolist()))
+        h.flags.writeable = False
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "offset", float(self.offset))
-        couplings, arrays = _canonical_triples(self.couplings, self.n, "coupling")
-        object.__setattr__(self, "couplings", couplings)
-        # (i, j, J_ij) as int64/int64/float64 arrays: the one stored form of `couplings`
-        object.__setattr__(self, "_edge_arrays", arrays)
+        object.__setattr__(self, "couplings",
+                           _canonical_triples(self.couplings, self.n, "coupling"))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IsingModel):
+            return NotImplemented
+        return (self.n == other.n and self.offset == other.offset
+                and np.array_equal(self.h, other.h) and self.couplings == other.couplings)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.offset, tuple(self.h.tolist()), self.couplings))
 
     @functools.cached_property
     def coupling_matrix(self) -> np.ndarray:
         """Dense symmetric coupling matrix: J_ij at [i, j] and [j, i], zero diagonal."""
-        ci, cj, cw = self._edge_arrays
+        ci, cj, cw = self.couplings.arrays
         m = np.zeros((self.n, self.n), dtype=np.float64)
         m[ci, cj] = cw
         m[cj, ci] = cw
         return m
 
     @functools.cached_property
-    def _float32_terms(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The fields and coupling matrix in float32 when every energy sum is exact there.
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(h, coupling matrix): float32 when every energy sum is exact there, else float64.
 
-        The rule: every h_i and J_ij is an integer multiple of one unit u = 2^-p
-        (p >= 0), and sum |h_i| + 2 sum_{i<j} |J_ij| <= 2^24 u. Then every partial sum
-        of S @ h, S @ J and the row dot of S with S @ J (`energies`), and of a local
-        field h_i + sum_j J_ij s_j or a change -2 sum_j J_ij s_j of one (`sa_solve`), in
-        any order, is an integer multiple of u no larger than 2^24 u, which float32
-        holds exactly. It suffices to test the finest unit the bound allows, since a
-        multiple of 2^-p is a multiple of 2^-q for every q >= p; p <= 126 keeps u a
-        normal float32. None when the rule fails.
+        The rule: every h_i and J_ij is an integer multiple of one unit u = 2^-p (p >= 0),
+        and sum |h_i| + 2 sum_{i<j} |J_ij| <= 2^24 u. Then every partial sum `energies`
+        and `sa_solve` form, in any order, is a multiple of u no larger than 2^24 u, which
+        float32 holds exactly. Testing the finest unit the bound allows suffices, as a
+        multiple of 2^-p is one of 2^-q for every q >= p; p <= 126 keeps u a normal float32.
         """
-        cw = self._edge_arrays[2]
-        total = float(np.abs(self._fields).sum()) + 2.0 * float(np.abs(cw).sum())
+        cw = self.couplings.arrays[2]
+        total = float(np.abs(self.h).sum()) + 2.0 * float(np.abs(cw).sum())
         mant, exp = math.frexp(total)  # total = mant * 2^exp with 0.5 <= mant < 1
         p = min(126, 24 - exp + (mant == 0.5)) if total else 0
-        if p < 0:
-            return None
-        for values in (self._fields, cw):
+        for values in (self.h, cw):
             scaled = np.ldexp(values, p)
-            if not np.array_equal(scaled, np.round(scaled)):
-                return None
-        return self._fields.astype(np.float32), self.coupling_matrix.astype(np.float32)
+            if p < 0 or not np.array_equal(scaled, np.round(scaled)):
+                return self.h, self.coupling_matrix
+        return self.h.astype(np.float32), self.coupling_matrix.astype(np.float32)
 
     @functools.cached_property
     def cost_diagonal(self) -> np.ndarray:
@@ -287,21 +287,17 @@ class IsingModel:
 
         Built by spin doubling, with no bit matrix. Entry 0 is the coupling sum
         C = sum_{i<j} J_ij with every spin at +1. For k = 0, ..., n - 1, entries
-        [2^k, 2^(k+1)) are entries [0, 2^k) with spin k flipped: minus twice spin k's
-        coupling field, which is itself doubled over the spins j < k in that half of
-        the diagonal before the half is filled. A last pass in 2^_DIAG_BITS blocks
-        turns C into (offset + sum_i h_i s_i) + C, the order `energies` adds them in.
-
-        Under the rule of `_float32_terms` every coupling and field sum is an exact
-        multiple of its unit, so each entry has the bits `energies` gives that string,
-        whatever the offset. Off the rule (weights such as 0.1) the sums are formed in
-        another order than `energies`' and agree with it to rounding, about 1e-15
-        relative. Refuses n beyond the enumeration cap before allocating.
+        [2^k, 2^(k+1)) are entries [0, 2^k) minus twice spin k's coupling field, itself
+        doubled over the spins j < k. A last pass in 2^_DIAG_BITS blocks turns C into
+        (offset + sum_i h_i s_i) + C, the order `energies` adds them in. Under the float32
+        rule of `terms` every sum is exact, so each entry has the bits `energies` gives;
+        off it (weights such as 0.1) they agree to rounding, about 1e-15 relative.
+        Refuses n beyond the enumeration cap before allocating.
         """
         _check_enumerable(self.n)
-        n, J, h = self.n, self.coupling_matrix, self._fields
+        n, J, h = self.n, self.coupling_matrix, self.h
         diag = np.empty(1 << n)
-        diag[0] = self._edge_arrays[2].sum()
+        diag[0] = self.couplings.arrays[2].sum()
         for k in range(n):
             # -2 x spin k's field, for every string of the spins below k (those above are +1)
             half = diag[1 << k:2 << k]
@@ -322,10 +318,9 @@ class IsingModel:
 
 def energy(model: IsingModel, x) -> float:
     """Exact energy of bitstring x under the model (offset included)."""
-    xb = as_bits(x, model.n)
-    s = 1.0 - 2.0 * xb.astype(np.float64)
-    ci, cj, cw = model._edge_arrays
-    e = model.offset + float(model._fields @ s)
+    s = 1.0 - 2.0 * as_bits(x, model.n).astype(np.float64)
+    ci, cj, cw = model.couplings.arrays
+    e = model.offset + float(model.h @ s)
     if cw.size:
         e += float(cw @ (s[ci] * s[cj]))
     return e
@@ -334,12 +329,11 @@ def energy(model: IsingModel, x) -> float:
 def energies(model: IsingModel, xs) -> np.ndarray:
     """Energies of a batch of bitstrings given as a (shots, n) 0/1 matrix.
 
-    S @ h, S @ J and the row dot of S with S @ J run in float32 when the model's
-    weights meet the rule of `IsingModel._float32_terms` (small dyadic weights, as
-    in every generated instance), and in float64 otherwise. Under that rule every
-    partial sum is exact in both dtypes, so the two sums are the same number; they
-    are converted to float64 before the offset and the factor 1/2 are applied, in
-    the same order as on the float64 path, so the result has the same bits.
+    S @ h, S @ J and the row dot of S with S @ J run in the dtype of `model.terms`:
+    float32 under its rule (small dyadic weights, as in every generated instance), where
+    every partial sum is exact in both dtypes, and float64 otherwise. The sums become
+    float64 before the offset and the factor 1/2 are applied, in the float64 path's
+    order, so both paths give the same bits.
 
     Rows go in blocks of about _ENERGY_BLOCK entries through one spin buffer and one
     S @ J buffer, so the temporaries stay near 1 MiB each whatever the batch size.
@@ -347,7 +341,7 @@ def energies(model: IsingModel, xs) -> np.ndarray:
     X = np.asarray(xs)
     if X.ndim != 2 or X.shape[1] != model.n:
         raise ValueError(f"expected a (shots, {model.n}) bit matrix, got shape {X.shape}")
-    h, J = model._float32_terms or (model._fields, model.coupling_matrix)
+    h, J = model.terms
     block = max(1, _ENERGY_BLOCK // model.n)
     spins = np.empty((min(block, len(X)), model.n), dtype=h.dtype)
     fields = np.empty_like(spins)
@@ -370,9 +364,8 @@ def energies(model: IsingModel, xs) -> np.ndarray:
 class MaxCutInstance:
     """Weighted graph for MaxCut: n nodes and (i, j, w_ij) edges with i < j.
 
-    `edges` takes a sequence of triples or an (m, 3) array. The edges are stored once,
-    as the int64/int64/float64 arrays `_edge_arrays`; the field holds a TripleView over
-    them, which yields (int, int, float) tuples on demand.
+    `edges` takes a sequence of triples or an (m, 3) array, and holds a TripleView over
+    the int64/int64/float64 arrays `edges.arrays`.
     """
 
     n: int
@@ -382,9 +375,7 @@ class MaxCutInstance:
         if self.n < 2:
             raise ValueError("MaxCut instance needs n >= 2")
         _check_node_count(self.n)
-        edges, arrays = _canonical_triples(self.edges, self.n, "edge")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_edge_arrays", arrays)
+        object.__setattr__(self, "edges", _canonical_triples(self.edges, self.n, "edge"))
 
 
 def edge_density(g: MaxCutInstance) -> float:
@@ -398,9 +389,9 @@ def maxcut_to_ising(g: MaxCutInstance) -> IsingModel:
     With this encoding energy(model, x) equals minus the cut weight of x for every x, so
     minimizing the energy maximizes the cut.
     """
-    ei, ej, ew = g._edge_arrays
+    ei, ej, ew = g.edges.arrays
     offset = -0.5 * float(ew.sum()) if ew.size else 0.0
-    return IsingModel(g.n, (0.0,) * g.n, np.column_stack((ei, ej, ew / 2.0)), offset)
+    return IsingModel(g.n, np.zeros(g.n), np.column_stack((ei, ej, ew / 2.0)), offset)
 
 
 def gen_unweighted(n: int, d: float, seed: int) -> MaxCutInstance:
@@ -457,7 +448,7 @@ def write_instance(g: MaxCutInstance, path) -> None:
     integer weights print as '1'), otherwise as its shortest exact repr. Each distinct
     weight (bit pattern, so -0.0 apart from 0.0) is formatted once.
     """
-    ei, ej, ew = g._edge_arrays
+    ei, ej, ew = g.edges.arrays
     order = np.lexsort((ej, ei))
     bits, which = np.unique(ew[order].view(np.int64), return_inverse=True)
     texts = []
@@ -495,6 +486,19 @@ def _read_edge_lines(path, header_line: int, m: int) -> list[tuple[int, int, flo
     return edges
 
 
+def _needs_line_loop(fh) -> bool:
+    """Whether the rest of fh has a '#' that starts no comment line, or a line longer than
+    _SCAN_BLOCK characters: read in blocks cut after their last newline, so each shorter
+    line is whole in one block and memory stays bounded however long the file."""
+    carry = ""
+    for block in itertools.chain(iter(functools.partial(fh.read, _SCAN_BLOCK), ""), ["\n"]):
+        lines, _, carry = (carry + block).rpartition("\n")
+        if len(carry) > _SCAN_BLOCK or ("#" in lines and lines.count("#")
+                                        != len(_COMMENT_START.findall(lines))):
+            return True
+    return False
+
+
 def _load_edges(path, skip: int, m: int) -> np.ndarray | None:
     """The m edge lines after the first `skip` lines as an (m, 3) array of sorted (i, j, w)
     rows, parsed by np.loadtxt in one streamed pass that stops one edge line beyond m;
@@ -515,14 +519,13 @@ def read_instance(path) -> MaxCutInstance:
     """Parse the edge-list text format; rejects self-loops, duplicates, and bad counts.
 
     The file is an 'n m' header line, then 'i j w' per edge, with blank lines and lines
-    starting with '#' skipped; i > j is read as (j, i). The edge lines are parsed in one
-    streamed np.loadtxt pass: int64 indices, which refuse '1e3' and '1.5' as int() does,
-    and float64 weights. A file that pass refuses or miscounts, or with a '#' that does
-    not start a comment line, is read again by the line loop, whose errors name the
-    file's line; both stop one edge line beyond the header's count. The complete graph
-    on NODE_CAP nodes reads in about 0.15 s with a tracemalloc peak of 32 MiB this way;
-    the line loop takes about 1 s and 178 MiB.
-    An n beyond NODE_CAP is refused from the header, before any edge line is read.
+    starting with '#' skipped; i > j is read as (j, i). An n beyond NODE_CAP is refused
+    from the header. The edge lines are parsed in one streamed np.loadtxt pass (int64
+    indices, which refuse '1e3' and '1.5' as int() does, and float64 weights): the
+    complete graph on NODE_CAP nodes in about 0.15 s and a 32 MiB tracemalloc peak. A
+    file that pass refuses or miscounts, or that `_needs_line_loop`, goes to the line
+    loop, whose errors name the file's line (about 1 s and 178 MiB on that graph); both
+    stop one edge line beyond the header's count.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, header in enumerate(map(str.strip, fh), 1):
@@ -538,11 +541,9 @@ def read_instance(path) -> MaxCutInstance:
         except ValueError:
             raise ValueError(f"{path}: header must hold two integers, got {header!r}") from None
         _check_node_count(n)
-        rest = fh.read()
-    # loadtxt would also drop the rest of a line after an inline '#', which the format refuses
-    inline_hash = "#" in rest and rest.count("#") != len(_COMMENT_START.findall(rest))
-    del rest
-    edges = None if inline_hash or not m else _load_edges(path, lineno, m)
+        # loadtxt would drop the rest of a line after an inline '#', which the format refuses
+        by_lines = not m or _needs_line_loop(fh)
+    edges = None if by_lines else _load_edges(path, lineno, m)
     if edges is None:
         edges = _read_edge_lines(path, lineno, m)
     try:

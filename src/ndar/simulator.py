@@ -314,9 +314,8 @@ def _p1_coefficients(model: IsingModel, gamma: float) -> tuple[float, float, flo
     6e-17 at g = pi/2 and J = 1/2, is never divided out. Edges go in blocks of
     _EDGE_CHUNK // n, so each temporary holds about _EDGE_CHUNK floats.
     """
-    g = -gamma
-    h = model._fields
-    ci, cj, cw = model._edge_arrays
+    g, h = -gamma, model.h
+    ci, cj, cw = model.couplings.arrays
     angle = 2.0 * g * model.coupling_matrix
     c, s = np.cos(angle), np.sin(angle)
     a = float(h @ (np.sin(2.0 * g * h) * c.prod(axis=1)))

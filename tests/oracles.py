@@ -87,10 +87,9 @@ def gauge_transform(model: IsingModel, y) -> IsingModel:
     """
     yb = as_bits(y, model.n)
     sign = 1.0 - 2.0 * yb.astype(np.float64)
-    new_h = (model._fields * sign).tolist()
-    ci, cj, cw = model._edge_arrays
+    ci, cj, cw = model.couplings.arrays
     new_w = cw * sign[ci] * sign[cj]
-    return IsingModel(model.n, tuple(new_h), np.column_stack((ci, cj, new_w)), model.offset)
+    return IsingModel(model.n, model.h * sign, np.column_stack((ci, cj, new_w)), model.offset)
 
 
 def apply_mask(y, x) -> np.ndarray:
@@ -108,7 +107,7 @@ def hamming_weight(x) -> int:
 def cut_value(g: MaxCutInstance, x) -> float:
     """Total weight of edges crossing the partition encoded by bitstring x."""
     xb = as_bits(x, g.n)
-    ei, ej, ew = g._edge_arrays
+    ei, ej, ew = g.edges.arrays
     if not ew.size:
         return 0.0
     crossing = xb[ei] != xb[ej]

@@ -20,7 +20,7 @@ def per_spin_sa_solve(model, config):
     rng = np.random.default_rng(config.seed)
     reads = config.num_reads
     jm = model.coupling_matrix
-    h = model._fields
+    h = model.h
     order, bounds = color_classes(jm)
     classes = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -167,7 +167,7 @@ def test_oversized_effort_fails_before_allocating():
 def test_working_arrays_peak_under_30_bytes_per_read_and_spin():
     import tracemalloc
     model = maxcut_to_ising(gen_weighted_dense(300, seed=0))
-    assert model._float32_terms is not None  # cached outside the measurement, as is the matrix
+    assert model.terms[0].dtype == np.float32  # cached outside the measurement, as is the matrix
     reads = 2000
     tracemalloc.start()
     try:
@@ -183,7 +183,7 @@ def test_working_arrays_peak_under_30_bytes_per_read_and_spin():
 def test_one_block_working_arrays_peak_under_30_bytes_per_read_and_spin():
     import tracemalloc
     model = maxcut_to_ising(gen_unweighted(18, 0.8, seed=29))
-    assert model._float32_terms is not None  # cached outside the measurement, as is the matrix
+    assert model.terms[0].dtype == np.float32  # cached outside the measurement, as is the matrix
     reads = 20000
     tracemalloc.start()
     try:
@@ -343,7 +343,7 @@ def test_coloring_is_proper(model):
 def test_large_fields_match_the_per_spin_loop_on_both_sides_of_the_float32_bound(excess,
                                                                                  float32):
     model = large_field_model(excess)
-    assert (model._float32_terms is not None) == float32
+    assert (model.terms[0].dtype == np.float32) == float32
     config = SaConfig(16, 50, seed=8)
     bits, e = sa_solve(model, config)
     expected_bits, expected_e = per_spin_sa_solve(model, config)
@@ -354,7 +354,7 @@ def test_large_fields_match_the_per_spin_loop_on_both_sides_of_the_float32_bound
 def test_weights_inexact_in_binary_take_the_float64_path():
     g = gen_unweighted(30, 0.3, seed=3)
     model = IsingModel(g.n, (0.1,) * g.n, [(i, j, 0.1) for i, j, _ in g.edges])
-    assert model._float32_terms is None
+    assert model.terms[0].dtype == np.float64
     config = SaConfig(12, 80, seed=2)
     bits, e = sa_solve(model, config)
     assert e == energy(model, bits)

@@ -771,6 +771,18 @@ def test_config_table_leaves_defaults_to_the_dataclass(tmp_path):
         f.name for f in dataclasses.fields(ExperimentConfig))
 
 
+def test_run_epilog_names_every_config_key_in_full():
+    from ndar.cli import _RUN_EPILOG
+    keys_section = _RUN_EPILOG.split("\noutput files:")[0]
+    # a key line: two blanks, the line's keys separated by ", ", then two blanks
+    named = [k for m in re.finditer(r"^  (\S+(?:, \S+)*)  ", keys_section, re.MULTILINE)
+             for k in m.group(1).split(", ")]
+    assert sorted(named) == sorted(harness._CONFIG_KEYS)
+    kind = next(ln for ln in keys_section.splitlines() if ln.startswith("  sampler.kind "))
+    default = harness.ExperimentConfig.__dataclass_fields__["sampler_kind"].default
+    assert f"{default} (default)" in kind
+
+
 def test_fresh_output_directory_gets_the_mode_of_a_plain_mkdir(tmp_path):
     path = write_config(tmp_path, SMOKE)
     old = os.umask(0o022)

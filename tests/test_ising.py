@@ -94,7 +94,7 @@ def test_gauge_identity_mask_is_noop():
 def test_gauge_sign_rule_example():
     model = IsingModel(2, (1.0, -2.0), ((0, 1, 3.0),), offset=0.25)
     flipped = gauge_transform(model, (1, 0))
-    assert flipped.h == (-1.0, -2.0)
+    assert tuple(flipped.h) == (-1.0, -2.0)
     assert flipped.couplings == ((0, 1, -3.0),)
     assert flipped.offset == 0.25
 
@@ -184,6 +184,49 @@ def test_maxcut_triangle_encoding():
     assert cut_value(g, "000") == 0.0
     for x in all_bitstrings(3):
         assert cut_value(g, x) == cut_value(g, 1 - x)
+
+
+def test_fields_are_one_read_only_float64_array():
+    given = np.array([1.0, -2.0, 0.5])
+    model = IsingModel(3, given, ((0, 1, 1.0),))
+    assert type(model.h) is np.ndarray and model.h.dtype == np.float64
+    with pytest.raises(ValueError):
+        model.h[0] = 7.0
+    given[0] = 7.0  # the model holds its own copy
+    assert model.h.tolist() == [1.0, -2.0, 0.5]
+
+
+def test_models_from_lists_tuples_and_arrays_are_equal_and_hash_equal():
+    couplings = ((0, 1, 1.5), (1, 2, -0.5))
+    models = [IsingModel(3, h, couplings, 0.25)
+              for h in ([1.0, 0.0, -2.0], (1.0, -0.0, -2.0), np.array([1.0, 0.0, -2.0]))]
+    for model in models:
+        assert model == models[0] and hash(model) == hash(models[0])
+        assert {models[0]: 1}[model] == 1
+    different = [IsingModel(3, [1.0, 0.0, -2.5], couplings, 0.25),
+                 IsingModel(3, [1.0, 0.0, -2.0], couplings[:1], 0.25),
+                 IsingModel(3, [1.0, 0.0, -2.0], couplings, 0.5),
+                 IsingModel(4, [1.0, 0.0, -2.0, 0.0], couplings, 0.25)]
+    assert all(other != models[0] for other in different)
+    assert models[0] != (3, (1.0, 0.0, -2.0), couplings, 0.25)
+
+
+def test_maxcut_model_equals_the_model_built_from_tuples():
+    g = gen_weighted_dense(9, seed=4)
+    expected = IsingModel(g.n, (0.0,) * g.n, tuple((i, j, w / 2) for i, j, w in g.edges),
+                          -0.5 * sum(w for _, _, w in g.edges))
+    model = maxcut_to_ising(g)
+    assert model == expected and hash(model) == hash(expected)
+
+
+def test_terms_take_float32_exactly_where_the_sums_are_exact():
+    model = maxcut_to_ising(gen_weighted_dense(30, seed=1))
+    h, J = model.terms
+    assert h.dtype == J.dtype == np.float32
+    assert np.array_equal(h, model.h) and np.array_equal(J, model.coupling_matrix)
+    tenths = IsingModel(3, (0.1, 0.2, 0.3), ((0, 1, 0.1), (1, 2, -0.7)))
+    h, J = tenths.terms
+    assert h is tenths.h and J is tenths.coupling_matrix
 
 
 def test_maxcut_duality_on_80_node_instance():
@@ -327,7 +370,7 @@ def test_cost_diagonal_is_bit_equal_to_energies_under_the_float32_rule():
     models = [dyadic_model(rng, n) for n in range(1, 15)]
     models += [dyadic_model(rng, 9, density=0.0), maxcut_to_ising(gen_weighted_dense(12, 2))]
     for model in models:
-        assert model._float32_terms is not None
+        assert model.terms[0].dtype == np.float32
         expected = energies(model, all_bitstrings(model.n))
         assert np.array_equal(model.cost_diagonal.view(np.int64), expected.view(np.int64)), model.n
 
@@ -336,7 +379,7 @@ def test_cost_diagonal_off_the_float32_rule_agrees_to_rounding():
     n = 12
     couplings = tuple((i, j, 0.1) for i in range(n) for j in range(i + 1, n) if (i + j) % 3)
     model = IsingModel(n, (0.1,) * n, couplings, 0.3)
-    assert model._float32_terms is None
+    assert model.terms[0].dtype == np.float64
     expected = energies(model, all_bitstrings(n))
     assert np.allclose(model.cost_diagonal, expected, rtol=1e-12, atol=1e-12)
     bits, e = brute_force_best(model)
@@ -493,6 +536,10 @@ def test_instance_file_rejects_bad_content(tmp_path):
             read_instance(bad)
 
     assert traced_peak(refused) < 4 << 20  # the text after the header is 1.7 MiB
+    # the inline-'#' scan reads the text after the header in blocks, where reading it
+    # whole peaked at 11.4 MiB on these 5.7 MiB
+    bad.write_text("1024 1\n" + "0 1 1\n" * 1000000)
+    assert traced_peak(refused) < 1 << 20
     bad.write_text("oops\n")
     with pytest.raises(ValueError):
         read_instance(bad)
@@ -524,6 +571,26 @@ def test_instance_file_edge_values_parse_as_the_line_loop_parses_them(tmp_path):
     write_instance(g, path)
     assert read_instance(path) == g == MaxCutInstance(
         40, ising._read_edge_lines(path, 1, len(g.edges)))
+
+
+@pytest.mark.parametrize("block", [7, 8, 11, 16])
+def test_inline_hash_scan_sees_lines_across_block_ends(tmp_path, monkeypatch, block):
+    import io
+    monkeypatch.setattr(ising, "_SCAN_BLOCK", block)
+    for pad in range(block + 1):  # moves the block ends through the lines below
+        head = "# c\n" + "\n" * pad
+        # one '#' per comment line, with and without a last newline
+        for text in ("0 1\n  # d\n#\n", "0 1\n  # d", "\t#e\n1 2\n#"):
+            assert not ising._needs_line_loop(io.StringIO(head + text)), (pad, text)
+        # a '#' after an edge, a second '#' on a comment line, a line over twice the block
+        for text in ("0 1 #\n", "1 2\n0 1 #", "# c # d\n", "0 1 " + "1" * 2 * block):
+            assert ising._needs_line_loop(io.StringIO(head + text)), (pad, text)
+    path = tmp_path / "g.txt"
+    path.write_text("# c\n3 2\n  # d\n0 1 1\n# e\n1 2 -2\n")
+    assert read_instance(path) == MaxCutInstance(3, ((0, 1, 1.0), (1, 2, -2.0)))
+    path.write_text("3 1\n0 1 1 # e\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: expected 'i j w'")):
+        read_instance(path)
 
 
 def test_node_cap_instance_file_reads_in_one_pass(tmp_path, monkeypatch):
@@ -565,7 +632,7 @@ def test_triple_view_acts_as_its_tuple():
     assert arr.shape == (2, 3) and arr.dtype == np.float64
     assert np.array_equal(arr, [[0, 2, 1], [1, 2, -2]])
     with pytest.raises(ValueError):
-        g._edge_arrays[2][0] = 5.0
+        g.edges.arrays[2][0] = 5.0
     empty = MaxCutInstance(3, ()).edges
     assert len(empty) == 0 and not empty and empty == () and hash(empty) == hash(())
     assert np.asarray(empty).shape == (0, 3)

@@ -65,13 +65,13 @@ def test_gauge_transform_frame_identity(data):
 def float64_path(model):
     """A copy of the model whose energies take the float64 path."""
     copy = dataclasses.replace(model)
-    copy.__dict__["_float32_terms"] = None
+    copy.__dict__["terms"] = (model.h, model.coupling_matrix)
     return copy
 
 
 def assert_exact_float32_energies(model, X):
     """energies takes the float32 path and returns the bits of the float64 path."""
-    assert model._float32_terms is not None
+    assert model.terms[0].dtype == np.float32
     batch = energies(model, X)
     assert batch.dtype == np.float64
     assert batch.tobytes() == energies(float64_path(model), X).tobytes()
@@ -131,7 +131,7 @@ def test_a_model_at_the_float32_bound_qualifies(scale):
 ], ids=["tenths", "gaussian", "fields-over", "finer-unit-over", "couplings-over",
         "fields-plus-couplings-over", "huge", "tiny-unit"])
 def test_models_outside_the_float32_rule_take_the_float64_path(model):
-    assert model._float32_terms is None
+    assert model.terms[0].dtype == np.float64
     X = all_bitstrings(model.n)
     assert energies(model, X).tobytes() == energies(float64_path(model), X).tobytes()
 
@@ -246,7 +246,8 @@ def assert_validation_matches_the_loop(triples, n):
         with pytest.raises(ValueError):
             _canonical_triples(triples, n, "edge")
         return
-    got, (i, j, w) = _canonical_triples(triples, n, "edge")
+    got = _canonical_triples(triples, n, "edge")
+    i, j, w = got.arrays
     assert got == expected
     assert all(type(v) is t for e in got for v, t in zip(e, (int, int, float)))
     assert tuple(zip(i.tolist(), j.tolist(), w.tolist())) == got
