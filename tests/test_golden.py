@@ -35,6 +35,10 @@ CONFIGS = {
         "ndar.shots = 300\nndar.iters = 40\nndar.patience = 2\nruns = 2\n"
         "sa.reads = 8\nsa.sweeps = 20\n",
     "classical-file-tenths": f"instance.file = {TENTHS}\nsampler.q = 0.7\n" + SMALL,
+    # an odd n, and shots that span several chunks of 434 and of 2048 rows
+    "classical-dense-301-chunks":
+        "instance.family = weighted-dense\ninstance.n = 301\nsampler.q = 0.9\n"
+        "ndar.shots = 5000\nndar.iters = 2\nruns = 1\nsa.reads = 8\nsa.sweeps = 20\n",
     "qaoa-grid-search":
         "instance.family = unweighted-sparse\ninstance.n = 10\nsampler.kind = qaoa\n"
         "sampler.grid_steps = 8\nsampler.t_delay = 100\n" + SMALL,
