@@ -15,21 +15,17 @@ import numpy as np
 
 from .circuits import DampingSpec, QaoaCircuit, QaoaParams, build_random_circuit, check_depth
 from .errors import ResourceLimitError
-from .ising import IsingModel, energies, energy, lex_first
-from .simulator import apply_decay, bernoulli, born_probs, born_tree, sample, simulate
+from .ising import IsingModel, block_rows, energies, energy, lex_first
+from .simulator import apply_decay, bernoulli, born_tree, sample, simulate
 
 KIND_QAOA = "qaoa"
 KIND_RANDOM_CIRCUIT = "random-circuit"
 KIND_CLASSICAL_BERNOULLI = "classical-bernoulli"
 SAMPLER_KINDS = (KIND_QAOA, KIND_RANDOM_CIRCUIT, KIND_CLASSICAL_BERNOULLI)
 
-# shots per chunk of an iteration; even, so chunked Bernoulli and decay draws, two bits
-# per raw 64-bit output, equal one whole draw
-_CHUNK = 1 << 11
-
-# most shots per iteration accepted. An iteration keeps 8 bytes per shot in its energy
-# vector and np.unique about 8 more, so the cap costs about 250 MiB; a run keeps two energy
-# histograms, iteration 0's and the last's, at 16 bytes per distinct energy, 256 MiB at most
+# most shots per iteration accepted. Beside its chunk, an iteration keeps 8 bytes per shot
+# in its energy vector and np.unique about 8 more, so the cap costs about 250 MiB; a run's
+# two energy histograms, iteration 0's and the last's, take 16 bytes per distinct energy
 SHOTS_CAP = 1 << 24
 
 # stream tags for per-purpose child seeds
@@ -160,7 +156,7 @@ def _select_best(X: np.ndarray, E: np.ndarray) -> int:
 
 def qaoa_tree(model0: IsingModel, sampler: SamplerSpec) -> list[np.ndarray]:
     """The born_tree of the sampler's QAOA state for model0, in the original frame."""
-    return born_tree(born_probs(simulate(QaoaCircuit(model0, sampler.params))))
+    return born_tree(simulate(QaoaCircuit(model0, sampler.params)))
 
 
 def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
@@ -181,17 +177,17 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
     The loop's state is the mask, the records, the index `best` of the first record
     with the lowest energy, iteration 0's distribution, and the tree. QAOA draws every
     frame from its one tree, passing the mask to sample as an integer, so no frame
-    costs 2^n work. A random circuit builds its tree when its circuit is drawn, once the
-    previous tree is dropped, and draws in frame 0. The attractor energy, stall count
-    (j - best) and overall best come from the records.
+    costs 2^n work. A random circuit builds its tree in its state's buffer when its
+    circuit is drawn, once the previous tree is dropped, and draws in frame 0. The
+    attractor energy, stall count (j - best) and overall best come from the records.
 
-    An iteration runs in chunks of _CHUNK shots, so no (shots, n) matrix is built:
-    each chunk is drawn from the tree with the iteration's sample and decay
-    generators, scored into the iteration's energy vector and its Hamming-weight
-    counts, and reduced to its _select_best winner, and the rule runs once more over
-    the chunk winners. The draws fill row-major and the chunks hold an even number of
-    bits, so every result is the one a whole-batch draw would give. Only iteration 0's
-    and the last iteration's energies become histograms.
+    An iteration runs in chunks of block_rows(n) shots, one block of energies each, so
+    no (shots, n) matrix is built and a chunk's arrays fit in L2. Each chunk is drawn with
+    the iteration's sample and decay generators, scored into its energy vector and
+    Hamming-weight counts, and reduced to its _select_best winner; the rule runs once
+    more over the chunk winners. The draws fill row-major and the chunks hold an even
+    number of rows, so every result is the one a whole-batch draw would give. Only
+    iteration 0's and the last's energies become histograms.
     """
     n = model0.n
     mask = np.zeros(n, dtype=np.uint8)
@@ -200,6 +196,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
     frame = 0
     if sampler.kind == KIND_QAOA and tree is None:
         tree = qaoa_tree(model0, sampler)
+    chunk = block_rows(n)
     gamma = 0.0 if sampler.kind == KIND_CLASSICAL_BERNOULLI else sampler.damping.gamma_damp
     for j in range(config.max_iters):
         rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))
@@ -208,13 +205,13 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
         elif sampler.kind == KIND_RANDOM_CIRCUIT and (j == 0 or sampler.fresh_circuit):
             seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, j)
             tree = None  # dropped before the next state exists
-            tree = born_tree(born_probs(simulate(build_random_circuit(n, sampler.depth, seed))))
+            tree = born_tree(simulate(build_random_circuit(n, sampler.depth, seed)))
         decay_rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_DECAY, j))
         E = np.empty(config.shots)
         weight_counts = np.zeros(n + 1, dtype=np.int64)
         winners, winner_energies = [], []
-        for start in range(0, config.shots, _CHUNK):
-            rows = min(_CHUNK, config.shots - start)
+        for start in range(0, config.shots, chunk):
+            rows = min(chunk, config.shots - start)
             if sampler.kind == KIND_CLASSICAL_BERNOULLI:
                 X = classical_bernoulli_sample(n, sampler.q, rows, rng)
             else:

@@ -33,10 +33,9 @@ NODE_CAP = 1024
 # block and their bit columns are its temporaries, however many strings tie
 _ENUM_CHUNK = 1 << 14
 
-# entries per row block of energies' two reused float temporaries: 1 MiB each in float32,
-# 873 rows at n = 300. Fresh (2048, 300) temporaries per chunk, faulted in again after every
-# chunk, made a 10,000-shot dense-300 iteration take 37 against 26 ms on a 2-core host
-_ENERGY_BLOCK = 1 << 18
+# entries per row block of block_rows: 512 KiB of float32 spins or fields, so one NDAR
+# chunk's words, bits, spins and fields fit in L2
+_BLOCK_ENTRIES = 1 << 17
 
 # blocks of 2^_DIAG_BITS entries in the cost diagonal's last pass, which adds the offset
 # and the field sum: its three vectors of at most 32 KiB are the build's only temporaries
@@ -326,6 +325,12 @@ def energy(model: IsingModel, x) -> float:
     return e
 
 
+def block_rows(n: int) -> int:
+    """Rows of n bits per NDAR chunk and energies block: max(2, 2^17 // n) rounded down to
+    even, so chunked Bernoulli and decay draws, two bits per raw output, equal one draw."""
+    return max(2, (_BLOCK_ENTRIES // n) & ~1)
+
+
 def energies(model: IsingModel, xs) -> np.ndarray:
     """Energies of a batch of bitstrings given as a (shots, n) 0/1 matrix.
 
@@ -335,14 +340,14 @@ def energies(model: IsingModel, xs) -> np.ndarray:
     float64 before the offset and the factor 1/2 are applied, in the float64 path's
     order, so both paths give the same bits.
 
-    Rows go in blocks of about _ENERGY_BLOCK entries through one spin buffer and one
-    S @ J buffer, so the temporaries stay near 1 MiB each whatever the batch size.
+    Rows go in blocks of block_rows(n), an NDAR chunk's size, through one spin buffer and
+    one S @ J buffer, so the temporaries stay near 512 KiB each whatever the batch size.
     """
     X = np.asarray(xs)
     if X.ndim != 2 or X.shape[1] != model.n:
         raise ValueError(f"expected a (shots, {model.n}) bit matrix, got shape {X.shape}")
     h, J = model.terms
-    block = max(1, _ENERGY_BLOCK // model.n)
+    block = block_rows(model.n)
     spins = np.empty((min(block, len(X)), model.n), dtype=h.dtype)
     fields = np.empty_like(spins)
     out = np.empty(len(X))

@@ -2,8 +2,8 @@
 and the single-layer QAOA grid search, which reads a closed form and builds no state.
 
 Born sampling is split in two: born_tree builds the pairwise sums of |amplitude|^2 once
-per state, and sample descends them in any gauge frame m, where outcome k has the
-probability of k ^ m, so one tree serves every draw of every frame.
+per state, in the state's own buffer, and sample descends them in any gauge frame m,
+where outcome k has the probability of k ^ m, so one tree serves every draw of every frame.
 
 Statevector indexing is little-endian: the amplitude at flat index x describes
 the bitstring whose bit i (qubit i) equals (x >> i) & 1.
@@ -180,28 +180,34 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
     return psi
 
 
-def born_probs(psi: np.ndarray) -> np.ndarray:
-    """|amplitude|^2 of the state as float64."""
-    out = np.abs(psi)
-    out *= out
-    return out
-
-
-def born_tree(probs: np.ndarray) -> list[np.ndarray]:
+def born_tree(state: np.ndarray) -> list[np.ndarray]:
     """The levels of pairwise sums of unnormalised probabilities, from which sample draws.
 
-    Level 0 is `probs` itself and level b holds 2^(n-b) sums, each built as
-    a[0::2] + a[1::2] from the level a below, so entry f of level b sums the entries of
-    `probs` in [f 2^b, (f + 1) 2^b) and level n holds the total. Raises ValueError unless
-    there are 2^n >= 2 entries with a finite positive total: for |amplitude|^2 >= 0 that
-    catches any NaN or inf and the all-zero state.
+    Level 0 holds |amplitude|^2 and level b holds 2^(n-b) sums, each built as
+    a[0::2] + a[1::2] from the level a below, so entry f of level b sums the level-0
+    entries in [f 2^b, (f + 1) 2^b) and level n holds the total. A complex `state`, as
+    simulate returns it, becomes its tree: level 0, made a _SCRATCH block at a time,
+    fills the front half of its float buffer and levels 1..n the back half. A real
+    `state` holds the probabilities: it is level 0, and levels 1..n fill one new buffer.
+    Raises ValueError unless there are 2^n >= 2 entries with a finite positive total:
+    for |amplitude|^2 >= 0 that catches any NaN or inf and the all-zero state.
     """
-    a = np.asarray(probs).reshape(-1)
+    a = np.asarray(state).reshape(-1)
     if a.size < 2 or a.size & (a.size - 1):
         raise ValueError(f"{a.size} probabilities are not a power of two >= 2")
+    if np.iscomplexobj(a):
+        buf = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+        scratch = np.empty(min(_SCRATCH, a.size))
+        for start in range(0, a.size, scratch.size):  # amplitudes are read before overwritten
+            np.abs(a[start:start + scratch.size], out=scratch)
+            scratch *= scratch
+            buf[start:start + scratch.size] = scratch
+        a, rest = buf[:a.size], buf[a.size:]
+    else:
+        rest = np.empty(a.size - 1, dtype=a.dtype)
     levels = [a]
     while a.size > 1:
-        a = a[0::2] + a[1::2]
+        a, rest = np.add(a[0::2], a[1::2], out=rest[:a.size // 2]), rest[a.size // 2:]
         levels.append(a)
     if not (math.isfinite(a[0]) and a[0] > 0.0):
         raise ValueError(f"probabilities must have a finite positive total, got {a[0]}")
@@ -210,7 +216,7 @@ def born_tree(probs: np.ndarray) -> list[np.ndarray]:
 
 def sample(tree: list[np.ndarray], shots: int, seed, mask: int = 0) -> np.ndarray:
     """Draw `shots` bitstrings from a born_tree in the gauge frame `mask`, returned as a
-    (shots, n) uint8 matrix: row bits k come with probability probs[k ^ mask] / total.
+    (shots, n) uint8 matrix: row bits k come with probability tree[0][k ^ mask] / total.
 
     Bit i of each row corresponds to qubit i. `seed` is an int or a Generator, which the
     draw advances by `shots` uniforms; rows are drawn in order, so consecutive draws on

@@ -10,7 +10,7 @@ from ndar import (DampingSpec, IsingModel, NdarConfig, QaoaParams, ResourceLimit
                   SamplerSpec, apply_decay, born_tree, brute_force_best,
                   classical_bernoulli_sample, derive_seed, energies, energy, gen_unweighted,
                   gen_weighted_dense, maxcut_to_ising, run_ndar, sample, simulate)
-from ndar import engine, simulator
+from ndar import engine, ising, simulator
 from ndar.engine import SHOTS_CAP, _STREAM_DECAY, _STREAM_SAMPLE, _select_best
 from oracles import apply_mask, born_table, build_qaoa_circuit, gauge_transform, sample_table
 
@@ -123,12 +123,20 @@ def assert_same_result(a, b):
     SamplerSpec("random-circuit", depth=3, damping=DampingSpec(60.0, 180.0), fresh_circuit=True),
 ], ids=["classical-0.95", "classical-0.5", "qaoa-damped", "random-circuit-damped"])
 def test_chunked_iterations_equal_one_whole_batch(monkeypatch, sampler):
-    # 203 shots are one chunk by default; in chunks of 6 rows of 9 bits the last has 5 rows
+    # 203 shots are one chunk by default. Blocks of 63 entries are 7 rows of 9 bits, which
+    # the rule rounds down to 6: 7 rows would hold an odd count of bits and shift every
+    # later Bernoulli and decay draw. In chunks of 6 rows the last has 5
     model0 = small_model(9, 0.5, seed=3)
     cfg = NdarConfig(shots=203, max_iters=5, master_seed=4)
     whole = run_ndar(model0, sampler, cfg)
-    monkeypatch.setattr(engine, "_CHUNK", 6)
+    monkeypatch.setattr(ising, "_BLOCK_ENTRIES", 7 * 9)
+    assert ising.block_rows(9) == 6
     assert_same_result(run_ndar(model0, sampler, cfg), whole)
+
+
+def test_block_rows_are_even_and_cover_2_to_the_17_entries():
+    assert [ising.block_rows(n) for n in (18, 300, 301, 1024)] == [7280, 436, 434, 128]
+    assert ising.block_rows(1 << 17) == ising.block_rows(1 << 18) == 2
 
 
 @pytest.mark.parametrize("sampler, master_seed, trees, moves", [
@@ -145,15 +153,15 @@ def test_chunked_iterations_equal_one_whole_batch(monkeypatch, sampler):
 def test_born_tree_is_built_once_per_state(monkeypatch, sampler, master_seed, trees, moves):
     built, draws = [], []
 
-    def counting_tree(probs):
-        built.append(probs.size)
-        return born_tree(probs)
+    def counting_tree(state):
+        built.append(state.size)
+        return born_tree(state)
 
     def counting_sample(tree, shots, seed, mask=0):
         draws.append(shots)
         return sample(tree, shots, seed, mask)
 
-    monkeypatch.setattr(engine, "_CHUNK", 6)
+    monkeypatch.setattr(ising, "_BLOCK_ENTRIES", 6 * 9)
     monkeypatch.setattr(engine, "born_tree", counting_tree)
     monkeypatch.setattr(engine, "sample", counting_sample)
     model0 = small_model(9, 0.5, seed=3)
@@ -191,10 +199,25 @@ def test_circuit_runs_hold_one_tree_and_the_scratch(sampler):
     if sampler.kind == "qaoa":
         assert result.trace[0].best_bits.any()  # so a moved frame was sampled
     state = 0 if sampler.kind == "qaoa" else 16 << n  # a random circuit's state
-    # a random circuit's |amplitude|^2 beside its state, or its tree's 2^n sums, the
-    # scratch and 1 MiB for a chunk's samples and energies; a second table-sized array
-    # beside the state, or a previous circuit's tree, exceeds it
-    assert peak <= state + (8 << n) + 16 * simulator._SCRATCH + (1 << 20)
+    # the state, which holds its own tree, the scratch and 1 MiB for a chunk's samples and
+    # energies; |amplitude|^2 beside the state, or a previous circuit's tree, exceeds it
+    assert peak <= state + 16 * simulator._SCRATCH + (1 << 20)
+
+
+def test_qaoa_tree_is_built_in_its_state():
+    n = 18
+    model0 = small_model(n, 0.5, seed=3)
+    sampler = SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)))
+    model0.cost_diagonal  # cached outside the measurement
+    tracemalloc.start()
+    try:
+        tree = engine.qaoa_tree(model0, sampler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(level.size for level in tree) == (2 << n) - 1
+    # the state and the scratch; |amplitude|^2 beside the state exceeds it
+    assert peak <= 16 * (1 << n) + 16 * simulator._SCRATCH + (1 << 20)
 
 
 def test_dense_300_iteration_memory_is_bounded():
@@ -207,8 +230,8 @@ def test_dense_300_iteration_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one (10000, 300) float32 matrix alone would be 11.4 MiB
-    assert peak < 12 << 20
+    # one (2048, 300) chunk's Bernoulli words alone would be 2.3 MiB
+    assert peak < 2 << 20
 
 
 def test_trace_invariants_hold_exactly():

@@ -293,7 +293,7 @@ def zero_heavy_probs(n, seed):
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi[1::2] = 0.0
     psi[::5] = 0.0
-    return simulator.born_probs(psi)
+    return np.abs(psi) ** 2
 
 
 class FixedUniforms(np.random.Generator):
@@ -336,11 +336,13 @@ def test_sample_in_a_frame_equals_the_gathered_table_draw():
 
 def test_born_tree_refuses_nan_and_all_zero_states():
     for psi in (np.array([0.5, np.nan, 0.5, 0.5], dtype=complex), np.zeros(4, dtype=complex)):
-        with pytest.raises(ValueError, match="finite positive total"):
-            born_tree(np.abs(psi) ** 2)
+        for state in (np.abs(psi) ** 2, psi):
+            with pytest.raises(ValueError, match="finite positive total"):
+                born_tree(state)
     for size in (1, 3, 6):
-        with pytest.raises(ValueError, match="power of two"):
-            born_tree(np.ones(size))
+        for state in (np.ones(size), np.ones(size, dtype=complex)):
+            with pytest.raises(ValueError, match="power of two"):
+                born_tree(state)
 
 
 @pytest.mark.parametrize("n", [1, 5, 18])
@@ -348,13 +350,17 @@ def test_born_tree_levels_are_pairwise_sums(n):
     rng = np.random.default_rng(200 + n)
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi[::3] = 0.0
-    probs = simulator.born_probs(psi)
-    assert np.array_equal(probs, np.abs(psi) ** 2)
-    tree = born_tree(probs)
-    assert len(tree) == n + 1 and np.shares_memory(tree[0], probs)
-    for b in range(1, n + 1):
-        assert np.array_equal(tree[b], tree[b - 1][0::2] + tree[b - 1][1::2])
-    assert math.isclose(tree[n][0], probs.sum(), rel_tol=1e-12)
+    probs = np.abs(psi) ** 2
+    # a real input is level 0 itself; a complex state holds its whole tree, level 0 made
+    # through the scratch, which n = 18 fills 16 times
+    for state in (probs, psi):
+        tree = born_tree(state)
+        assert len(tree) == n + 1 and np.array_equal(tree[0], probs)
+        in_state = [np.shares_memory(level, state) for level in tree]
+        assert in_state == [True] + [np.iscomplexobj(state)] * n
+        for b in range(1, n + 1):
+            assert np.array_equal(tree[b], tree[b - 1][0::2] + tree[b - 1][1::2])
+        assert math.isclose(tree[n][0], probs.sum(), rel_tol=1e-12)
 
 
 def test_apply_decay_edge_cases():
