@@ -29,17 +29,14 @@ BRUTE_FORCE_CAP = 24
 # NODE_CAP nodes has 523,776 edges and an 8 MB coupling matrix
 NODE_CAP = 1024
 
-# block size of brute force's tie scan over the cost diagonal: the candidates of one
-# block and their bit columns are its temporaries, however many strings tie
-_ENUM_CHUNK = 1 << 14
+# entries per block of the streamed cost diagonal are 2^_COST_BLOCK_BITS, 32 KiB of
+# float64, so the stream's three block buffers add under 128 KiB to a QAOA state and
+# its scratch
+_COST_BLOCK_BITS = 12
 
 # entries per row block of block_rows: 512 KiB of float32 spins or fields, so one NDAR
 # chunk's words, bits, spins and fields fit in L2
 _BLOCK_ENTRIES = 1 << 17
-
-# blocks of 2^_DIAG_BITS entries in the cost diagonal's last pass, which adds the offset
-# and the field sum: its three vectors of at most 32 KiB are the build's only temporaries
-_DIAG_BITS = 12
 
 # a line whose first character after blanks is '#': a comment line of an instance file
 _COMMENT_START = re.compile(r"^[^\S\n]*#", re.MULTILINE)
@@ -92,15 +89,31 @@ def _check_enumerable(n: int) -> None:
         raise ResourceLimitError(f"refusing to enumerate 2^{n} bitstrings (cap {BRUTE_FORCE_CAP})")
 
 
-def _spin_doubling(out: np.ndarray, base: float, weights: np.ndarray) -> None:
-    """Fill out[x] = base - 2 sum_{i: bit i of x is 1} weights[i] for x < 2^len(weights).
+def _spin_doubling(out: np.ndarray, weights: np.ndarray, start: int = 0) -> None:
+    """Given entries [0, 2^start) of out, fill it up to 2^len(weights) by doubling: entries
+    [2^i, 2^(i+1)) are entries [0, 2^i) minus 2 weights[i], in place.
 
-    In place, doubling: entries [2^i, 2^(i+1)) are entries [0, 2^i) minus 2 weights[i].
-    With `base` the weights' sum, entry x is sum_i weights[i] s_i for the spins of x.
+    From out[0] = b, entry x is b - 2 sum_{i: bit i of x is 1} weights[i]; with b the
+    weights' sum, that is sum_i weights[i] s_i for the spins of x.
     """
-    out[0] = base
-    for i, w in enumerate(weights.tolist()):
+    for i, w in enumerate(weights[start:].tolist(), start):
         np.subtract(out[:1 << i], 2.0 * w, out=out[1 << i:2 << i])
+
+
+def _pair_sums(out: np.ndarray, J: np.ndarray) -> None:
+    """Fill out[x] = sum_{i<j} J[i, j] s_i s_j for the spins of x < 2^len(J), where J is
+    symmetric with a zero diagonal.
+
+    Entry 0, every spin +1, is the coupling sum. Entries [2^k, 2^(k+1)) are entries
+    [0, 2^k) with spin k flipped, which subtracts twice its field: J[k] summed with the
+    spins below k doubled over by _spin_doubling and those above k at +1.
+    """
+    out[0] = 0.5 * J.sum()
+    for k in range(len(J)):
+        half = out[1 << k:2 << k]
+        half[0] = -2.0 * J[k].sum()
+        _spin_doubling(half, -2.0 * J[k, :k])
+        half += out[:1 << k]
 
 
 def _index_bits(idx: np.ndarray, n: int) -> np.ndarray:
@@ -280,40 +293,6 @@ class IsingModel:
                 return self.h, self.coupling_matrix
         return self.h.astype(np.float32), self.coupling_matrix.astype(np.float32)
 
-    @functools.cached_property
-    def cost_diagonal(self) -> np.ndarray:
-        """Energies of all 2^n bitstrings (offset included), indexed like a statevector.
-
-        Built by spin doubling, with no bit matrix. Entry 0 is the coupling sum
-        C = sum_{i<j} J_ij with every spin at +1. For k = 0, ..., n - 1, entries
-        [2^k, 2^(k+1)) are entries [0, 2^k) minus twice spin k's coupling field, itself
-        doubled over the spins j < k. A last pass in 2^_DIAG_BITS blocks turns C into
-        (offset + sum_i h_i s_i) + C, the order `energies` adds them in. Under the float32
-        rule of `terms` every sum is exact, so each entry has the bits `energies` gives;
-        off it (weights such as 0.1) they agree to rounding, about 1e-15 relative.
-        Refuses n beyond the enumeration cap before allocating.
-        """
-        _check_enumerable(self.n)
-        n, J, h = self.n, self.coupling_matrix, self.h
-        diag = np.empty(1 << n)
-        diag[0] = self.couplings.arrays[2].sum()
-        for k in range(n):
-            # -2 x spin k's field, for every string of the spins below k (those above are +1)
-            half = diag[1 << k:2 << k]
-            _spin_doubling(half, -2.0 * J[k].sum(), -2.0 * J[k, :k])
-            half += diag[:1 << k]
-        low = min(n, _DIAG_BITS)
-        fields_low = np.empty(1 << low)
-        _spin_doubling(fields_low, h[:low].sum(), h[:low])
-        fields_high = np.empty(1 << (n - low))
-        _spin_doubling(fields_high, h[low:].sum(), h[low:])
-        t = np.empty_like(fields_low)
-        for q, high in enumerate(fields_high.tolist()):
-            np.add(fields_low, high, out=t)
-            t += self.offset
-            diag[q << low:(q + 1) << low] += t
-        return diag
-
 
 def energy(model: IsingModel, x) -> float:
     """Exact energy of bitstring x under the model (offset included)."""
@@ -426,21 +405,70 @@ def _index_bit(c: np.ndarray, i: int) -> np.ndarray:
     return (c >> i) & 1
 
 
+def cost_blocks(model: IsingModel):
+    """Yield the energies of all 2^n bitstrings (offset included), indexed like a
+    statevector, in consecutive blocks of 2^L entries, L = min(n, _COST_BLOCK_BITS).
+
+    Every block is yielded in one buffer, which the next block overwrites. Entry x of
+    block q is string q 2^L + x: q sets the n - L high spins and x the L low ones. No bit
+    matrix is built: the low spins' coupling sums (_pair_sums) and the high spins' field
+    and coupling sums for every q (spin doubling) are built once. Block q adds to the low
+    coupling sums q's coupling sum and the field of q's spins on each low spin,
+    J[:L, L:] s_high, summed over the first L // 2 low spins by a product with a table
+    of their spins and then doubled over the rest. It adds (offset + field sum) last,
+    the order `energies` adds them in. Under the float32 rule of `terms` every other sum
+    is exact, so each entry has the bits `energies` gives; off it (weights such as 0.1)
+    they agree to rounding, about 1e-15 relative. Refuses n beyond the enumeration cap
+    before allocating.
+    """
+    _check_enumerable(model.n)
+    n, J, h = model.n, model.coupling_matrix, model.h
+    low = min(n, _COST_BLOCK_BITS)
+    a = low // 2  # the first a low spins are read off a table, the rest doubled
+    spins_a = 1.0 - 2.0 * _index_bits(np.arange(1 << a), a)
+    fields_a = spins_a @ h[:a]
+    pairs_low = np.empty(1 << low)
+    _pair_sums(pairs_low, J[:low, :low])
+    fields_high = np.empty(1 << (n - low))
+    fields_high[0] = h[low:].sum()
+    _spin_doubling(fields_high, h[low:])
+    pairs_high = np.empty_like(fields_high)
+    _pair_sums(pairs_high, J[low:, low:])
+    spins_high = 1 - 2 * _index_bits(np.arange(1 << (n - low)), n - low).astype(np.int8)
+    cross, fields_low = J[:low, low:], h[:low]
+    block, t, t_field = np.empty_like(pairs_low), np.empty_like(pairs_low), None
+    for field, pair, s_high in zip(fields_high, pairs_high, spins_high):
+        w = cross @ s_high  # the high spins' field on each low spin
+        np.matmul(spins_a, w[:a], out=block[:1 << a])
+        block[:1 << a] += w[a:].sum() + pair
+        _spin_doubling(block, w, a)
+        block += pairs_low
+        if field != t_field:  # t depends on q only through its field sum, 0 for MaxCut
+            np.add(fields_a, fields_low[a:].sum() + field, out=t[:1 << a])
+            _spin_doubling(t, fields_low, a)
+            t += model.offset
+            t_field = field
+        block += t
+        yield block
+
+
 def brute_force_best(model: IsingModel) -> tuple[np.ndarray, float]:
-    """Global minimum-energy bitstring, read off the cost diagonal; ties go to lex_first.
+    """Global minimum-energy bitstring, read off cost_blocks in one pass; ties go to lex_first.
 
     Lexicographic order treats bit 0 as the most significant position. The rule runs
-    on each _ENUM_CHUNK block of the diagonal, then over the block winners, so the
-    candidate arrays stay one block long however many strings tie. Refuses n beyond
-    the enumeration cap.
+    on each block that holds the running minimum, then over the block winners, so the
+    candidate arrays stay one block long however many strings tie; the candidates of a
+    block share their high bits, so its own indices decide. Refuses n beyond the
+    enumeration cap.
     """
-    diag = model.cost_diagonal
-    low = diag.min()
-    winners = []
-    for start in range(0, diag.size, _ENUM_CHUNK):
-        cand = start + np.flatnonzero(diag[start:start + _ENUM_CHUNK] == low)
-        if cand.size:
-            winners.append(lex_first(cand, _index_bit, model.n))
+    lowest, winners, start = math.inf, [], 0
+    for block in cost_blocks(model):
+        low = block.min()
+        if low < lowest:
+            lowest, winners = low, []
+        if low == lowest:
+            winners.append(start + lex_first(np.flatnonzero(block == low), _index_bit, model.n))
+        start += block.size
     best = lex_first(np.array(winners, dtype=np.int64), _index_bit, model.n)
     bits = _index_bits(np.array([best], dtype=np.int64), model.n)[0]
     return bits, energy(model, bits)

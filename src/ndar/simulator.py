@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuits import DEFAULT_QUBIT_CAP, Circuit, Gate, QaoaCircuit, QaoaParams
 from .errors import ResourceLimitError
-from .ising import IsingModel
+from .ising import IsingModel, cost_blocks
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _WORD = 1 << 32
@@ -154,7 +154,8 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
     pending 2 x 2 matrix per qubit, into which each one-qubit gate is multiplied. A
     two-qubit gate on a qubit with a pending matrix first applies all pending matrices in
     one _rotate pass; CX, CZ and RZZ then act in place (_two_qubit). A last _rotate
-    applies what is still pending. Beyond the state, only the _SCRATCH buffer is held.
+    applies what is still pending. Beyond the state, only the _SCRATCH buffer is held,
+    and for a QaoaCircuit the cost stream's blocks.
     """
     if isinstance(circuit, QaoaCircuit):
         return qaoa_state(circuit.model, circuit.params)
@@ -277,27 +278,39 @@ def apply_decay(samples: np.ndarray, gamma: float, seed) -> np.ndarray:
     return X & ~flips
 
 
+def _cost_phase(psi: np.ndarray, model: IsingModel, gamma: float, scratch: np.ndarray) -> None:
+    """Multiply psi by exp(i gamma (E(x) - offset)), in place, from one pass of cost_blocks
+    in pieces of at most scratch.size entries. Each piece's real part is written through
+    the scratch's real view, as a float-to-complex output would take a cast buffer."""
+    a = 0
+    for block in cost_blocks(model):
+        for b in range(0, block.size, scratch.size):
+            piece = block[b:b + scratch.size]
+            t = scratch[:piece.size]
+            np.subtract(piece, model.offset, out=t.real)
+            t.imag = 0.0
+            t *= 1j * gamma
+            np.exp(t, out=t)
+            psi[a:a + t.size] *= t
+            a += t.size
+
+
 def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
     """QAOA statevector from the model's cost diagonal, starting from the uniform superposition.
 
     Each layer multiplies by exp(i gamma (E(x) - offset)), the phase that RZ(-2 gamma h_i)
-    and RZZ(-2 gamma J_ij) gates would apply, built a _SCRATCH block at a time, then
-    rotates every qubit by RX(2 beta) = cos(beta) I - i sin(beta) X in one _rotate pass.
+    and RZZ(-2 gamma J_ij) gates would apply (_cost_phase, so no 2^n energy array exists),
+    then rotates every qubit by RX(2 beta) = cos(beta) I - i sin(beta) X in one _rotate pass.
     The rotation is built from beta itself, not from _one_qubit_matrix("RX", 2 beta),
     because 2 beta overflows for |beta| > 8.9e307, which QaoaParams accepts.
     """
     n = model.n
     if n > DEFAULT_QUBIT_CAP:
         raise ResourceLimitError(f"QAOA state needs n <= {DEFAULT_QUBIT_CAP}, got n = {n}")
-    diag = model.cost_diagonal
     psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=np.complex128)
     scratch = np.empty(min(_SCRATCH, psi.size), dtype=np.complex128)
     for gamma, beta in zip(params.gammas, params.betas):
-        for a in range(0, psi.size, scratch.size):
-            np.subtract(diag[a:a + scratch.size], model.offset, out=scratch)
-            scratch *= 1j * gamma
-            np.exp(scratch, out=scratch)
-            psi[a:a + scratch.size] *= scratch
+        _cost_phase(psi, model, gamma, scratch)
         c, s = math.cos(beta), -1j * math.sin(beta)
         rx = np.array([[c, s], [s, c]])
         _rotate(psi, [rx] * n, scratch)

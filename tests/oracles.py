@@ -19,6 +19,8 @@ Each one computes, by a different route, something the package computes once:
 * `density_matrix_reference` applies the amplitude-damping Kraus channel to the
   density matrix, where the samplers apply classical bit decay (`apply_decay`).
 * `all_bitstrings`, `bits_to_str` and `hamming_weight` enumerate, render and count bits.
+* `cost_diagonal` joins the `cost_blocks` stream into one 2^n array, which no code in
+  `ndar` holds.
 * `optimize_params` returns only the best angles of `grid_scan`.
 * `qaoa_expectation` is the statevector mean energy at any depth p, where `grid_scan`
   reads the closed form of p = 1.
@@ -39,7 +41,8 @@ import numpy as np
 
 from ndar.circuits import DEFAULT_QUBIT_CAP, Circuit, Gate, QaoaParams
 from ndar.errors import ResourceLimitError
-from ndar.ising import IsingModel, MaxCutInstance, _check_enumerable, _index_bits, as_bits
+from ndar.ising import (IsingModel, MaxCutInstance, _check_enumerable, _index_bits, as_bits,
+                        cost_blocks)
 from ndar.simulator import _MIXER_BLOCK, _one_qubit_matrix, grid_scan, qaoa_state, simulate
 
 DENSITY_MATRIX_CAP = 6
@@ -57,6 +60,12 @@ def all_bitstrings(n: int) -> np.ndarray:
     """
     _check_enumerable(n)
     return _index_bits(np.arange(1 << n, dtype=np.int64), n)
+
+
+def cost_diagonal(model: IsingModel) -> np.ndarray:
+    """The energies of all 2^n bitstrings in one array: the cost_blocks stream, each block
+    copied out of the buffer the next one overwrites."""
+    return np.concatenate([block.copy() for block in cost_blocks(model)])
 
 
 def born_table(probs: np.ndarray) -> np.ndarray:
@@ -221,7 +230,7 @@ def qaoa_state_ping_pong(model: IsingModel, params: QaoaParams) -> np.ndarray:
     exp(i gamma (E - offset)) built in a state-sized buffer, then rotate_ping_pong
     applies RX(2 beta) to every qubit."""
     n = model.n
-    shifted = model.cost_diagonal - model.offset
+    shifted = cost_diagonal(model) - model.offset
     psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=np.complex128)
     buf = np.empty_like(psi)
     for gamma, beta in zip(params.gammas, params.betas):
@@ -275,7 +284,7 @@ def optimize_params(model: IsingModel,
 def qaoa_expectation(model: IsingModel, params: QaoaParams) -> float:
     """Exact mean energy of the QAOA output distribution (offset included)."""
     psi = qaoa_state(model, params)
-    return float((psi.real ** 2 + psi.imag ** 2) @ model.cost_diagonal)
+    return float((psi.real ** 2 + psi.imag ** 2) @ cost_diagonal(model))
 
 
 def write_instance_from_tuples(g: MaxCutInstance, path) -> None:

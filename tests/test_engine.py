@@ -208,7 +208,6 @@ def test_qaoa_tree_is_built_in_its_state():
     n = 18
     model0 = small_model(n, 0.5, seed=3)
     sampler = SamplerSpec("qaoa", params=QaoaParams((0.4,), (0.3,)))
-    model0.cost_diagonal  # cached outside the measurement
     tracemalloc.start()
     try:
         tree = engine.qaoa_tree(model0, sampler)

@@ -9,9 +9,9 @@ from ndar import ising
 from ndar import (NODE_CAP, IsingModel, MaxCutInstance, ResourceLimitError, as_bits,
                   brute_force_best, edge_density, energies, energy, gen_unweighted,
                   gen_weighted_dense, maxcut_to_ising, read_instance, write_instance)
-from ndar.ising import TripleView, lex_first
-from oracles import (all_bitstrings, apply_mask, bits_to_str, cut_value, gauge_transform,
-                     hamming_weight, write_instance_from_tuples)
+from ndar.ising import TripleView, cost_blocks, lex_first
+from oracles import (all_bitstrings, apply_mask, bits_to_str, cost_diagonal, cut_value,
+                     gauge_transform, hamming_weight, write_instance_from_tuples)
 
 
 def slow_energy(model: IsingModel, x) -> float:
@@ -287,130 +287,6 @@ def test_brute_force_matches_slow_scan():
     assert energy(model, best_bits) == best_e
 
 
-def test_chunked_scans_match_one_block(monkeypatch):
-    # tiny chunks push both scans of the shared enumerator across many chunk borders
-    rng = np.random.default_rng(19)
-    models = [random_int_model(rng, 9)] + [maxcut_to_ising(gen_unweighted(9, 0.5, s))
-                                           for s in range(3)]
-    monkeypatch.setattr(ising, "_ENUM_CHUNK", 32)
-    for model in models:
-        X = all_bitstrings(9)
-        assert np.array_equal(model.cost_diagonal, energies(model, X))
-        # MaxCut models tie x with its complement in another chunk; bit 0 first decides
-        scanned = min((slow_energy(model, x), tuple(x)) for x in X)
-        bits, e = brute_force_best(model)
-        assert (e, tuple(bits)) == scanned
-
-
-def unchunked_brute_force_index(model):
-    """The tie-break over every tied index at once, which the per-block rule replaced."""
-    diag = model.cost_diagonal
-    return lex_first(np.flatnonzero(diag == diag.min()), lambda c, i: (c >> i) & 1, model.n)
-
-
-def test_blockwise_tie_break_matches_the_unchunked_rule(monkeypatch):
-    rng = np.random.default_rng(23)
-    models = [IsingModel(10, (0.0,) * 10, ()), IsingModel(9, (0.0,) * 8 + (1.0,), ()),
-              maxcut_to_ising(gen_unweighted(10, 0.0, 0)), random_int_model(rng, 10)]
-    models += [maxcut_to_ising(gen_unweighted(10, d, s)) for s, d in enumerate((0.2, 0.5, 0.9))]
-    monkeypatch.setattr(ising, "_ENUM_CHUNK", 8)
-    for model in models:
-        bits, _ = brute_force_best(model)
-        index = int(bits.astype(np.int64) @ (1 << np.arange(model.n, dtype=np.int64)))
-        assert index == unchunked_brute_force_index(model)
-
-
-def test_all_tie_brute_force_holds_a_few_blocks(monkeypatch):
-    import tracemalloc
-    monkeypatch.setattr(ising, "_ENUM_CHUNK", 1 << 16)
-    model = IsingModel(20, (0.0,) * 20, ())  # all 2^20 strings tie
-    model.cost_diagonal  # built and cached outside the measurement
-    tracemalloc.start()
-    try:
-        bits, _ = brute_force_best(model)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert not bits.any()
-    # the candidates, one bit column and a mask of one block; the unchunked rule holds
-    # 2^20 int64 candidates (8 MB) and a bit array as large
-    assert peak < 4 * 8 * ising._ENUM_CHUNK < (1 << 20) * 8
-
-
-def test_cost_diagonal_is_cached_and_capped():
-    model = maxcut_to_ising(gen_unweighted(6, 0.5, 1))
-    assert model.cost_diagonal is model.cost_diagonal
-    with pytest.raises(ResourceLimitError):
-        IsingModel(25, (0.0,) * 25, ()).cost_diagonal
-
-
-def test_brute_force_reads_the_cached_diagonal(monkeypatch):
-    model = maxcut_to_ising(gen_unweighted(10, 0.5, 4))
-    expected = brute_force_best(model)
-    assert "cost_diagonal" in model.__dict__
-
-    def forbidden(*args):
-        raise AssertionError("brute force rescanned the 2^n energies")
-
-    monkeypatch.setattr(ising, "energies", forbidden)
-    bits, e = brute_force_best(model)
-    assert np.array_equal(bits, expected[0]) and e == expected[1]
-
-
-def dyadic_model(rng, n, density=0.6) -> IsingModel:
-    """Fields in 1/16 and couplings in 1/8 steps (the float32 rule holds), offset not dyadic."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
-    couplings = tuple((i, j, float(rng.integers(-64, 65)) / 8) for i, j in pairs)
-    h = tuple(float(rng.integers(-64, 65)) / 16 for _ in range(n))
-    return IsingModel(n, h, couplings, float(rng.normal()) * 10)
-
-
-def test_cost_diagonal_is_bit_equal_to_energies_under_the_float32_rule():
-    rng = np.random.default_rng(31)
-    models = [dyadic_model(rng, n) for n in range(1, 15)]
-    models += [dyadic_model(rng, 9, density=0.0), maxcut_to_ising(gen_weighted_dense(12, 2))]
-    for model in models:
-        assert model.terms[0].dtype == np.float32
-        expected = energies(model, all_bitstrings(model.n))
-        assert np.array_equal(model.cost_diagonal.view(np.int64), expected.view(np.int64)), model.n
-
-
-def test_cost_diagonal_off_the_float32_rule_agrees_to_rounding():
-    n = 12
-    couplings = tuple((i, j, 0.1) for i in range(n) for j in range(i + 1, n) if (i + j) % 3)
-    model = IsingModel(n, (0.1,) * n, couplings, 0.3)
-    assert model.terms[0].dtype == np.float64
-    expected = energies(model, all_bitstrings(n))
-    assert np.allclose(model.cost_diagonal, expected, rtol=1e-12, atol=1e-12)
-    bits, e = brute_force_best(model)
-    assert e == energy(model, bits)
-
-
-def test_cost_diagonal_build_scans_no_bit_rows(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("the diagonal was built from bit rows")
-
-    model = dyadic_model(np.random.default_rng(32), 10)
-    expected = energies(model, all_bitstrings(10))
-    monkeypatch.setattr(ising, "energies", forbidden)
-    monkeypatch.setattr(ising, "_index_bits", forbidden)
-    assert np.array_equal(model.cost_diagonal, expected)
-
-
-def test_cost_diagonal_build_holds_one_copy():
-    import tracemalloc
-    model = maxcut_to_ising(gen_unweighted(18, 0.5, 2))
-    tracemalloc.start()
-    try:
-        diag = model.cost_diagonal
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one 2^18 float64 array plus the last pass's vectors of at most 4096 entries; a list of
-    # blocks joined by concatenate would peak at two copies
-    assert diag.nbytes <= peak < 1.05 * diag.nbytes
-
-
 def traced_peak(fn):
     import tracemalloc
     tracemalloc.start()
@@ -421,15 +297,142 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_cost_diagonal_build_peak_at_n_18():
-    # the diagonal and the last pass's 64 KiB; built from blocks of index bits through
-    # `energies` it peaked at 4.7 MiB for this 2 MiB diagonal
+def test_chunked_scans_match_one_block(monkeypatch):
+    # blocks of 2^3 push the stream and brute force's tie scan across many block borders
+    rng = np.random.default_rng(19)
+    models = [random_int_model(rng, 9)] + [maxcut_to_ising(gen_unweighted(9, 0.5, s))
+                                           for s in range(3)]
+    monkeypatch.setattr(ising, "_COST_BLOCK_BITS", 3)
+    for model in models:
+        X = all_bitstrings(9)
+        assert [block.size for block in cost_blocks(model)] == [8] * 64
+        assert np.array_equal(cost_diagonal(model), energies(model, X))
+        # MaxCut models tie x with its complement in another block; bit 0 first decides
+        scanned = min((slow_energy(model, x), tuple(x)) for x in X)
+        bits, e = brute_force_best(model)
+        assert (e, tuple(bits)) == scanned
+
+
+def unchunked_brute_force_index(model):
+    """The tie-break over every tied index at once, which the per-block rule replaced."""
+    diag = cost_diagonal(model)
+    return lex_first(np.flatnonzero(diag == diag.min()), lambda c, i: (c >> i) & 1, model.n)
+
+
+def test_blockwise_tie_break_matches_the_unchunked_rule(monkeypatch):
+    rng = np.random.default_rng(23)
+    models = [IsingModel(10, (0.0,) * 10, ()), IsingModel(9, (0.0,) * 8 + (1.0,), ()),
+              maxcut_to_ising(gen_unweighted(10, 0.0, 0)), random_int_model(rng, 10)]
+    models += [maxcut_to_ising(gen_unweighted(10, d, s)) for s, d in enumerate((0.2, 0.5, 0.9))]
+    monkeypatch.setattr(ising, "_COST_BLOCK_BITS", 3)
+    for model in models:
+        bits, _ = brute_force_best(model)
+        index = int(bits.astype(np.int64) @ (1 << np.arange(model.n, dtype=np.int64)))
+        assert index == unchunked_brute_force_index(model)
+
+
+def test_all_tie_brute_force_holds_a_few_blocks():
+    model = IsingModel(20, (0.0,) * 20, ())  # all 2^20 strings tie
+    bits, _ = brute_force_best(model)
+    assert not bits.any()
+    # the stream's three blocks, and the candidates, one bit column and a mask of one
+    # block; the unchunked rule holds 2^20 int64 candidates (8 MB) and a bit array as large
+    assert traced_peak(lambda: brute_force_best(model)) < 1 << 20
+
+
+def test_brute_force_at_n_20_keeps_nothing_after_it_returns():
+    import tracemalloc
+    model = maxcut_to_ising(gen_unweighted(20, 0.5, 4))
+    tracemalloc.start()
+    try:
+        bits, e = brute_force_best(model)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e == energy(model, bits) == min(cost_diagonal(model))
+    # the returned bits and the model's cached coupling matrix; a cached 2^20 diagonal
+    # would keep 8 MiB
+    assert kept < 64 << 10 and peak < 1 << 20
+
+
+def test_cost_blocks_are_capped_before_allocating():
+    model = IsingModel(25, (0.0,) * 25, ())
+
+    def refused(fn):
+        with pytest.raises(ResourceLimitError):
+            fn()
+
+    assert traced_peak(lambda: refused(lambda: next(cost_blocks(model)))) < 64 << 10
+    assert traced_peak(lambda: refused(lambda: brute_force_best(model))) < 64 << 10
+
+
+def dyadic_model(rng, n, density=0.6) -> IsingModel:
+    """Fields in 1/16 and couplings in 1/8 steps (the float32 rule holds), offset not dyadic."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    couplings = tuple((i, j, float(rng.integers(-64, 65)) / 8) for i, j in pairs)
+    h = tuple(float(rng.integers(-64, 65)) / 16 for _ in range(n))
+    return IsingModel(n, h, couplings, float(rng.normal()) * 10)
+
+
+@pytest.mark.parametrize("bits", [None, 3, 1], ids=["blocks-default", "blocks-2^3", "blocks-2^1"])
+def test_cost_blocks_are_bit_equal_to_energies_under_the_float32_rule(monkeypatch, bits):
+    if bits:
+        monkeypatch.setattr(ising, "_COST_BLOCK_BITS", bits)
+    rng = np.random.default_rng(31)
+    models = [dyadic_model(rng, n) for n in range(1, 15)]
+    models += [dyadic_model(rng, 9, density=0.0), maxcut_to_ising(gen_weighted_dense(12, 2))]
+    for model in models:
+        assert model.terms[0].dtype == np.float32
+        expected = energies(model, all_bitstrings(model.n))
+        assert np.array_equal(cost_diagonal(model).view(np.int64), expected.view(np.int64)), model.n
+
+
+def test_cost_blocks_off_the_float32_rule_agree_to_rounding():
+    n = 12
+    couplings = tuple((i, j, 0.1) for i in range(n) for j in range(i + 1, n) if (i + j) % 3)
+    model = IsingModel(n, (0.1,) * n, couplings, 0.3)
+    assert model.terms[0].dtype == np.float64
+    expected = energies(model, all_bitstrings(n))
+    assert np.allclose(cost_diagonal(model), expected, rtol=1e-12, atol=1e-12)
+    bits, e = brute_force_best(model)
+    assert e == energy(model, bits)
+
+
+def test_cost_blocks_and_brute_force_scan_no_bit_rows(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the 2^n energies were scanned from bit rows")
+
+    rows = []
+
+    def counted(idx, n):
+        rows.append(len(idx))
+        return index_bits(idx, n)
+
+    model = dyadic_model(np.random.default_rng(32), 14)
+    expected = energies(model, all_bitstrings(14))
+    index_bits = ising._index_bits
+    monkeypatch.setattr(ising, "energies", forbidden)
+    monkeypatch.setattr(ising, "_index_bits", counted)
+    assert np.array_equal(cost_diagonal(model), expected)
+    assert rows == [1 << 6, 1 << 2]  # spin tables of the first six and the last two spins
+    bits, e = brute_force_best(model)
+    assert e == expected.min() and rows[-1] == 1  # the winner's bits
+
+
+def test_cost_blocks_peak_at_n_18():
+    # the stream's three 2^12-entry blocks and its tables; the whole 2 MiB diagonal, as
+    # built from blocks of index bits through `energies`, peaked at 4.7 MiB
     model = maxcut_to_ising(gen_unweighted(18, 0.8, 29))
-    assert traced_peak(lambda: model.cost_diagonal) < 1.05 * 8 * (1 << 18)
+
+    def drain():
+        for _ in cost_blocks(model):
+            pass
+
+    assert traced_peak(drain) < 128 << 10
 
 
 def test_index_bits_peak_on_one_block():
-    idx = np.arange(ising._ENUM_CHUNK, dtype=np.int64)
+    idx = np.arange(1 << 18, dtype=np.int64)
     bits = ising._index_bits(idx, 18)
     assert np.array_equal(bits[:, 17], idx >> 17) and np.array_equal(bits[5], [1, 0, 1] + [0] * 15)
     # the 4.5 MiB of bits and a 1 MiB uint32 copy of the indices; shifting the indices
