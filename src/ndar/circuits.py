@@ -17,14 +17,10 @@ DEFAULT_QUBIT_CAP = 22
 DEPTH_CAP = 1 << 10
 
 ONE_QUBIT_GATES = ("H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ")
-TWO_QUBIT_GATES = ("CX", "CZ", "RZZ")
-ROTATION_GATES = frozenset({"RX", "RY", "RZ", "RZZ"})
-GATE_KINDS = frozenset(ONE_QUBIT_GATES) | frozenset(TWO_QUBIT_GATES)
-
-# the pool build_random_circuit draws from. It holds no RZZ, which only gate-level
-# circuits use, such as a QAOA cost layer built gate by gate; QAOA itself runs from
-# the cost diagonal
-RANDOM_GATE_POOL = ("H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ", "CX", "CZ")
+TWO_QUBIT_GATES = ("CX", "CZ")
+ROTATION_GATES = frozenset({"RX", "RY", "RZ"})
+# every gate kind, in the order build_random_circuit draws from them
+GATE_KINDS = ONE_QUBIT_GATES + TWO_QUBIT_GATES
 
 
 @dataclass(frozen=True)
@@ -32,7 +28,7 @@ class Gate:
     """One gate application: kind, target qubit indices, optional rotation angle.
 
     Angle conventions: RX(t) = exp(-i t X / 2), RY(t) = exp(-i t Y / 2),
-    RZ(t) = exp(-i t Z / 2), RZZ(t) = exp(-i t Z(x)Z / 2).
+    RZ(t) = exp(-i t Z / 2). CX takes (control, target); CZ is symmetric.
     """
 
     kind: str
@@ -111,10 +107,6 @@ class QaoaCircuit:
     model: IsingModel
     params: QaoaParams
 
-    @property
-    def n(self) -> int:
-        return self.model.n
-
 
 @dataclass(frozen=True)
 class DampingSpec:
@@ -154,9 +146,9 @@ def build_random_circuit(n: int, depth: int, seed: int) -> Circuit:
     """Random circuit of `depth` layers; every qubit receives a gate in each layer.
 
     A layer visits qubits in random order and assigns each a uniform draw from
-    the gate pool; a two-qubit gate consumes the next unassigned qubit as its
-    partner, and when no partner remains the draw falls back to the one-qubit
-    pool. Rotation angles are uniform in [0, 2 pi). Deterministic given seed.
+    GATE_KINDS; a two-qubit gate consumes the next unassigned qubit as its
+    partner, and when no partner remains the qubit draws again from
+    ONE_QUBIT_GATES. Rotation angles are uniform in [0, 2 pi). Deterministic given seed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -167,7 +159,7 @@ def build_random_circuit(n: int, depth: int, seed: int) -> Circuit:
         pending = list(rng.permutation(n))
         while pending:
             q = int(pending.pop(0))
-            kind = RANDOM_GATE_POOL[rng.integers(len(RANDOM_GATE_POOL))]
+            kind = GATE_KINDS[rng.integers(len(GATE_KINDS))]
             if kind in TWO_QUBIT_GATES and not pending:
                 kind = ONE_QUBIT_GATES[rng.integers(len(ONE_QUBIT_GATES))]
             if kind in TWO_QUBIT_GATES:

@@ -104,11 +104,10 @@ def _rotate(psi: np.ndarray, mats: list, scratch: np.ndarray) -> None:
 
 
 def _two_qubit(psi: np.ndarray, gate: Gate, scratch: np.ndarray) -> None:
-    """Apply a CX, CZ or RZZ gate to the state in place.
+    """Apply a CX or CZ gate to the state in place.
 
     Each acts on the quarter-state slices fixed by the bits of its two qubits: a CX swaps
-    the two whose control bit is 1, and CZ and RZZ multiply slices by phases, CZ the one
-    whose bits are both 1 by -1 and RZZ each by the phase of whether its bits are equal.
+    the two whose control bit is 1, and a CZ negates the one whose bits are both 1.
     A slice goes through half of `scratch` a block at a time, because numpy would buffer
     an operation on it, or copy one slice into another through a temporary as they may
     overlap.
@@ -121,22 +120,16 @@ def _two_qubit(psi: np.ndarray, gate: Gate, scratch: np.ndarray) -> None:
         return v[:, i, :, j] if a == hi else v[:, j, :, i]
 
     half = scratch.size // 2
-    if gate.kind == "CZ":
-        phases = (((1, 1), -1.0),)
-    elif gate.kind == "RZZ":
-        eq, ne = np.exp(-0.5j * gate.theta), np.exp(0.5j * gate.theta)
-        phases = (((0, 0), eq), ((0, 1), ne), ((1, 0), ne), ((1, 1), eq))
     for idx in _blocks(v[:, 0, :, 0].shape, half):
         if gate.kind == "CX":
             x, y = quarter(1, 0)[idx], quarter(1, 1)[idx]
             tx, ty = _copy_into(scratch, x), _copy_into(scratch[half:], y)
             x[...] = ty
             y[...] = tx
-            continue
-        for (i, j), phase in phases:
-            z = quarter(i, j)[idx]
+        else:
+            z = quarter(1, 1)[idx]
             t = _copy_into(scratch, z)
-            t *= phase
+            t *= -1.0
             z[...] = t
 
 
@@ -153,7 +146,7 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
     A QaoaCircuit runs from its model's cost diagonal (qaoa_state). A Circuit keeps one
     pending 2 x 2 matrix per qubit, into which each one-qubit gate is multiplied. A
     two-qubit gate on a qubit with a pending matrix first applies all pending matrices in
-    one _rotate pass; CX, CZ and RZZ then act in place (_two_qubit). A last _rotate
+    one _rotate pass; CX and CZ then act in place (_two_qubit). A last _rotate
     applies what is still pending. Beyond the state, only the _SCRATCH buffer is held,
     and for a QaoaCircuit the cost stream's blocks.
     """
@@ -298,9 +291,10 @@ def _cost_phase(psi: np.ndarray, model: IsingModel, gamma: float, scratch: np.nd
 def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
     """QAOA statevector from the model's cost diagonal, starting from the uniform superposition.
 
-    Each layer multiplies by exp(i gamma (E(x) - offset)), the phase that RZ(-2 gamma h_i)
-    and RZZ(-2 gamma J_ij) gates would apply (_cost_phase, so no 2^n energy array exists),
-    then rotates every qubit by RX(2 beta) = cos(beta) I - i sin(beta) X in one _rotate pass.
+    Each layer multiplies by exp(i gamma (E(x) - offset)), the product over fields of
+    exp(i gamma h_i s_i) and over couplings of exp(i gamma J_ij s_i s_j), with spin
+    s_i = 1 - 2 x_i (_cost_phase, so no 2^n energy array exists). It then rotates every
+    qubit by RX(2 beta) = cos(beta) I - i sin(beta) X in one _rotate pass.
     The rotation is built from beta itself, not from _one_qubit_matrix("RX", 2 beta),
     because 2 beta overflows for |beta| > 8.9e307, which QaoaParams accepts.
     """

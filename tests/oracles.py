@@ -127,8 +127,10 @@ def build_qaoa_circuit(model: IsingModel, params: QaoaParams) -> Circuit:
     """QAOA circuit for the model: Hadamard wall, then p alternating cost/mixer layers.
 
     The cost layer applies exp(+i gamma E(x)) as diagonal phases, which with
-    RZ(t) = exp(-i t Z / 2) means RZ(-2 gamma h_i) and RZZ(-2 gamma J_ij); this
+    RZ(t) = exp(-i t Z / 2) means RZ(-2 gamma h_i) for exp(i gamma h_i s_i); this
     orientation makes the single-spin expectation equal -sin(2 beta) sin(2 gamma).
+    Each coupling's exp(i gamma J_ij s_i s_j) is CX(i, j) RZ_j(-2 gamma J_ij) CX(i, j):
+    the CX puts s_i s_j on qubit j, whose RZ then takes the phase, and undoes it.
     The mixer applies RX(2 beta) on every qubit.
     """
     if model.n > DEFAULT_QUBIT_CAP:
@@ -139,7 +141,7 @@ def build_qaoa_circuit(model: IsingModel, params: QaoaParams) -> Circuit:
             if hq != 0.0:
                 gates.append(Gate("RZ", (q,), -2.0 * gamma * hq))
         for i, j, w in model.couplings:
-            gates.append(Gate("RZZ", (i, j), -2.0 * gamma * w))
+            gates += [Gate("CX", (i, j)), Gate("RZ", (j,), -2.0 * gamma * w), Gate("CX", (i, j))]
         for q in range(model.n):
             gates.append(Gate("RX", (q,), 2.0 * beta))
     return Circuit(model.n, tuple(gates))
@@ -159,7 +161,7 @@ def _diag_phases(kind: str, theta: float | None) -> np.ndarray:
 
 def simulate_gate_by_gate(circuit: Circuit) -> np.ndarray:
     """The 2^n statevector of the circuit on |0...0>, one pass over a (2,) * n state per gate:
-    a tensordot for H, X, Y, RX and RY, a broadcast phase for Z, S, T, RZ and RZZ, and slice
+    a tensordot for H, X, Y, RX and RY, a broadcast phase for Z, S, T and RZ, and slice
     updates for CX and CZ."""
     n = circuit.n
     if n > DEFAULT_QUBIT_CAP:
@@ -191,16 +193,6 @@ def simulate_gate_by_gate(circuit: Circuit) -> np.ndarray:
             sl[ax_a] = 1
             sl[ax_b] = 1
             psi[tuple(sl)] = -psi[tuple(sl)]
-        elif kind == "RZZ":
-            ax_a, ax_b = (n - 1 - t for t in gate.targets)
-            eq = np.exp(-0.5j * gate.theta)
-            ne = np.exp(0.5j * gate.theta)
-            ph = np.array([[eq, ne], [ne, eq]], dtype=np.complex128)
-            shape = [1] * n
-            shape[min(ax_a, ax_b)] = 2
-            shape[max(ax_a, ax_b)] = 2
-            # symmetric phase matrix, so axis ordering does not matter
-            psi = psi * ph.reshape(shape)
         else:
             raise ValueError(f"unhandled gate kind {kind}")
     return psi.reshape(-1)

@@ -7,7 +7,7 @@ import pytest
 
 from ndar import (Circuit, DampingSpec, Gate, IsingModel, QaoaParams, ResourceLimitError,
                   build_random_circuit)
-from ndar.circuits import DEPTH_CAP, ONE_QUBIT_GATES, RANDOM_GATE_POOL, TWO_QUBIT_GATES
+from ndar.circuits import DEPTH_CAP, GATE_KINDS, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from oracles import build_qaoa_circuit
 
 
@@ -76,7 +76,9 @@ def test_qaoa_gate_sequence_single_coupler():
     assert kinds == [
         ("H", (0,), None),
         ("H", (1,), None),
-        ("RZZ", (0, 1), pytest.approx(-0.8, abs=1e-15)),
+        ("CX", (0, 1), None),
+        ("RZ", (1,), pytest.approx(-0.8, abs=1e-15)),
+        ("CX", (0, 1), None),
         ("RX", (0,), pytest.approx(0.6, abs=1e-15)),
         ("RX", (1,), pytest.approx(0.6, abs=1e-15)),
     ]
@@ -105,10 +107,11 @@ def test_qaoa_respects_qubit_cap():
         build_qaoa_circuit(model, QaoaParams((0.1,), (0.2,)))
 
 
-def test_random_pool_excludes_cost_rotation():
-    assert "RZZ" not in RANDOM_GATE_POOL
-    assert len(RANDOM_GATE_POOL) == 11
-    assert set(RANDOM_GATE_POOL) == set(ONE_QUBIT_GATES) | {"CX", "CZ"}
+def test_gate_kinds_keep_the_random_draw_order():
+    # build_random_circuit indexes GATE_KINDS with its draws, so this order is its stream
+    assert GATE_KINDS == ("H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ", "CX", "CZ")
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        Gate("RZZ", (0, 1), 0.1)
 
 
 def test_random_circuit_touches_every_qubit_each_layer():
@@ -116,7 +119,7 @@ def test_random_circuit_touches_every_qubit_each_layer():
         circuit = build_random_circuit(n, depth, seed)
         counts = np.zeros(n, dtype=int)
         for g in circuit.gates:
-            assert g.kind in RANDOM_GATE_POOL
+            assert g.kind in GATE_KINDS
             if g.kind in TWO_QUBIT_GATES:
                 assert len(set(g.targets)) == 2
             if g.theta is not None:

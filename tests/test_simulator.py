@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from ndar import (Circuit, Gate, IsingModel, QaoaCircuit, QaoaParams, ResourceLimitError,
                   apply_decay, born_tree, build_random_circuit, energies, gen_unweighted,
                   gen_weighted_dense, grid_scan, maxcut_to_ising, qaoa_state, sample, simulate)
-from ndar.circuits import ONE_QUBIT_GATES, ROTATION_GATES, TWO_QUBIT_GATES
+from ndar.circuits import GATE_KINDS, ONE_QUBIT_GATES, ROTATION_GATES, TWO_QUBIT_GATES
 from ndar.ising import _index_bits
 from ndar import simulator
 from ndar.simulator import ANGLE_BOUND, GRID_STEPS_CAP, _MIXER_BLOCK, _rotate, bernoulli
@@ -69,13 +69,6 @@ def full_gate_matrix(n, gate):
             both = ((col >> a) & 1) and ((col >> b) & 1)
             U[col, col] = -1.0 if both else 1.0
         return U
-    if gate.kind == "RZZ":
-        a, b = gate.targets
-        for col in range(dim):
-            sa = 1 - 2 * ((col >> a) & 1)
-            sb = 1 - 2 * ((col >> b) & 1)
-            U[col, col] = np.exp(-0.5j * gate.theta * sa * sb)
-        return U
     raise AssertionError(gate.kind)
 
 
@@ -100,12 +93,12 @@ def test_every_gate_kind_every_placement_matches_oracle():
         for q in range(n):
             c = Circuit(n, tuple(prep + [Gate(kind, (q,), theta)]))
             assert max_err(simulate(c), oracle_state(c)) < 1e-12, (kind, q)
-    for kind, theta in (("CX", None), ("CZ", None), ("RZZ", 1.7)):
+    for kind in TWO_QUBIT_GATES:
         for a in range(n):
             for b in range(n):
                 if a == b:
                     continue
-                c = Circuit(n, tuple(prep + [Gate(kind, (a, b), theta)]))
+                c = Circuit(n, tuple(prep + [Gate(kind, (a, b))]))
                 assert max_err(simulate(c), oracle_state(c)) < 1e-12, (kind, a, b)
 
 
@@ -118,7 +111,7 @@ def test_random_circuits_match_oracle():
         assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
 
-def drawn_gates(rng, qubits, count, kinds=ONE_QUBIT_GATES + TWO_QUBIT_GATES):
+def drawn_gates(rng, qubits, count, kinds=GATE_KINDS):
     """`count` gates of the given kinds on the given qubits, two-qubit kinds only when
     there are two qubits, with angles uniform in [-pi, pi)."""
     qubits = list(qubits)
@@ -151,9 +144,8 @@ def gate_lists(rng, n):
     yield "pending-and-not", stacked + [
         Gate("CX", (a, b)),  # both targets pending: flushes
         Gate("CZ", (b, a)),  # nothing pending
-        Gate("RZZ", (a, b), 0.8),
         Gate("T", (c,)), Gate("RY", (c,), -1.1),
-        Gate("RZZ", (a, b), -0.4),  # pending only on c, which it does not touch when n > 2
+        Gate("CZ", (a, b)),  # pending only on c, which it does not touch when n > 2
         Gate("CX", (c, a)),  # the control is pending: flushes
         Gate("RX", (a,), 0.5), Gate("S", (b,))]  # left for the last flush
     yield "two-qubit-only", drawn_gates(rng, range(n), 4 * n, TWO_QUBIT_GATES)
@@ -171,7 +163,7 @@ def test_simulate_matches_the_gate_by_gate_oracle(monkeypatch, n, scratch):
         c = Circuit(n, tuple(gates))
         kinds.update(g.kind for g in gates)
         assert np.allclose(simulate(c), simulate_gate_by_gate(c), rtol=0.0, atol=1e-12), name
-    assert len(kinds) == (12 if n > 1 else 9)
+    assert len(kinds) == (11 if n > 1 else 9)
 
 
 def test_bell_state():
@@ -207,10 +199,8 @@ def one_state_and_the_scratch(n):
 
 def test_simulate_holds_one_state_and_the_scratch():
     n = 16
-    # random circuits draw no RZZ, so one is appended
     circuit = build_random_circuit(n, 2, 5)
-    circuit = Circuit(n, circuit.gates + (Gate("RZZ", (3, 12), 0.7),))
-    assert {g.kind for g in circuit.gates} >= {"CX", "CZ", "RZZ"}
+    assert {g.kind for g in circuit.gates} >= {"CX", "CZ"}
     assert peak_bytes(lambda: simulate(circuit)) <= one_state_and_the_scratch(n)
 
 
