@@ -316,9 +316,12 @@ def _write_meta(d: Path, config: ExperimentConfig, graph: MaxCutInstance, sample
         ("runs", config.runs),
         ("shots", config.shots),
         ("iters", config.iters),
+        ("ndar.patience", "-" if config.ndar.patience is None else config.ndar.patience),
         ("sampler.kind", sampler.kind),
         ("sampler.q", "-" if sampler.q is None else sampler.q),
         ("sampler.depth", sampler.depth if sampler.kind == KIND_RANDOM_CIRCUIT else "-"),
+        ("sampler.fresh_circuit",
+         sampler.fresh_circuit if sampler.kind == KIND_RANDOM_CIRCUIT else "-"),
         ("sampler.gammas", ",".join(_fmt(g) for g in sampler.params.gammas) if sampler.params else "-"),
         ("sampler.betas", ",".join(_fmt(b) for b in sampler.params.betas) if sampler.params else "-"),
         ("sampler.t_delay", sampler.damping.t_delay),

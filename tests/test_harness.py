@@ -46,6 +46,10 @@ def write_config(tmp_path, text, name="exp.cfg"):
     return p
 
 
+def read_meta(out):
+    return dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+
+
 def snapshot(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -121,13 +125,36 @@ def test_run_experiment_outputs(tmp_path):
                             "attractor_energy,best_hamming_weight")
     assert len(run_lines) == 1 + 4
 
-    meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+    meta = read_meta(out)
     assert meta["n"] == "12" and meta["runs"] == "3"
     assert meta["sampler.kind"] == "classical-bernoulli"
     assert float(meta["e_sa_cut"]) == summary["e_sa_cut"] > 0
     assert meta["brute_force_cut"] != "-"  # n = 12 is within the exact cap
     assert summary["final_mean_ratio"] == pytest.approx(
         float(lines[-1].split(",")[3]), abs=1e-9)
+
+
+def test_meta_records_fresh_circuit_and_patience(tmp_path):
+    # both change results, so two runs that differ only in one must differ in meta.txt
+    circuit = ("instance.family = unweighted-sparse\ninstance.n = 6\nsampler.kind = "
+               "random-circuit\nndar.shots = 50\nndar.iters = 2\nruns = 1\nsa.sweeps = 10\n")
+    metas = {}
+    for fresh in ("false", "true"):
+        cfg = ExperimentConfig.from_file(write_config(
+            tmp_path, circuit + f"sampler.fresh_circuit = {fresh}\n", f"rc_{fresh}.cfg"))
+        run_experiment(cfg, out_dir=tmp_path / fresh)
+        metas[fresh] = read_meta(tmp_path / fresh)
+        assert metas[fresh]["sampler.fresh_circuit"] == fresh
+        assert metas[fresh]["ndar.patience"] == "-"
+    assert [k for k in metas["true"] if metas["true"][k] != metas["false"][k]] == [
+        "sampler.fresh_circuit"]
+
+    stop = tmp_path / "stop"
+    run_experiment(ExperimentConfig.from_file(write_config(
+        tmp_path, SMOKE + "ndar.patience = 2\n", "stop.cfg")), out_dir=stop)
+    meta = read_meta(stop)
+    assert meta["ndar.patience"] == "2"
+    assert meta["sampler.fresh_circuit"] == "-"  # only the random circuit draws circuits
 
 
 @pytest.mark.parametrize("kind", ["classical-bernoulli", "qaoa"])
@@ -171,7 +198,7 @@ def test_trajectory_recomputable_from_run_files(tmp_path):
     cfg = ExperimentConfig.from_file(write_config(tmp_path, SMOKE))
     out = tmp_path / "out"
     run_experiment(cfg, out_dir=out)
-    meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+    meta = read_meta(out)
     sa_cut = float(meta["e_sa_cut"])
     per_run = []
     for p in sorted((out / "runs").iterdir()):
@@ -374,8 +401,8 @@ def test_cli_seed_override_changes_outputs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(path), "--out", str(a), "--seed", "5"]) == 0
     assert main(["run", "--config", str(path), "--out", str(b), "--seed", "6"]) == 0
-    meta_a = dict(ln.split(" = ", 1) for ln in (a / "meta.txt").read_text().splitlines())
-    meta_b = dict(ln.split(" = ", 1) for ln in (b / "meta.txt").read_text().splitlines())
+    meta_a = read_meta(a)
+    meta_b = read_meta(b)
     assert meta_a["experiment_seed"] == "5" and meta_b["experiment_seed"] == "6"
     assert (a / "trajectory.csv").read_bytes() != (b / "trajectory.csv").read_bytes()
     # the config-file seed is 5, so run a must equal a run without the flag
@@ -422,7 +449,7 @@ def test_cli_sa_baseline_reports_the_run_e_sa(tmp_path, capsys):
         out = tmp_path / f"run{k}"
         assert main(["run", "--config", str(path), "--out", str(out), *extra]) == 0
         capsys.readouterr()
-        meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+        meta = read_meta(out)
         assert main(["sa-baseline", "--config", str(path), *extra]) == 0
         assert f"E_SA cut = {meta['e_sa_cut']} (" in capsys.readouterr().out
         cuts.add(meta["e_sa_cut"])
