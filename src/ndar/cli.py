@@ -61,8 +61,8 @@ def _cmd_gen_instance(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed, out_override=args.out)
-    summary = run_experiment(cfg)
+    cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
+    summary = run_experiment(cfg, args.out)
     print(report(summary["out_dir"], svg=args.svg))
     return 0
 
@@ -77,8 +77,8 @@ def _cmd_sa_baseline(args) -> int:
 
 
 def _cmd_params_search(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config, out_override=args.out)
-    best, best_val = params_search(cfg)
+    cfg = ExperimentConfig.from_file(args.config)
+    best, best_val = params_search(cfg, args.out)
     print(f"best gamma = {best.gammas[0]:.12g}, beta = {best.betas[0]:.12g}, "
           f"expectation = {best_val:.12g}")
     return 0

@@ -177,14 +177,12 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_file(cls, path, seed_override: int | None = None,
-                  out_override: str | None = None) -> "ExperimentConfig":
-        overrides = {"seed": seed_override, "output_dir": out_override}
+    def from_file(cls, path, seed_override: int | None = None) -> "ExperimentConfig":
         kv = _parse_kv_file(path)
         values = {}
         for key, (name, cast) in _CONFIG_KEYS.items():
-            if overrides.get(name) is not None:
-                values[name] = overrides[name]
+            if name == "seed" and seed_override is not None:
+                values[name] = seed_override
             elif key in kv:
                 values[name] = _conv(key, kv[key], cast)
         return cls(**values)

@@ -83,8 +83,6 @@ def _check_node_count(n: int) -> None:
 
 
 def _check_enumerable(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n > BRUTE_FORCE_CAP:
         raise ResourceLimitError(f"refusing to enumerate 2^{n} bitstrings (cap {BRUTE_FORCE_CAP})")
 

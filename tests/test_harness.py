@@ -63,10 +63,22 @@ def test_config_defaults_and_values(tmp_path):
     assert cfg.sa_beta_min == 0.01 and cfg.sa_beta_max == 10.0
 
 
-def test_config_overrides(tmp_path):
-    path = write_config(tmp_path, SMOKE)
-    cfg = ExperimentConfig.from_file(path, seed_override=99, out_override="somewhere")
-    assert cfg.seed == 99 and cfg.output_dir == "somewhere"
+def test_config_overrides(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, SMOKE + "output_dir = from_config\n")
+    cfg = ExperimentConfig.from_file(path, seed_override=99)
+    assert cfg.seed == 99 and cfg.output_dir == "from_config"
+    # --out wins over output_dir in run and params-search; without it, output_dir is used
+    assert main(["run", "--config", str(path), "--out", "from_flag"]) == 0
+    assert main(["params-search", "--config", str(path), "--out", "from_flag"]) == 0
+    assert not Path("from_config").exists()
+    assert sorted(p.name for p in Path("from_flag").iterdir()) == [
+        "cost_dist.csv", "hamming_dist.csv", "landscape.csv", "meta.txt", "runs",
+        "trajectory.csv"]
+    assert main(["run", "--config", str(path)]) == 0
+    assert main(["params-search", "--config", str(path)]) == 0
+    assert (Path("from_config") / "meta.txt").is_file()
+    assert (Path("from_config") / "landscape.csv").is_file()
 
 
 @pytest.mark.parametrize("mutation, fragment", [
@@ -297,6 +309,26 @@ def test_report_text_and_svg(tmp_path):
         report(tmp_path / "hollow")
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("", "empty CSV"),
+    (",".join(harness._TRAJECTORY_COLUMNS) + "\n0,1,0,1\n", "corrupt CSV row"),
+    ("iter,cut\n0,1\n", "corrupt trajectory.csv"),
+], ids=["empty", "ragged", "wrong-header"])
+def test_report_refuses_a_broken_trajectory(tmp_path, text, fragment):
+    (tmp_path / "trajectory.csv").write_text(text)
+    with pytest.raises(ConfigError, match=fragment):
+        report(tmp_path)
+
+
+def test_charts_refuse_nothing_to_draw(tmp_path):
+    from ndar import svgplot
+    with pytest.raises(ValueError, match="at least one series"):
+        svgplot.line_chart(tmp_path / "l.svg", "t", "x", "y", [])
+    with pytest.raises(ValueError, match="at least one group"):
+        svgplot.histogram_chart(tmp_path / "h.svg", "t", "x", "count", [])
+    assert not list(tmp_path.iterdir())
+
+
 def test_report_svg_reads_the_distributions_only_up_to_run_1(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_file(write_config(tmp_path, SMOKE))
     out = tmp_path / "out"
@@ -480,6 +512,14 @@ runs = 1
 """, name="big.cfg")
     assert main(["run", "--config", str(big), "--out", str(tmp_path / "big_out")]) == 3
     assert "resource limit" in capsys.readouterr().err
+    # an output directory under a regular file cannot be made: an i/o error, nothing written
+    path = write_config(tmp_path, SMOKE, name="smoke.cfg")
+    (tmp_path / "plain").write_text("x")
+    before = snapshot(tmp_path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "plain" / "sub")]) == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert snapshot(tmp_path) == before and sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.cfg", "big.cfg", "plain", "smoke.cfg"]
 
 
 def test_node_cap_refuses_huge_graphs_before_allocating(tmp_path, capsys):

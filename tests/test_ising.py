@@ -82,6 +82,8 @@ def test_energy_length_mismatch_raises():
     model = IsingModel(3, (0.0, 0.0, 0.0), ())
     with pytest.raises(ValueError):
         energy(model, "01")
+    with pytest.raises(ValueError, match=r"expected a \(shots, 3\) bit matrix, got shape \(2, 4\)"):
+        energies(model, np.zeros((2, 4), dtype=np.uint8))
 
 
 def test_gauge_identity_mask_is_noop():
@@ -266,6 +268,8 @@ def test_gen_weighted_dense_properties():
     assert set(np.unique(weights)) == {-1.0, 1.0}
     assert abs(weights.mean()) < 0.05
     assert gen_weighted_dense(12, 9) == gen_weighted_dense(12, 9)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        gen_weighted_dense(1, 0)
 
 
 def test_brute_force_single_edge_lexicographic_tie():
@@ -472,6 +476,11 @@ def test_model_validation():
         IsingModel(2, (0.0, 0.0), ((0, 2, 1.0),))  # index range
     with pytest.raises(ValueError):
         IsingModel(2, (np.inf, 0.0), ())
+    for offset in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            IsingModel(2, (0.0, 0.0), (), offset)
+    with pytest.raises(ValueError, match=r"triples, got shape \(2, 2\)"):
+        IsingModel(3, (0.0,) * 3, np.array([[0, 1], [1, 2]]))
     with pytest.raises(ValueError):
         MaxCutInstance(1, ())
 
@@ -498,6 +507,13 @@ def test_as_bits_coercion_and_errors():
         as_bits([0.5, 1.0])
     with pytest.raises(ValueError):
         as_bits("01", n=3)
+    with pytest.raises(ValueError, match="non-digit characters"):
+        as_bits("01a")
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+        as_bits([[0, 1], [1, 0]])
+    # integral floats are bits
+    bits = as_bits([0.0, 1.0])
+    assert bits.dtype == np.uint8 and np.array_equal(bits, [0, 1])
 
 
 def test_instance_file_roundtrip(tmp_path):
@@ -545,6 +561,12 @@ def test_instance_file_rejects_bad_content(tmp_path):
     assert traced_peak(refused) < 1 << 20
     bad.write_text("oops\n")
     with pytest.raises(ValueError):
+        read_instance(bad)
+    bad.write_text("\n# only comments\n   \n#\n")
+    with pytest.raises(ValueError, match="empty instance file"):
+        read_instance(bad)
+    bad.write_text("a b\n0 1 1.0\n")
+    with pytest.raises(ValueError, match="header must hold two integers, got 'a b'"):
         read_instance(bad)
 
 
@@ -636,6 +658,12 @@ def test_triple_view_acts_as_its_tuple():
     assert np.array_equal(arr, [[0, 2, 1], [1, 2, -2]])
     with pytest.raises(ValueError):
         g.edges.arrays[2][0] = 5.0
+    # the triples live in three arrays, so no (m, 3) array can be shared without a copy
+    with pytest.raises(ValueError, match="no \\(m, 3\\) array to share"):
+        g.edges.__array__(copy=False)
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # numpy 1 passes no copy argument
+        with pytest.raises(ValueError, match="no \\(m, 3\\) array to share"):
+            np.array(g.edges, copy=False)
     empty = MaxCutInstance(3, ()).edges
     assert len(empty) == 0 and not empty and empty == () and hash(empty) == hash(())
     assert np.asarray(empty).shape == (0, 3)
