@@ -148,7 +148,8 @@ def build_random_circuit(n: int, depth: int, seed: int) -> Circuit:
     A layer visits qubits in random order and assigns each a uniform draw from
     GATE_KINDS; a two-qubit gate consumes the next unassigned qubit as its
     partner, and when no partner remains the qubit draws again from
-    ONE_QUBIT_GATES. Rotation angles are uniform in [0, 2 pi). Deterministic given seed.
+    ONE_QUBIT_GATES. Rotation angles are uniform in [0, 2 pi). Deterministic
+    given seed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
