@@ -11,8 +11,7 @@ from .annealing import SaConfig, sa_solve
 from .circuits import (DEFAULT_QUBIT_CAP, Circuit, DampingSpec, Gate, QaoaCircuit, QaoaParams,
                        build_random_circuit)
 from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT,
-                     IterationRecord, NdarConfig, NdarResult, SamplerSpec,
-                     classical_bernoulli_sample, derive_seed, run_ndar)
+                     IterationRecord, NdarConfig, NdarResult, SamplerSpec, derive_seed, run_ndar)
 from .errors import ConfigError, ResourceLimitError
 from .harness import (AggregateRow, ExperimentConfig, aggregate, params_search, report,
                       run_experiment)
@@ -29,8 +28,8 @@ __all__ = [
     "KIND_CLASSICAL_BERNOULLI", "KIND_QAOA", "KIND_RANDOM_CIRCUIT", "MaxCutInstance",
     "NODE_CAP", "NdarConfig", "NdarResult", "QaoaCircuit", "QaoaParams", "ResourceLimitError",
     "SaConfig", "SamplerSpec", "aggregate", "apply_decay", "as_bits", "born_tree",
-    "brute_force_best", "build_random_circuit", "classical_bernoulli_sample", "derive_seed",
-    "edge_density", "energies", "energy", "gen_unweighted", "gen_weighted_dense", "grid_scan",
-    "maxcut_to_ising", "params_search", "qaoa_state", "read_instance",
-    "report", "run_experiment", "run_ndar", "sa_solve", "sample", "simulate", "write_instance",
+    "brute_force_best", "build_random_circuit", "derive_seed", "edge_density", "energies",
+    "energy", "gen_unweighted", "gen_weighted_dense", "grid_scan", "maxcut_to_ising",
+    "params_search", "qaoa_state", "read_instance", "report", "run_experiment", "run_ndar",
+    "sa_solve", "sample", "simulate", "write_instance",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .annealing import SA_SPIN_BUDGET, SA_SWEEPS_CAP, sa_solve
 from .circuits import DEPTH_CAP
@@ -60,15 +61,21 @@ def _cmd_gen_instance(args) -> int:
     return 0
 
 
+def _read_config(args) -> ExperimentConfig:
+    """The config file with every key parsed, then --seed, when given, as ndar.seed."""
+    cfg = ExperimentConfig.from_file(args.config)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
+    cfg = _read_config(args)
     summary = run_experiment(cfg, args.out)
     print(report(summary["out_dir"], svg=args.svg))
     return 0
 
 
 def _cmd_sa_baseline(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
+    cfg = _read_config(args)
     model = maxcut_to_ising(load_instance(cfg))
     _, energy_value = sa_solve(model, cfg.sa)
     print(f"n = {model.n}, reads = {cfg.sa.num_reads}, sweeps = {cfg.sa.sweeps_per_read}")

@@ -16,7 +16,7 @@ import numpy as np
 from .circuits import DampingSpec, QaoaCircuit, QaoaParams, build_random_circuit, check_depth
 from .errors import ResourceLimitError
 from .ising import IsingModel, block_rows, energies, energy, lex_first
-from .simulator import apply_decay, bernoulli, born_tree, sample, simulate
+from .simulator import apply_decay, born_tree, sample, simulate
 
 KIND_QAOA = "qaoa"
 KIND_RANDOM_CIRCUIT = "random-circuit"
@@ -53,9 +53,10 @@ class SamplerSpec:
 
     kind selects among 'qaoa' (needs params), 'random-circuit' (uses depth, and
     fresh_circuit to redraw the circuit each iteration instead of reusing one),
-    and 'classical-bernoulli' (needs q, the per-bit suppress probability).
-    Circuit samplers pass their measurement outcomes through the damping channel;
-    the classical sampler ignores `damping`. q and depth are checked for every kind.
+    and 'classical-bernoulli' (needs q). Circuit samplers pass their measurement
+    outcomes through the damping channel at `damping.gamma_damp`; the classical sampler
+    is that channel at strength q applied to the all-ones string, so each bit is 0 with
+    probability q. q and depth are checked for every kind.
     """
 
     kind: str
@@ -129,22 +130,6 @@ class NdarResult:
     distributions: tuple[tuple[int, tuple[np.ndarray, np.ndarray], np.ndarray], ...]
 
 
-def classical_bernoulli_sample(n: int, q: float, shots: int, seed) -> np.ndarray:
-    """Shots x n random bits, each bit 0 with probability q and 1 otherwise.
-
-    Bit k (row-major) is 0 where `bernoulli(q)` draws True, so P(0) is q within 2^-33
-    and exact at q = 0 and q = 1. `seed` is an int or a Generator, which the draw
-    advances; consecutive draws of an even number of bits equal one whole draw.
-    """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    if n < 1 or shots < 1:
-        raise ValueError("n and shots must be >= 1")
-    bits = bernoulli(np.random.default_rng(seed), q, (shots, n))
-    np.logical_not(bits, out=bits)
-    return bits.view(np.uint8)
-
-
 def _select_best(X: np.ndarray, E: np.ndarray) -> int:
     """Index of the minimum-energy row; ties prefer lower Hamming weight, then lex_first."""
     cand = np.flatnonzero(E == E.min())
@@ -163,12 +148,13 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
              tree: list[np.ndarray] | None = None) -> NdarResult:
     """Run the adaptive remapping loop and return the per-iteration trace.
 
-    Per iteration: draw shots in the current frame (QAOA reads its model0
+    Per iteration: take source rows in the current frame (QAOA reads its model0
     |amplitude|^2 in the frame; the random circuit is drawn once per run unless
-    fresh_circuit is set), apply the damping channel for circuit samplers, score the
-    shots as energies(model0, X ^ mask), pick the best sample, record it, then XOR it
-    into the mask so it becomes the next all-zeros attractor. Stops early only when
-    `patience` consecutive iterations fail to improve the overall best.
+    fresh_circuit is set; the classical sampler's rows are all ones), pass them through
+    the damping channel, score the shots as energies(model0, X ^ mask), pick the best
+    sample, record it, then XOR it into the mask so it becomes the next all-zeros
+    attractor. Stops early only when `patience` consecutive iterations fail to improve
+    the overall best.
 
     `tree` is QAOA's `qaoa_tree`; a caller that runs one sampler on one model many
     times passes it to every run, and when it is None the run builds it. Other samplers
@@ -182,12 +168,13 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
     attractor energy, stall count (j - best) and overall best come from the records.
 
     An iteration runs in chunks of block_rows(n) shots, one block of energies each, so
-    no (shots, n) matrix is built and a chunk's arrays fit in L2. Each chunk is drawn with
-    the iteration's sample and decay generators, scored into its energy vector and
-    Hamming-weight counts, and reduced to its _select_best winner; the rule runs once
-    more over the chunk winners. The draws fill row-major and the chunks hold an even
-    number of rows, so every result is the one a whole-batch draw would give. Only
-    iteration 0's and the last's energies become histograms.
+    no (shots, n) matrix is built and a chunk's arrays fit in L2. Each chunk's rows are
+    decayed (circuits at gamma_damp with the iteration's decay generator, the classical
+    sampler at q with its sample generator; strength 0 skips the draw), scored into its
+    energy vector and Hamming-weight counts, and reduced to its _select_best winner; the
+    rule runs once more over the chunk winners. The draws fill row-major and the chunks
+    hold an even number of rows, so every result is the one a whole-batch draw would
+    give. Only iteration 0's and the last's energies become histograms.
     """
     n = model0.n
     mask = np.zeros(n, dtype=np.uint8)
@@ -197,27 +184,28 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
     if sampler.kind == KIND_QAOA and tree is None:
         tree = qaoa_tree(model0, sampler)
     chunk = block_rows(n)
-    gamma = 0.0 if sampler.kind == KIND_CLASSICAL_BERNOULLI else sampler.damping.gamma_damp
+    classical = sampler.kind == KIND_CLASSICAL_BERNOULLI
+    # the classical sampler's source rows: a read-only view that allocates nothing
+    ones = np.broadcast_to(np.uint8(1), (chunk, n)) if classical else None
+    strength = sampler.q if classical else sampler.damping.gamma_damp
     for j in range(config.max_iters):
         rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))
+        decay_rng = rng if classical else np.random.default_rng(
+            derive_seed(config.master_seed, _STREAM_DECAY, j))
         if sampler.kind == KIND_QAOA:
             frame = int(mask.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64)))
         elif sampler.kind == KIND_RANDOM_CIRCUIT and (j == 0 or sampler.fresh_circuit):
             seed = derive_seed(config.master_seed, _STREAM_CIRCUIT, j)
             tree = None  # dropped before the next state exists
             tree = born_tree(simulate(build_random_circuit(n, sampler.depth, seed)))
-        decay_rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_DECAY, j))
         E = np.empty(config.shots)
         weight_counts = np.zeros(n + 1, dtype=np.int64)
         winners, winner_energies = [], []
         for start in range(0, config.shots, chunk):
             rows = min(chunk, config.shots - start)
-            if sampler.kind == KIND_CLASSICAL_BERNOULLI:
-                X = classical_bernoulli_sample(n, sampler.q, rows, rng)
-            else:
-                X = sample(tree, rows, rng, frame)
-                if gamma > 0.0:
-                    X = apply_decay(X, gamma, decay_rng)
+            X = sample(tree, rows, rng, frame) if ones is None else ones[:rows]
+            if strength > 0.0:
+                X = apply_decay(X, strength, decay_rng)
             Ec = E[start:start + rows]
             Ec[:] = energies(model0, X ^ mask)
             k = _select_best(X, Ec)

@@ -177,15 +177,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_file(cls, path, seed_override: int | None = None) -> "ExperimentConfig":
+    def from_file(cls, path) -> "ExperimentConfig":
         kv = _parse_kv_file(path)
-        values = {}
-        for key, (name, cast) in _CONFIG_KEYS.items():
-            if name == "seed" and seed_override is not None:
-                values[name] = seed_override
-            elif key in kv:
-                values[name] = _conv(key, kv[key], cast)
-        return cls(**values)
+        return cls(**{name: _conv(key, kv[key], cast)
+                      for key, (name, cast) in _CONFIG_KEYS.items() if key in kv})
 
 
 # config key -> (ExperimentConfig field, parser)

@@ -262,13 +262,17 @@ def apply_decay(samples: np.ndarray, gamma: float, seed) -> np.ndarray:
     """Flip each 1-bit to 0 independently with probability gamma; 0-bits never change.
 
     The flips are `bernoulli(gamma)` draws, one per entry of `samples` in row-major
-    order. `seed` is an int or a Generator, which the draw advances.
+    order. `seed` is an int or a Generator, which the draw advances. The result is
+    written into the draw's own buffer, so `samples` may be a read-only view.
     """
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     X = np.asarray(samples, dtype=np.uint8)
-    flips = bernoulli(np.random.default_rng(seed), gamma, X.shape)
-    return X & ~flips
+    keep = bernoulli(np.random.default_rng(seed), gamma, X.shape)
+    np.logical_not(keep, out=keep)
+    out = keep.view(np.uint8)
+    out &= X
+    return out
 
 
 def _cost_phase(psi: np.ndarray, model: IsingModel, gamma: float, scratch: np.ndarray) -> None:

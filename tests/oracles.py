@@ -16,6 +16,8 @@ Each one computes, by a different route, something the package computes once:
   diagonal, a phase buffer, and `rotate_ping_pong` as the mixer.
 * `cut_value` sums the crossing edge weights, where the package scores with
   `energy`/`energies` (energy == -cut for MaxCut-derived models).
+* `classical_bernoulli_sample` sets each bit to 0 where `bernoulli(q)` draws True, where
+  `run_ndar` decays an all-ones view with `apply_decay` at strength q.
 * `density_matrix_reference` applies the amplitude-damping Kraus channel to the
   density matrix, where the samplers apply classical bit decay (`apply_decay`).
 * `all_bitstrings`, `bits_to_str` and `hamming_weight` enumerate, render and count bits.
@@ -43,7 +45,8 @@ from ndar.circuits import DEFAULT_QUBIT_CAP, Circuit, Gate, QaoaParams
 from ndar.errors import ResourceLimitError
 from ndar.ising import (IsingModel, MaxCutInstance, _check_enumerable, _index_bits, as_bits,
                         cost_blocks)
-from ndar.simulator import _MIXER_BLOCK, _one_qubit_matrix, grid_scan, qaoa_state, simulate
+from ndar.simulator import (_MIXER_BLOCK, _one_qubit_matrix, bernoulli, grid_scan, qaoa_state,
+                           simulate)
 
 DENSITY_MATRIX_CAP = 6
 
@@ -81,6 +84,15 @@ def sample_table(table: np.ndarray, shots: int, seed) -> np.ndarray:
     looked up as Generator.choice looks them up."""
     u = np.random.default_rng(seed).random(shots)
     return _index_bits(table.searchsorted(u, side="right"), table.size.bit_length() - 1)
+
+
+def classical_bernoulli_sample(n: int, q: float, shots: int, seed) -> np.ndarray:
+    """Shots x n bits, bit k (row-major) 0 where `bernoulli(q)` draws True and 1 otherwise.
+
+    `seed` is an int or a Generator, which the draw advances.
+    """
+    bits = bernoulli(np.random.default_rng(seed), q, (shots, n))
+    return (~bits).view(np.uint8)
 
 
 def xor_gather(probs: np.ndarray, m: int) -> np.ndarray:

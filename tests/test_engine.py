@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from ndar import (DampingSpec, IsingModel, NdarConfig, QaoaParams, ResourceLimitError,
-                  SamplerSpec, apply_decay, born_tree, brute_force_best,
-                  classical_bernoulli_sample, derive_seed, energies, energy, gen_unweighted,
-                  gen_weighted_dense, maxcut_to_ising, run_ndar, sample, simulate)
+                  SamplerSpec, apply_decay, born_tree, brute_force_best, derive_seed, energies,
+                  energy, gen_unweighted, gen_weighted_dense, maxcut_to_ising, run_ndar, sample,
+                  simulate)
 from ndar import engine, ising, simulator
 from ndar.engine import SHOTS_CAP, _STREAM_DECAY, _STREAM_SAMPLE, _select_best
-from oracles import apply_mask, born_table, build_qaoa_circuit, gauge_transform, sample_table
+from oracles import (apply_mask, born_table, build_qaoa_circuit, classical_bernoulli_sample,
+                     gauge_transform, sample_table)
 
 Q95 = SamplerSpec("classical-bernoulli", q=0.95)
 
@@ -29,17 +30,19 @@ def test_derive_seed_is_deterministic_and_path_sensitive():
     assert 0 <= derive_seed(0, 10, 0) < 2 ** 64
 
 
-def test_classical_bernoulli_sample_properties():
-    X = classical_bernoulli_sample(6, 0.95, 4000, seed=1)
-    assert X.shape == (4000, 6) and X.dtype == np.uint8
-    assert abs(X.mean() - 0.05) < 0.01
-    assert np.array_equal(X, classical_bernoulli_sample(6, 0.95, 4000, seed=1))
-    assert np.all(classical_bernoulli_sample(4, 1.0, 100, seed=2) == 0)
-    assert np.all(classical_bernoulli_sample(4, 0.0, 100, seed=3) == 1)
-    with pytest.raises(ValueError):
-        classical_bernoulli_sample(4, 1.2, 10, seed=0)
-    with pytest.raises(ValueError):
-        classical_bernoulli_sample(0, 0.5, 10, seed=0)
+def all_ones(rows, n):
+    """The classical sampler's source rows: a read-only all-ones view."""
+    return np.broadcast_to(np.uint8(1), (rows, n))
+
+
+@pytest.mark.parametrize("n, q, rows", [(7, 0.0, 436), (30, 0.3, 1000), (101, 0.5, 11),
+                                        (300, 0.95, 436), (300, 1.0, 4), (7, 0.95, 3)])
+def test_decayed_all_ones_is_the_classical_bernoulli_draw(n, q, rows):
+    # bit for bit and on generator state, so run_ndar keeps the old classical stream
+    rng_ref, rng = np.random.default_rng(n), np.random.default_rng(n)
+    assert np.array_equal(apply_decay(all_ones(rows, n), q, rng),
+                          classical_bernoulli_sample(n, q, rows, rng_ref))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_bernoulli_matches_decayed_all_ones_distribution():
@@ -48,11 +51,10 @@ def test_bernoulli_matches_decayed_all_ones_distribution():
     probs = np.array([q ** (n - bin(z).count("1")) * (1 - q) ** bin(z).count("1")
                       for z in range(1 << n)])
     weights = 1 << np.arange(n)
-    for draw in (classical_bernoulli_sample(n, q, shots, seed=11),
-                 apply_decay(np.ones((shots, n), dtype=np.uint8), q, seed=12)):
-        counts = np.bincount(draw @ weights, minlength=1 << n)
-        chi2 = float((((counts - shots * probs) ** 2) / (shots * probs)).sum())
-        assert chi2 < 37.7  # 99.9th percentile at 15 dof
+    counts = np.bincount(apply_decay(all_ones(shots, n), q, seed=12) @ weights,
+                         minlength=1 << n)
+    chi2 = float((((counts - shots * probs) ** 2) / (shots * probs)).sum())
+    assert chi2 < 37.7  # 99.9th percentile at 15 dof
 
 
 def test_select_best_tie_rules():
@@ -419,6 +421,14 @@ def test_mask_loop_matches_gauge_transform_loop_qaoa():
                           damping=DampingSpec(100.0, 180.0))
     cfg = NdarConfig(shots=400, max_iters=6, master_seed=12)
     assert_matches_reference(small_model(10, 0.6, seed=7), sampler, cfg)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_mask_loop_matches_gauge_transform_loop_classical_at_the_ends(q):
+    # q = 0 skips the decay draw and scores the all-ones view itself; q = 1 flips every bit
+    cfg = NdarConfig(shots=500, max_iters=3, master_seed=13)
+    assert_matches_reference(small_model(9, 0.5, seed=4), SamplerSpec("classical-bernoulli", q=q),
+                             cfg)
 
 
 def test_patience_stopped_run_keeps_its_own_last_distribution():

@@ -66,7 +66,7 @@ def test_config_defaults_and_values(tmp_path):
 def test_config_overrides(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, SMOKE + "output_dir = from_config\n")
-    cfg = ExperimentConfig.from_file(path, seed_override=99)
+    cfg = replace(ExperimentConfig.from_file(path), seed=99)
     assert cfg.seed == 99 and cfg.output_dir == "from_config"
     # --out wins over output_dir in run and params-search; without it, output_dir is used
     assert main(["run", "--config", str(path), "--out", "from_flag"]) == 0
@@ -651,6 +651,16 @@ def test_every_command_refuses_a_bad_value_and_names_its_key(tmp_path, capsys, k
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
+def test_a_seed_flag_does_not_skip_parsing_ndar_seed(tmp_path, capsys):
+    path = write_config(tmp_path, SMOKE.replace("ndar.seed = 5", "ndar.seed = abc"))
+    out = ["--out", str(tmp_path / "out")]
+    for args in (["run", *out], ["run", *out, "--seed", "5"], ["sa-baseline", "--seed", "5"],
+                 ["params-search", *out]):
+        assert main([args[0], "--config", str(path), *args[1:]]) == 2, args
+        assert "'ndar.seed': cannot parse 'abc'" in capsys.readouterr().err, args
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 @pytest.mark.parametrize("command", ["run", "params-search"])
 def test_a_landscape_that_is_not_finite_is_refused(tmp_path, capsys, monkeypatch, command):
     # J = 8.5e307, so 2 * gamma * J overflows at the default bounds gamma = +-pi/2
@@ -752,7 +762,7 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch)
         write_lines(target, lines)
 
     monkeypatch.setattr(harness, "_write_lines", failing_meta)
-    other_seed = ExperimentConfig.from_file(path, seed_override=6)
+    other_seed = replace(ExperimentConfig.from_file(path), seed=6)
     for target in (out, tmp_path / "fresh"):
         with pytest.raises(OSError, match="disk full"):
             run_experiment(other_seed, out_dir=target)
@@ -796,7 +806,7 @@ def test_a_run_that_fails_part_way_leaves_no_trace(tmp_path, monkeypatch):
         return run_ndar(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_ndar", fails_on_run_1)
-    other_seed = ExperimentConfig.from_file(path, seed_override=6)
+    other_seed = replace(ExperimentConfig.from_file(path), seed=6)
     for target in (out, tmp_path / "fresh"):
         calls.clear()
         with pytest.raises(RuntimeError, match="run 1 failed"):

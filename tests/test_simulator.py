@@ -366,6 +366,18 @@ def test_apply_decay_edge_cases():
         apply_decay(Xs, 1.5, seed=0)
 
 
+def test_apply_decay_takes_a_read_only_view_and_returns_its_own_array():
+    ones = np.broadcast_to(np.uint8(1), (40, 9))
+    assert not ones.flags.writeable and ones.strides == (0, 0)
+    for source in (ones.copy(), ones):
+        out = apply_decay(source, 0.5, seed=3)
+        assert np.all(source == 1)
+        assert out.dtype == np.uint8 and out.shape == (40, 9) and out.flags.writeable
+        assert not np.shares_memory(out, source)
+        assert 0 < out.sum() < out.size
+    assert np.array_equal(out, apply_decay(ones.copy(), 0.5, seed=3))
+
+
 def test_bernoulli_reads_raw_words_low_half_first():
     raw = [int(w) for w in np.random.default_rng(8).bit_generator.random_raw(6)]
     words = np.array([half for w in raw for half in (w & 0xFFFFFFFF, w >> 32)])
