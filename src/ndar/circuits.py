@@ -134,6 +134,12 @@ class DampingSpec:
         return 1.0 - math.exp(-self.t_delay / self.t1)
 
 
+def check_qubits(n: int) -> None:
+    """Refuse a statevector of more than DEFAULT_QUBIT_CAP qubits before allocating it."""
+    if n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"a statevector of {n} qubits exceeds the cap {DEFAULT_QUBIT_CAP}")
+
+
 def check_depth(depth: int) -> None:
     """Refuse random circuits of no layers or deeper than DEPTH_CAP before building a gate."""
     if depth < 1:

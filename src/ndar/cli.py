@@ -6,51 +6,11 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .annealing import SA_SPIN_BUDGET, SA_SWEEPS_CAP, sa_solve
-from .circuits import DEPTH_CAP
-from .engine import SHOTS_CAP
+from .annealing import sa_solve
 from .errors import ConfigError, ResourceLimitError
-from .harness import (FAMILIES, RUNS_CAP, ExperimentConfig, load_instance, params_search, report,
-                      run_experiment)
+from .harness import (FAMILIES, ExperimentConfig, load_instance, params_search, report,
+                      run_epilog, run_experiment)
 from .ising import edge_density, maxcut_to_ising, write_instance
-from .simulator import GRID_STEPS_CAP
-
-_RUN_EPILOG = f"""\
-config file keys (flat `key = value` lines, `#` comments):
-  instance.file              path to an edge-list file, or instead:
-  instance.family            unweighted-sparse | weighted-dense
-  instance.n                 node count (generated instances)
-  instance.density           edge probability, unweighted-sparse only (default 0.3)
-  instance.seed              generator seed (default 0)
-  sampler.kind               classical-bernoulli (default) | qaoa | random-circuit
-  sampler.q                  bit-suppress probability (classical-bernoulli), in [0, 1]
-  sampler.depth              layers of the random circuit (default 2, at most {DEPTH_CAP})
-  sampler.fresh_circuit      redraw the random circuit each iteration (default false)
-  sampler.gammas, sampler.betas   comma-separated QAOA angles; omit both to grid-search
-  sampler.grid_steps         grid resolution per axis (default 20, at most {GRID_STEPS_CAP})
-  sampler.gamma_min, sampler.gamma_max   grid range (default -pi/2, pi/2), within +-2^52
-  sampler.beta_min, sampler.beta_max     grid range (default -pi/4, pi/4), within +-2^52
-  sampler.t_delay, sampler.t1   delay and relaxation times in us (default 0, 180)
-  ndar.shots                 samples per iteration (default 1000, at most {SHOTS_CAP})
-  ndar.iters                 iterations per run (default 12)
-  ndar.seed                  experiment seed (default 0)
-  ndar.patience              optional early stop after this many stalled iterations
-                             (trajectory.csv carries a stopped run's best cut forward)
-  sa.reads, sa.sweeps        annealing effort (defaults 100, 1000; reads x n at most
-                             {SA_SPIN_BUDGET}, sweeps at most {SA_SWEEPS_CAP})
-  sa.beta_min, sa.beta_max   schedule bounds (defaults 0.01, 10)
-  sa.seed                    annealer seed (default: derived from ndar.seed)
-  runs                       independent NDAR runs (default 10, at most {RUNS_CAP})
-  output_dir                 where to write results (or pass --out)
-keys are checked when the config is read, by every command; the instance and n caps come later
-
-output files:
-  trajectory.csv   iter_index,mean_best_cut,sem_best_cut,mean_ratio,sem_ratio,mean_cumulative_ratio
-  runs/run_XXX.csv iter_index,best_cut,best_energy,cumulative_best_cut,attractor_energy,best_hamming_weight
-  cost_dist.csv    run_index,iter_index,energy,count     (first and last iteration)
-  hamming_dist.csv run_index,iter_index,weight,count     (first and last iteration)
-  meta.txt         instance, sampler, annealer, and reference-cut facts
-"""
 
 
 def _cmd_gen_instance(args) -> int:
@@ -111,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_instance)
 
     p = sub.add_parser("run", help="run a configured experiment and write CSV outputs",
-                       epilog=_RUN_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
+                       epilog=run_epilog(), formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory (overrides output_dir)")
     p.add_argument("--seed", type=int, default=None, help="override ndar.seed")

@@ -13,15 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .annealing import SaConfig, check_effort, sa_solve
-from .circuits import DEFAULT_QUBIT_CAP, DampingSpec, QaoaParams
-from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT, NdarConfig,
-                     NdarResult, SamplerSpec, check_q_and_depth, derive_seed, qaoa_tree,
-                     run_ndar)
+from .annealing import SA_SPIN_BUDGET, SA_SWEEPS_CAP, SaConfig, check_effort, sa_solve
+from .circuits import DEPTH_CAP, DampingSpec, QaoaParams, check_qubits
+from .engine import (KIND_CLASSICAL_BERNOULLI, KIND_QAOA, KIND_RANDOM_CIRCUIT, SAMPLER_KINDS,
+                     SHOTS_CAP, NdarConfig, NdarResult, SamplerSpec, check_q_and_depth,
+                     derive_seed, qaoa_tree, run_ndar)
 from .errors import ConfigError, ResourceLimitError
 from .ising import (BRUTE_FORCE_CAP, NODE_CAP, MaxCutInstance, brute_force_best, edge_density,
                     gen_unweighted, gen_weighted_dense, maxcut_to_ising, read_instance)
-from .simulator import check_grid, grid_scan
+from .simulator import ANGLE_BOUND, GRID_STEPS_CAP, check_grid, grid_scan
 
 FAMILY_UNWEIGHTED = "unweighted-sparse"
 FAMILY_WEIGHTED = "weighted-dense"
@@ -38,9 +38,14 @@ _STREAM_RUN = 10
 _STREAM_SA = 11
 
 
-def _key(name: str, parse, default=None):
-    """A config field: the file key that sets it, the parser of its text, its default."""
-    return field(default=default, metadata={"key": name, "parse": parse})
+def _key(name: str, parse, default=None, *, help: str):
+    """A config field: the file key that sets it, the parser of its text, its default, and
+    its line in `ndar run --help` (run_epilog)."""
+    return field(default=default, metadata={"key": name, "parse": parse, "help": help})
+
+
+# the tail of each grid bound's help text
+_GRID = f"of the grid, within +-2^{math.log2(ANGLE_BOUND):g}"
 
 
 def _fmt(v) -> str:
@@ -105,35 +110,44 @@ class ExperimentConfig:
     without angles), `ndar` and `sa`. Only instance keys and n-dependent caps wait for n.
     """
 
-    instance_file: str | None = _key("instance.file", str)
-    family: str | None = _key("instance.family", str)
-    n: int | None = _key("instance.n", int)
-    density: float = _key("instance.density", float, 0.3)
-    instance_seed: int = _key("instance.seed", int, 0)
-    sampler_kind: str = _key("sampler.kind", str, KIND_CLASSICAL_BERNOULLI)
-    q: float | None = _key("sampler.q", float)
-    depth: int = _key("sampler.depth", int, 2)
-    fresh_circuit: bool = _key("sampler.fresh_circuit", bool, False)
-    gammas: tuple[float, ...] | None = _key("sampler.gammas", tuple)
-    betas: tuple[float, ...] | None = _key("sampler.betas", tuple)
-    grid_steps: int = _key("sampler.grid_steps", int, 20)
-    gamma_min: float = _key("sampler.gamma_min", float, -math.pi / 2.0)
-    gamma_max: float = _key("sampler.gamma_max", float, math.pi / 2.0)
-    beta_min: float = _key("sampler.beta_min", float, -math.pi / 4.0)
-    beta_max: float = _key("sampler.beta_max", float, math.pi / 4.0)
-    t_delay: float = _key("sampler.t_delay", float, 0.0)
-    t1: float = _key("sampler.t1", float, 180.0)
-    shots: int = _key("ndar.shots", int, 1000)
-    iters: int = _key("ndar.iters", int, 12)
-    seed: int = _key("ndar.seed", int, 0)
-    patience: int | None = _key("ndar.patience", int)
-    sa_reads: int = _key("sa.reads", int, 100)
-    sa_sweeps: int = _key("sa.sweeps", int, 1000)
-    sa_beta_min: float = _key("sa.beta_min", float, 0.01)
-    sa_beta_max: float = _key("sa.beta_max", float, 10.0)
-    sa_seed: int | None = _key("sa.seed", int)
-    runs: int = _key("runs", int, 10)
-    output_dir: str | None = _key("output_dir", str)
+    instance_file: str | None = _key("instance.file", str, help="edge-list file, or instead:")
+    family: str | None = _key("instance.family", str, help=" | ".join(FAMILIES))
+    n: int | None = _key("instance.n", int, help=f"generated node count, at most {NODE_CAP}")
+    density: float = _key("instance.density", float, 0.3,
+                          help="edge probability, unweighted-sparse only")
+    instance_seed: int = _key("instance.seed", int, 0, help="generator seed")
+    sampler_kind: str = _key("sampler.kind", str, KIND_CLASSICAL_BERNOULLI,
+                             help=" | ".join(SAMPLER_KINDS))
+    q: float | None = _key("sampler.q", float,
+                           help="bit-suppress probability in [0, 1] (classical-bernoulli)")
+    depth: int = _key("sampler.depth", int, 2, help=f"random circuit layers, at most {DEPTH_CAP}")
+    fresh_circuit: bool = _key("sampler.fresh_circuit", bool, False,
+                               help="redraw the random circuit each iteration")
+    gammas: tuple[float, ...] | None = _key("sampler.gammas", tuple,
+                                            help="comma-separated angles; unset, grid-searched")
+    betas: tuple[float, ...] | None = _key("sampler.betas", tuple, help="as many as sampler.gammas")
+    grid_steps: int = _key("sampler.grid_steps", int, 20,
+                           help=f"grid points per axis, at most {GRID_STEPS_CAP}")
+    gamma_min: float = _key("sampler.gamma_min", float, -math.pi / 2.0, help=f"first gamma {_GRID}")
+    gamma_max: float = _key("sampler.gamma_max", float, math.pi / 2.0, help=f"last gamma {_GRID}")
+    beta_min: float = _key("sampler.beta_min", float, -math.pi / 4.0, help=f"first beta {_GRID}")
+    beta_max: float = _key("sampler.beta_max", float, math.pi / 4.0, help=f"last beta {_GRID}")
+    t_delay: float = _key("sampler.t_delay", float, 0.0, help="delay before measurement, in us")
+    t1: float = _key("sampler.t1", float, 180.0, help="relaxation time, in us")
+    shots: int = _key("ndar.shots", int, 1000, help=f"samples per iteration, at most {SHOTS_CAP}")
+    iters: int = _key("ndar.iters", int, 12, help="iterations per run")
+    seed: int = _key("ndar.seed", int, 0, help="experiment seed")
+    patience: int | None = _key("ndar.patience", int, help="stop a run after this many stalled "
+                                "iterations; trajectory.csv carries its best cut forward")
+    sa_reads: int = _key("sa.reads", int, SaConfig.num_reads,
+                         help=f"annealer restarts; reads x n at most {SA_SPIN_BUDGET}")
+    sa_sweeps: int = _key("sa.sweeps", int, SaConfig.sweeps_per_read,
+                          help=f"sweeps per read, at most {SA_SWEEPS_CAP}")
+    sa_beta_min: float = _key("sa.beta_min", float, SaConfig.beta_min, help="beta ramp start")
+    sa_beta_max: float = _key("sa.beta_max", float, SaConfig.beta_max, help="beta ramp end")
+    sa_seed: int | None = _key("sa.seed", int, help="annealer seed; unset, derived from ndar.seed")
+    runs: int = _key("runs", int, 10, help=f"independent NDAR runs, at most {RUNS_CAP}")
+    output_dir: str | None = _key("output_dir", str, help="where to write results (or pass --out)")
 
     def __post_init__(self):
         if (self.instance_file is None) == (self.family is None):
@@ -200,9 +214,8 @@ def build_sampler(config: ExperimentConfig, model) -> SamplerSpec:
 
     Circuit samplers refuse models beyond the qubit cap here, before any statevector exists.
     """
-    if config.sampler_kind != KIND_CLASSICAL_BERNOULLI and model.n > DEFAULT_QUBIT_CAP:
-        raise ResourceLimitError(f"{config.sampler_kind} sampler simulates n <= {DEFAULT_QUBIT_CAP} "
-                                 f"qubits, got n = {model.n}")
+    if config.sampler_kind != KIND_CLASSICAL_BERNOULLI:
+        check_qubits(model.n)
     if config.sampler is not None:
         return config.sampler
     params, _, _ = grid_search(model, config)
@@ -268,6 +281,29 @@ _RUN_FILES = ("meta.txt", "trajectory.csv", "cost_dist.csv", "hamming_dist.csv",
 
 # trajectory.csv's columns, as run_experiment writes them and report reads them
 _TRAJECTORY_COLUMNS = tuple(f.name for f in fields(AggregateRow))
+# the columns of runs/run_XXX.csv, cost_dist.csv and hamming_dist.csv, in their writers' order
+_RUN_COLUMNS = ("iter_index", "best_cut", "best_energy", "cumulative_best_cut",
+                "attractor_energy", "best_hamming_weight")
+_COST_COLUMNS = ("run_index", "iter_index", "energy", "count")
+_HAMMING_COLUMNS = ("run_index", "iter_index", "weight", "count")
+
+
+def run_epilog() -> str:
+    """The `ndar run --help` epilog: each config key with its help text and default, and the
+    columns of each output file."""
+    keys = [f"  {f.metadata['key']:<24}{f.metadata['help']}"
+            + ("" if f.default is None else f" (default {_fmt(f.default)})")
+            for f in fields(ExperimentConfig)]
+    files = [f"  {name:<18}{','.join(columns)}{note}" for name, columns, note in (
+        ("trajectory.csv", _TRAJECTORY_COLUMNS, ""), ("runs/run_XXX.csv", _RUN_COLUMNS, ""),
+        ("cost_dist.csv", _COST_COLUMNS, "  (first and last iteration)"),
+        ("hamming_dist.csv", _HAMMING_COLUMNS, "  (first and last iteration)"))]
+    return "\n".join([
+        "config file keys (flat `key = value` lines, `#` comments):", *keys,
+        "keys are checked when the config is read, by every command; the instance and n caps "
+        "come later",
+        "", "output files:", *files,
+        "  meta.txt          instance, sampler, annealer, and reference-cut facts", ""])
 
 
 def _open(path):
@@ -284,8 +320,7 @@ def _write_run(d: Path, r: int, res: NdarResult, cost, ham) -> list[float]:
     returns its per-iteration best cuts."""
     cuts = [rec.best_cut for rec in res.trace]
     with _open(d / "runs" / f"run_{r:03d}.csv") as fh:
-        fh.write("iter_index,best_cut,best_energy,cumulative_best_cut,attractor_energy,"
-                 "best_hamming_weight\n")
+        fh.write(",".join(_RUN_COLUMNS) + "\n")
         fh.writelines(f"{rec.iter_index},{_fmt(rec.best_cut)},{_fmt(rec.best_energy)},"
                       f"{_fmt(cum)},{_fmt(rec.attractor_energy)},{int(rec.best_bits.sum())}\n"
                       for rec, cum in zip(res.trace, itertools.accumulate(cuts, max)))
@@ -353,6 +388,12 @@ def _publish(tmp: Path, out: Path) -> None:
             os.replace(path, out / path.relative_to(tmp))
 
 
+def _out_path(config: ExperimentConfig, out_dir) -> Path | None:
+    """out_dir, else output_dir, as a Path; None when unset or "" (Path("") would be ".")."""
+    raw = out_dir if out_dir is not None else config.output_dir
+    return None if raw in (None, "") else Path(raw)
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Run the full experiment and write its output files; returns a summary dict.
 
@@ -364,8 +405,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     `out` appears whole, but writing into an existing `out` is not atomic (see _publish):
     the earlier run's files are replaced, other files stay.
     """
-    out = Path(out_dir if out_dir is not None else (config.output_dir or ""))
-    if str(out) in ("", "."):
+    out = _out_path(config, out_dir)
+    if out is None:
         raise ConfigError("no output directory: set output_dir or pass --out")
     graph = load_instance(config)
     model = maxcut_to_ising(graph)
@@ -393,8 +434,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         # every run samples the one QAOA state, so its tree is built once per experiment
         tree = qaoa_tree(model, sampler) if sampler.kind == KIND_QAOA else None
         with _open(tmp / "cost_dist.csv") as cost, _open(tmp / "hamming_dist.csv") as ham:
-            cost.write("run_index,iter_index,energy,count\n")
-            ham.write("run_index,iter_index,weight,count\n")
+            cost.write(",".join(_COST_COLUMNS) + "\n")
+            ham.write(",".join(_HAMMING_COLUMNS) + "\n")
             cuts = [_write_run(tmp, r, run_ndar(model, sampler, replace(
                 config.ndar, master_seed=derive_seed(config.seed, _STREAM_RUN, r)), tree=tree),
                 cost, ham) for r in range(config.runs)]
@@ -501,8 +542,8 @@ def params_search(config: ExperimentConfig, out_dir=None) -> tuple[QaoaParams, f
     """Grid-search QAOA angles for the configured instance; writes the landscape CSV."""
     model = maxcut_to_ising(load_instance(config))
     best, best_val, rows = grid_search(model, config)
-    out = Path(out_dir if out_dir is not None else (config.output_dir or ""))
-    if str(out) not in ("", "."):
+    out = _out_path(config, out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         _write_lines(out / "landscape.csv", ["gamma,beta,expectation"] + [
             ",".join(_fmt(v) for v in row) for row in rows])

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .circuits import DEFAULT_QUBIT_CAP, Circuit, Gate, QaoaCircuit, QaoaParams
+from .circuits import Circuit, Gate, QaoaCircuit, QaoaParams, check_qubits
 from .errors import ResourceLimitError
 from .ising import IsingModel, cost_blocks
 
@@ -153,8 +153,7 @@ def simulate(circuit: Circuit | QaoaCircuit) -> np.ndarray:
     if isinstance(circuit, QaoaCircuit):
         return qaoa_state(circuit.model, circuit.params)
     n = circuit.n
-    if n > DEFAULT_QUBIT_CAP:
-        raise ResourceLimitError(f"statevector simulation capped at n <= {DEFAULT_QUBIT_CAP}, got {n}")
+    check_qubits(n)
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[0] = 1.0
     scratch = np.empty(min(_SCRATCH, psi.size), dtype=np.complex128)
@@ -303,8 +302,7 @@ def qaoa_state(model: IsingModel, params: QaoaParams) -> np.ndarray:
     because 2 beta overflows for |beta| > 8.9e307, which QaoaParams accepts.
     """
     n = model.n
-    if n > DEFAULT_QUBIT_CAP:
-        raise ResourceLimitError(f"QAOA state needs n <= {DEFAULT_QUBIT_CAP}, got n = {n}")
+    check_qubits(n)
     psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=np.complex128)
     scratch = np.empty(min(_SCRATCH, psi.size), dtype=np.complex128)
     for gamma, beta in zip(params.gammas, params.betas):

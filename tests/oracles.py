@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from ndar.circuits import DEFAULT_QUBIT_CAP, Circuit, Gate, QaoaParams
+from ndar.circuits import Circuit, Gate, QaoaParams, check_qubits
 from ndar.errors import ResourceLimitError
 from ndar.ising import (IsingModel, MaxCutInstance, _check_enumerable, _index_bits, as_bits,
                         cost_blocks)
@@ -145,8 +145,7 @@ def build_qaoa_circuit(model: IsingModel, params: QaoaParams) -> Circuit:
     the CX puts s_i s_j on qubit j, whose RZ then takes the phase, and undoes it.
     The mixer applies RX(2 beta) on every qubit.
     """
-    if model.n > DEFAULT_QUBIT_CAP:
-        raise ResourceLimitError(f"QAOA circuit needs n <= {DEFAULT_QUBIT_CAP}, got n = {model.n}")
+    check_qubits(model.n)
     gates = [Gate("H", (q,)) for q in range(model.n)]
     for gamma, beta in zip(params.gammas, params.betas):
         for q, hq in enumerate(model.h):
@@ -176,8 +175,7 @@ def simulate_gate_by_gate(circuit: Circuit) -> np.ndarray:
     a tensordot for H, X, Y, RX and RY, a broadcast phase for Z, S, T and RZ, and slice
     updates for CX and CZ."""
     n = circuit.n
-    if n > DEFAULT_QUBIT_CAP:
-        raise ResourceLimitError(f"statevector simulation capped at n <= {DEFAULT_QUBIT_CAP}, got {n}")
+    check_qubits(n)
     psi = np.zeros((2,) * n, dtype=np.complex128)
     psi.flat[0] = 1.0
     for gate in circuit.gates:

@@ -848,16 +848,44 @@ def test_config_table_leaves_defaults_to_the_dataclass(tmp_path):
         f.name for f in dataclasses.fields(ExperimentConfig))
 
 
-def test_run_epilog_names_every_config_key_in_full():
-    from ndar.cli import _RUN_EPILOG
-    keys_section = _RUN_EPILOG.split("\noutput files:")[0]
-    # a key line: two blanks, the line's keys separated by ", ", then two blanks
-    named = [k for m in re.finditer(r"^  (\S+(?:, \S+)*)  ", keys_section, re.MULTILINE)
-             for k in m.group(1).split(", ")]
-    assert sorted(named) == sorted(harness._CONFIG_KEYS)
-    kind = next(ln for ln in keys_section.splitlines() if ln.startswith("  sampler.kind "))
-    default = harness.ExperimentConfig.__dataclass_fields__["sampler_kind"].default
-    assert f"{default} (default)" in kind
+def test_run_help_states_each_key_default_cap_and_column_once(tmp_path, capsys):
+    import dataclasses
+    from ndar.annealing import SA_SPIN_BUDGET, SA_SWEEPS_CAP
+    from ndar.circuits import DEPTH_CAP
+    from ndar.engine import SAMPLER_KINDS, SHOTS_CAP
+    from ndar.ising import NODE_CAP
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert harness.run_epilog() in capsys.readouterr().out
+    keys_section, files_section = harness.run_epilog().split("\noutput files:\n")
+    lines = dict(re.findall(r"^  (\S+) +(.*)$", keys_section, re.MULTILINE))
+    assert list(lines) == list(harness._CONFIG_KEYS)
+    # a key line is its field's help text, then the default as meta.txt writes it, if any
+    for f in dataclasses.fields(ExperimentConfig):
+        default = "" if f.default is None else f" (default {harness._fmt(f.default)})"
+        assert lines[f.metadata["key"]] == f.metadata["help"] + default
+    caps = {"instance.n": NODE_CAP, "sampler.depth": DEPTH_CAP,
+            "sampler.grid_steps": GRID_STEPS_CAP, "ndar.shots": SHOTS_CAP,
+            "sa.reads": SA_SPIN_BUDGET, "sa.sweeps": SA_SWEEPS_CAP, "runs": harness.RUNS_CAP}
+    for key, cap in caps.items():
+        assert f"at most {cap}" in lines[key]
+    assert all(name in lines["instance.family"] for name in harness.FAMILIES)
+    assert all(kind in lines["sampler.kind"] for kind in SAMPLER_KINDS)
+    # a file line names its columns as its writer wrote them in a run directory
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig.from_file(write_config(tmp_path, SMOKE)), out)
+    files = dict(re.findall(r"^  (\S+) +(\S+)", files_section, re.MULTILINE))
+    assert files.pop("meta.txt") and (out / "meta.txt").is_file()
+    assert files == {
+        "trajectory.csv": ",".join(harness._TRAJECTORY_COLUMNS),
+        "runs/run_XXX.csv": ",".join(harness._RUN_COLUMNS),
+        "cost_dist.csv": ",".join(harness._COST_COLUMNS),
+        "hamming_dist.csv": ",".join(harness._HAMMING_COLUMNS)}
+    written = [(re.sub(r"run_\d{3}", "run_XXX", str(p.relative_to(out))), p)
+               for p in out.rglob("*.csv")]
+    assert {name for name, _ in written} == set(files)
+    for name, p in written:
+        assert p.read_text().splitlines()[0] == files[name]
 
 
 def test_fresh_output_directory_gets_the_mode_of_a_plain_mkdir(tmp_path):
@@ -876,3 +904,24 @@ def test_missing_output_dir_is_config_error(tmp_path):
     cfg = ExperimentConfig.from_file(write_config(tmp_path, SMOKE))
     with pytest.raises(ConfigError, match="output"):
         run_experiment(cfg)
+
+
+def test_out_dot_writes_into_the_cwd(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, SMOKE)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "ref")]) == 0
+    ref = snapshot(tmp_path / "ref")
+    monkeypatch.chdir(tmp_path)
+    # an unset output directory is refused by run, and params-search then writes nothing
+    for empty in ([], ["--out", ""]):
+        assert main(["run", "--config", str(path), *empty]) == 2
+        assert "no output directory" in capsys.readouterr().err
+        assert main(["params-search", "--config", str(path), *empty]) == 0
+        assert not (tmp_path / "landscape.csv").exists()
+    assert main(["params-search", "--config", str(path), "--out", "."]) == 0
+    assert len((tmp_path / "landscape.csv").read_text().splitlines()) == 401
+    # a rerun replaces the run's files in the cwd and keeps the others
+    for _ in range(2):
+        assert main(["run", "--config", str(path), "--out", "."]) == 0
+        assert {k: v for k, v in snapshot(tmp_path).items() if k in ref} == ref
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["exp.cfg", "ref", "landscape.csv", *(name for name in ref if "/" not in name), "runs"])
