@@ -188,10 +188,6 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
     # the classical sampler's source rows: a read-only view that allocates nothing
     ones = np.broadcast_to(np.uint8(1), (chunk, n)) if classical else None
     strength = sampler.q if classical else sampler.damping.gamma_damp
-    # energies' two block buffers, allocated once per run: freed after every chunk, they let
-    # malloc trim and regrow the heap top each chunk, at a cost that varied with heap layout
-    scratch = [np.empty((min(chunk, config.shots), n), dtype=model0.terms[0].dtype)
-               for _ in range(2)]
     for j in range(config.max_iters):
         rng = np.random.default_rng(derive_seed(config.master_seed, _STREAM_SAMPLE, j))
         decay_rng = rng if classical else np.random.default_rng(
@@ -211,7 +207,7 @@ def run_ndar(model0: IsingModel, sampler: SamplerSpec, config: NdarConfig, *,
             if strength > 0.0:
                 X = apply_decay(X, strength, decay_rng)
             Ec = E[start:start + rows]
-            Ec[:] = energies(model0, X ^ mask, scratch=scratch)
+            Ec[:] = energies(model0, X ^ mask)
             k = _select_best(X, Ec)
             winners.append(X[k].copy())
             winner_energies.append(Ec[k])

@@ -308,7 +308,7 @@ def block_rows(n: int) -> int:
     return max(2, (_BLOCK_ENTRIES // n) & ~1)
 
 
-def energies(model: IsingModel, xs, *, scratch=None) -> np.ndarray:
+def energies(model: IsingModel, xs) -> np.ndarray:
     """Energies of a batch of bitstrings given as a (shots, n) 0/1 matrix.
 
     S @ h, S @ J and the row dot of S with S @ J run in the dtype of `model.terms`:
@@ -319,15 +319,14 @@ def energies(model: IsingModel, xs, *, scratch=None) -> np.ndarray:
 
     Rows go in blocks of block_rows(n), an NDAR chunk's size, through one spin buffer and
     one S @ J buffer, so the temporaries stay near 512 KiB each whatever the batch size.
-    `scratch` passes those two buffers, at least min(block_rows(n), shots) rows each, to reuse.
     """
     X = np.asarray(xs)
     if X.ndim != 2 or X.shape[1] != model.n:
         raise ValueError(f"expected a (shots, {model.n}) bit matrix, got shape {X.shape}")
     h, J = model.terms
     block = block_rows(model.n)
-    spins, fields = scratch or [np.empty((min(block, len(X)), model.n), dtype=h.dtype)
-                                for _ in range(2)]
+    spins = np.empty((min(block, len(X)), model.n), dtype=h.dtype)
+    fields = np.empty_like(spins)
     out = np.empty(len(X))
     for start in range(0, len(X), block):
         stop = min(start + block, len(X))

@@ -452,17 +452,6 @@ def test_energies_peak_on_a_dense_300_node_batch():
     assert traced_peak(lambda: energies(model, X)) < 30e6
 
 
-def test_energies_reuse_passed_block_buffers():
-    # run_ndar passes one pair of block buffers per run, so no chunk allocates them
-    rng = np.random.default_rng(1)
-    X = rng.integers(0, 2, (1000, 300), dtype=np.uint8)
-    for model in (maxcut_to_ising(gen_weighted_dense(300, 1)), random_model(rng, 300)):
-        scratch = [np.empty((ising.block_rows(300), 300), dtype=model.terms[0].dtype)
-                   for _ in range(2)]
-        assert np.array_equal(energies(model, X, scratch=scratch), energies(model, X))
-        assert traced_peak(lambda: energies(model, X, scratch=scratch)) < 64 << 10
-
-
 def test_dense_300_model_build_peak():
     # the edge and coupling arrays and their validation temporaries; with a tuple of
     # (int, int, float) tuples next to each object's arrays the peak is 14.1 MiB
