@@ -121,9 +121,9 @@ def sa_solve(model: IsingModel, config: SaConfig = SaConfig()) -> tuple[np.ndarr
     reads = config.num_reads
     check_effort(reads, config.sweeps_per_read, n)
     rng = np.random.default_rng(config.seed)
-    order, bounds = color_classes(model.coupling_matrix)
-    sizes = np.diff(bounds)
     h, jm = model.terms
+    order, bounds = color_classes(jm)
+    sizes = np.diff(bounds)
     # whatever the order of the classes, the last one starts within the first _BLOCK spins
     one_block = n - sizes.min() < _BLOCK
     if one_block:  # color order: class c is rows bounds[c]:bounds[c + 1] of every array

@@ -26,7 +26,7 @@ from .errors import ResourceLimitError
 BRUTE_FORCE_CAP = 24
 
 # largest graph accepted; the paper's instances have 300 nodes, and the complete graph on
-# NODE_CAP nodes has 523,776 edges and an 8 MB coupling matrix
+# NODE_CAP nodes has 523,776 edges and a 4 MB coupling matrix under the float32 rule
 NODE_CAP = 1024
 
 # entries per block of the streamed cost diagonal are 2^_COST_BLOCK_BITS, 32 KiB of
@@ -263,33 +263,30 @@ class IsingModel:
         return hash((self.n, self.offset, tuple(self.h.tolist()), self.couplings))
 
     @functools.cached_property
-    def coupling_matrix(self) -> np.ndarray:
-        """Dense symmetric coupling matrix: J_ij at [i, j] and [j, i], zero diagonal."""
-        ci, cj, cw = self.couplings.arrays
-        m = np.zeros((self.n, self.n), dtype=np.float64)
-        m[ci, cj] = cw
-        m[cj, ci] = cw
-        return m
-
-    @functools.cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(h, coupling matrix): float32 when every energy sum is exact there, else float64.
+        """(h, J) in float32 when every energy sum is exact there, else float64 (h then
+        `self.h`). J is the model's one dense coupling matrix, J_ij at [i, j] and [j, i],
+        read by `energies`, the annealer, `cost_blocks` and the p = 1 closed form.
 
         The rule: every h_i and J_ij is an integer multiple of one unit u = 2^-p (p >= 0),
-        and sum |h_i| + 2 sum_{i<j} |J_ij| <= 2^24 u. Then every partial sum `energies`
-        and `sa_solve` form, in any order, is a multiple of u no larger than 2^24 u, which
-        float32 holds exactly. Testing the finest unit the bound allows suffices, as a
-        multiple of 2^-p is one of 2^-q for every q >= p; p <= 126 keeps u a normal float32.
+        and the total sum |h_i| + 2 sum_{i<j} |J_ij| is finite and at most 2^24 u. Then
+        every partial sum `energies` and `sa_solve` form, in any order, is a multiple of u
+        no larger than 2^24 u, which float32 holds exactly. Testing the finest unit the
+        bound allows suffices, as a multiple of 2^-p is one of 2^-q for every q >= p;
+        p <= 126 keeps u a normal float32.
         """
-        cw = self.couplings.arrays[2]
+        ci, cj, cw = self.couplings.arrays
         total = float(np.abs(self.h).sum()) + 2.0 * float(np.abs(cw).sum())
         mant, exp = math.frexp(total)  # total = mant * 2^exp with 0.5 <= mant < 1
         p = min(126, 24 - exp + (mant == 0.5)) if total else 0
-        for values in (self.h, cw):
-            scaled = np.ldexp(values, p)
-            if p < 0 or not np.array_equal(scaled, np.round(scaled)):
-                return self.h, self.coupling_matrix
-        return self.h.astype(np.float32), self.coupling_matrix.astype(np.float32)
+        scaled = (np.ldexp(values, p) for values in (self.h, cw))
+        exact = (math.isfinite(total) and p >= 0
+                 and all(np.array_equal(s, np.round(s)) for s in scaled))
+        h = self.h.astype(np.float32) if exact else self.h
+        m = np.zeros((self.n, self.n), dtype=h.dtype)
+        m[ci, cj] = cw
+        m[cj, ci] = cw
+        return h, m
 
 
 def energy(model: IsingModel, x) -> float:
@@ -420,7 +417,7 @@ def cost_blocks(model: IsingModel):
     before allocating.
     """
     _check_enumerable(model.n)
-    n, J, h = model.n, model.coupling_matrix, model.h
+    n, J, h = model.n, model.terms[1], model.h
     low = min(n, _COST_BLOCK_BITS)
     a = low // 2  # the first a low spins are read off a table, the rest doubled
     spins_a = 1.0 - 2.0 * _index_bits(np.arange(1 << a), a)
@@ -571,6 +568,8 @@ def read_instance(path) -> MaxCutInstance:
             n, m = int(head[0]), int(head[1])
         except ValueError:
             raise ValueError(f"{path}: header must hold two integers, got {header!r}") from None
+        if m < 0:
+            raise ValueError(f"{path}: header promises a negative edge count, got {header!r}")
         _check_node_count(n)
         # loadtxt would drop the rest of a line after an inline '#', which the format refuses
         by_lines = not m or _needs_line_loop(fh)

@@ -331,7 +331,7 @@ def _p1_coefficients(model: IsingModel, gamma: float) -> tuple[float, float, flo
     """
     g, h = -gamma, model.h
     ci, cj, cw = model.couplings.arrays
-    angle = 2.0 * g * model.coupling_matrix
+    angle = np.multiply(2.0 * g, model.terms[1], dtype=np.float64)
     c, s = np.cos(angle), np.sin(angle)
     a = float(h @ (np.sin(2.0 * g * h) * c.prod(axis=1)))
     b = d = 0.0

@@ -19,7 +19,7 @@ def per_spin_sa_solve(model, config):
     n = model.n
     rng = np.random.default_rng(config.seed)
     reads = config.num_reads
-    jm = model.coupling_matrix
+    jm = model.terms[1]
     h = model.h
     order, bounds = color_classes(jm)
     classes = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
@@ -150,7 +150,7 @@ def test_more_effort_never_hurts_on_average():
 def test_oversized_effort_fails_before_allocating():
     import tracemalloc
     model = maxcut_to_ising(gen_weighted_dense(300, seed=0))
-    model.coupling_matrix  # cached outside the measurement
+    model.terms  # cached outside the measurement
     tracemalloc.start()
     try:
         for config in (SaConfig(num_reads=annealing.SA_SPIN_BUDGET // 300 + 1),
@@ -219,7 +219,7 @@ def test_config_validation():
 def test_colored_sweeps_match_the_per_spin_loop_on_complete_graphs(model, config):
     # one class per spin: every block of delayed updates holds _BLOCK classes, and up to
     # n = _BLOCK the whole sweep is one block
-    order, bounds = color_classes(model.coupling_matrix)
+    order, bounds = color_classes(model.terms[1])
     assert np.array_equal(order, np.arange(model.n)) and bounds.size == model.n + 1
     bits, e = sa_solve(model, config)
     expected_bits, expected_e = per_spin_sa_solve(model, config)
@@ -235,7 +235,7 @@ def test_colored_sweeps_match_the_per_spin_loop_on_complete_graphs(model, config
 ], ids=["sparse-40", "qaoa-18", "sparse-300", "sparse-40-classes-beyond-a-block"])
 def test_blocked_sweeps_match_the_per_spin_loop_on_colored_graphs(model, config, block,
                                                                    monkeypatch):
-    _, bounds = color_classes(model.coupling_matrix)
+    _, bounds = color_classes(model.terms[1])
     assert 1 < bounds.size - 1 < model.n
     if block is not None:  # blocks of one class each, some classes larger than a block
         monkeypatch.setattr(annealing, "_BLOCK", block)
@@ -321,7 +321,7 @@ def test_thresholds_rounded_to_float32_decide_every_comparison_as_float64_does(t
     maxcut_to_ising(MaxCutInstance(6, tuple((i, i + 1, 1.0) for i in range(5)))),
 ], ids=["sparse-300", "sparse-40", "qaoa-18", "complete-12", "uncoupled-7", "path-6"])
 def test_coloring_is_proper(model):
-    jm = model.coupling_matrix
+    jm = model.terms[1]
     order, bounds = color_classes(jm)
     assert_proper_coloring(jm, order, bounds)
     if not model.couplings:
@@ -387,7 +387,7 @@ class CountingGenerator:
 def test_each_sweep_proposes_each_spin_once_per_read(monkeypatch):
     g = gen_unweighted(24, 0.3, seed=4)
     base = maxcut_to_ising(g)
-    _, bounds = color_classes(base.coupling_matrix)
+    _, bounds = color_classes(base.terms[1])
     assert 1 < bounds.size - 1 < base.n
     reads, n = 7, base.n
     config = SaConfig(num_reads=reads, sweeps_per_read=4, seed=3)

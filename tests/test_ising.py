@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ndar import ising
-from ndar import (NODE_CAP, IsingModel, MaxCutInstance, ResourceLimitError, as_bits,
+from ndar import (NODE_CAP, IsingModel, MaxCutInstance, ResourceLimitError, SaConfig, as_bits,
                   brute_force_best, edge_density, energies, energy, gen_unweighted,
-                  gen_weighted_dense, maxcut_to_ising, read_instance, write_instance)
+                  gen_weighted_dense, grid_scan, maxcut_to_ising, read_instance, sa_solve,
+                  write_instance)
 from ndar.ising import TripleView, cost_blocks, lex_first
 from oracles import (all_bitstrings, apply_mask, bits_to_str, cost_diagonal, cut_value,
                      gauge_transform, hamming_weight, write_instance_from_tuples)
@@ -221,14 +222,37 @@ def test_maxcut_model_equals_the_model_built_from_tuples():
     assert model == expected and hash(model) == hash(expected)
 
 
+def dense_couplings(model: IsingModel) -> np.ndarray:
+    """The float64 coupling matrix, filled one triple at a time."""
+    J = np.zeros((model.n, model.n))
+    for i, j, w in model.couplings:
+        J[i, j] = J[j, i] = w
+    return J
+
+
 def test_terms_take_float32_exactly_where_the_sums_are_exact():
     model = maxcut_to_ising(gen_weighted_dense(30, seed=1))
     h, J = model.terms
     assert h.dtype == J.dtype == np.float32
-    assert np.array_equal(h, model.h) and np.array_equal(J, model.coupling_matrix)
+    assert np.array_equal(h, model.h) and np.array_equal(J, dense_couplings(model))
     tenths = IsingModel(3, (0.1, 0.2, 0.3), ((0, 1, 0.1), (1, 2, -0.7)))
     h, J = tenths.terms
-    assert h is tenths.h and J is tenths.coupling_matrix
+    assert h is tenths.h and J.dtype == np.float64
+    assert np.array_equal(J, dense_couplings(tenths))
+
+
+@pytest.mark.parametrize("weight, dtype", [(1.0, np.float32), (0.1, np.float64)],
+                         ids=["dyadic", "tenths"])
+def test_a_model_holds_one_dense_matrix(weight, dtype):
+    edges = np.asarray(gen_weighted_dense(12, 1).edges) * (1.0, 1.0, weight)
+    model = maxcut_to_ising(MaxCutInstance(12, edges))
+    energies(model, all_bitstrings(12))
+    sa_solve(model, SaConfig(num_reads=4, sweeps_per_read=10))
+    brute_force_best(model)
+    grid_scan(model, steps=3)
+    held = [a for v in vars(model).values() for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray) and a.shape == (12, 12)]
+    assert len(held) == 1 and held[0] is model.terms[1] and held[0].dtype == dtype
 
 
 def test_maxcut_duality_on_80_node_instance():
@@ -546,6 +570,10 @@ def test_instance_file_rejects_bad_content(tmp_path):
     bad.write_text("2 3\n0 1 1.0\n")
     with pytest.raises(ValueError):
         read_instance(bad)  # edge count mismatch
+    for header in ("3 -5", "3 -1"):
+        bad.write_text(header + "\n0 1 1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: header promises a negative")):
+            read_instance(bad)
     # too many edges: both passes stop one edge line beyond the header's count, where
     # reading all 300,000 lines took 1.3 s and a 42 MiB peak
     bad.write_text("1024 1\n" + "0 1 1\n" * 300000)

@@ -65,7 +65,7 @@ def test_gauge_transform_frame_identity(data):
 def float64_path(model):
     """A copy of the model whose energies take the float64 path."""
     copy = dataclasses.replace(model)
-    copy.__dict__["terms"] = (model.h, model.coupling_matrix)
+    copy.__dict__["terms"] = (model.h, model.terms[1].astype(np.float64))
     return copy
 
 
@@ -128,12 +128,17 @@ def test_a_model_at_the_float32_bound_qualifies(scale):
     IsingModel(3, (1.0, -1.0, 0.0), ((0, 1, 2.0 ** 23 - 1), (1, 2, 1.0))),
     IsingModel(2, (2.0 ** 200, 0.0), ()),  # a multiple of 2^200, beyond the float32 range
     IsingModel(2, (2.0 ** -127, 0.0), ()),  # a unit below the smallest normal float32
+    # sum |J| overflows to inf, for which frexp gives exponent 0, as if the total were small
+    IsingModel(3, (0.0,) * 3, ((0, 1, 1e308), (1, 2, -1e308))),
 ], ids=["tenths", "gaussian", "fields-over", "finer-unit-over", "couplings-over",
-        "fields-plus-couplings-over", "huge", "tiny-unit"])
+        "fields-plus-couplings-over", "huge", "tiny-unit", "overflowing-total"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # overflowing-total
 def test_models_outside_the_float32_rule_take_the_float64_path(model):
     assert model.terms[0].dtype == np.float64
     X = all_bitstrings(model.n)
-    assert energies(model, X).tobytes() == energies(float64_path(model), X).tobytes()
+    batch = energies(model, X)
+    assert batch.tobytes() == energies(float64_path(model), X).tobytes()
+    np.testing.assert_allclose(batch, [energy(model, x) for x in X], rtol=1e-12)
 
 
 @st.composite
