@@ -1,5 +1,7 @@
 """Simulated-annealing reference solver behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -58,10 +60,9 @@ def normal_complete_model(n, seed):
     return IsingModel(n, tuple(np.round(rng.normal(size=n) * 256) / 256), couplings, offset=0.25)
 
 
-def large_field_model(excess):
+def large_field_model(excess, n=24):
     """Integer weights and one large field, with sum |h| + 2 sum |J| = 2^24 + excess."""
     rng = np.random.default_rng(11)
-    n = 24
     iu, ju = np.triu_indices(n, k=1)
     w = rng.integers(-3, 4, size=iu.size).astype(np.float64)
     h = rng.integers(-5, 6, size=n).astype(np.float64)
@@ -175,12 +176,12 @@ def test_working_arrays_peak_under_30_bytes_per_read_and_spin():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the figure in SA_SPIN_BUDGET's comment (24 here); a float64 copy of the spins or fields
+    # the figure in SA_SPIN_BUDGET's comment (27 here); a float64 copy of the spins or fields
     # alive through the sweep would exceed it
     assert peak < 30 * reads * model.n
 
 
-def test_one_block_working_arrays_peak_under_30_bytes_per_read_and_spin():
+def test_small_model_working_arrays_peak_under_30_bytes_per_read_and_spin():
     import tracemalloc
     model = maxcut_to_ising(gen_unweighted(18, 0.8, seed=29))
     assert model.terms[0].dtype == np.float32  # cached outside the measurement, as is the matrix
@@ -191,8 +192,8 @@ def test_one_block_working_arrays_peak_under_30_bytes_per_read_and_spin():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the figure in SA_SPIN_BUDGET's comment holds when a sweep is one block too (28 here);
-    # copies of the spins, fields and float64 thresholds gathered for the block exceed it
+    # the figure in SA_SPIN_BUDGET's comment holds at n = 18 too (28 here); a float64 copy
+    # of the spins, fields or thresholds alive through the sweep would exceed it
     assert peak < 30 * reads * model.n
 
 
@@ -205,6 +206,8 @@ def test_config_validation():
         SaConfig(beta_min=0.0)
     with pytest.raises(ValueError):
         SaConfig(beta_min=5.0, beta_max=1.0)
+    with pytest.raises(ValueError, match="beta_max < inf"):
+        SaConfig(beta_max=math.inf)
     with pytest.raises(ValueError, match="seed"):
         SaConfig(seed=-1)
 
@@ -217,8 +220,7 @@ def test_config_validation():
     (maxcut_to_ising(gen_weighted_dense(22, seed=6)), SaConfig(30, 120, seed=9)),
 ], ids=["dense-30", "dense-30-one-read", "normal-complete-25", "dense-300", "dense-22"])
 def test_colored_sweeps_match_the_per_spin_loop_on_complete_graphs(model, config):
-    # one class per spin: every block of delayed updates holds _BLOCK classes, and up to
-    # n = _BLOCK the whole sweep is one block
+    # one class per spin: each class's fields take the sweep's earlier flips, one row at a time
     order, bounds = color_classes(model.terms[1])
     assert np.array_equal(order, np.arange(model.n)) and bounds.size == model.n + 1
     bits, e = sa_solve(model, config)
@@ -227,35 +229,18 @@ def test_colored_sweeps_match_the_per_spin_loop_on_complete_graphs(model, config
     assert e == expected_e
 
 
-@pytest.mark.parametrize("model, config, block", [
-    (maxcut_to_ising(gen_unweighted(40, 0.1, seed=1)), SaConfig(12, 100, seed=4), None),
-    (maxcut_to_ising(gen_unweighted(18, 0.8, seed=29)), SaConfig(100, 200, seed=6), None),
-    (maxcut_to_ising(gen_unweighted(300, 0.3, seed=2)), SaConfig(100, 5, seed=7), None),
-    (maxcut_to_ising(gen_unweighted(40, 0.1, seed=1)), SaConfig(12, 100, seed=4), 4),
-], ids=["sparse-40", "qaoa-18", "sparse-300", "sparse-40-classes-beyond-a-block"])
-def test_blocked_sweeps_match_the_per_spin_loop_on_colored_graphs(model, config, block,
-                                                                   monkeypatch):
+@pytest.mark.parametrize("model, config", [
+    (maxcut_to_ising(gen_unweighted(40, 0.1, seed=1)), SaConfig(12, 100, seed=4)),
+    (maxcut_to_ising(gen_unweighted(18, 0.8, seed=29)), SaConfig(100, 200, seed=6)),
+    (maxcut_to_ising(gen_unweighted(300, 0.3, seed=2)), SaConfig(100, 5, seed=7)),
+], ids=["sparse-40", "qaoa-18", "sparse-300"])
+def test_colored_sweeps_match_the_per_spin_loop_on_incomplete_graphs(model, config):
     _, bounds = color_classes(model.terms[1])
     assert 1 < bounds.size - 1 < model.n
-    if block is not None:  # blocks of one class each, some classes larger than a block
-        monkeypatch.setattr(annealing, "_BLOCK", block)
-        assert np.diff(bounds).max() > block
-    blocked = record_blocked_sweeps(monkeypatch)
     bits, e = sa_solve(model, config)
-    if block is not None:
-        assert len(blocked) == config.sweeps_per_read
     expected_bits, expected_e = per_spin_sa_solve(model, config)
     assert np.array_equal(bits, expected_bits)
     assert e == expected_e
-
-
-def record_blocked_sweeps(monkeypatch):
-    """Patch annealing._blocked_sweep to log each call; the returned list fills as it runs."""
-    calls = []
-    blocked_sweep = annealing._blocked_sweep
-    monkeypatch.setattr(annealing, "_blocked_sweep",
-                        lambda *args: calls.append(1) or blocked_sweep(*args))
-    return calls
 
 
 def edgeless_model(n, seed):
@@ -264,21 +249,31 @@ def edgeless_model(n, seed):
     return IsingModel(n, tuple(np.round(rng.normal(size=n) * 256) / 256), ())
 
 
-@pytest.mark.parametrize("model, config, one_block", [
-    (maxcut_to_ising(gen_unweighted(32, 0.3, seed=1)), SaConfig(40, 100, seed=3), True),
-    (maxcut_to_ising(gen_unweighted(33, 0.3, seed=1)), SaConfig(40, 100, seed=3), False),
-    (edgeless_model(40, seed=5), SaConfig(20, 60, seed=4), True),
+@pytest.mark.parametrize("model, config", [
+    (maxcut_to_ising(gen_unweighted(32, 0.3, seed=1)), SaConfig(40, 100, seed=3)),
+    (maxcut_to_ising(gen_unweighted(33, 0.3, seed=1)), SaConfig(40, 100, seed=3)),
+    (edgeless_model(40, seed=5), SaConfig(20, 60, seed=4)),
 ], ids=["unweighted-32", "unweighted-33", "edgeless-40"])
-def test_sweeps_on_both_sides_of_one_block_match_the_per_spin_loop(model, config, one_block,
-                                                                     monkeypatch):
-    # at n = _BLOCK every order of the classes is one block; at n = 33 the last class can
-    # start beyond the first block, and one class of any size is always one block
-    blocked = record_blocked_sweeps(monkeypatch)
+def test_sweeps_on_both_sides_of_32_spins_match_the_per_spin_loop(model, config):
     bits, e = sa_solve(model, config)
-    assert len(blocked) == (0 if one_block else config.sweeps_per_read)
     expected_bits, expected_e = per_spin_sa_solve(model, config)
     assert np.array_equal(bits, expected_bits)
     assert e == expected_e
+
+
+def test_one_working_matrix():
+    import tracemalloc
+    model = edgeless_model(300, seed=0)
+    assert model.terms[1].dtype == np.float32  # cached outside the measurement
+    tracemalloc.start()
+    try:
+        sa_solve(model, SaConfig(num_reads=2, sweeps_per_read=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the color-ordered couplings, scaled to -2J in place; a second n x n array beside them
+    # would exceed the bound
+    assert peak < 1.6 * model.n ** 2 * 4
 
 
 F32_MAX = float(np.finfo(np.float32).max)
@@ -338,11 +333,12 @@ def test_coloring_is_proper(model):
         assert_proper_coloring(jm, np.argsort(labels, kind="stable"), bounds)
 
 
+@pytest.mark.parametrize("n", [24, 40])
 @pytest.mark.parametrize("excess, float32", [(0, True), (1, False)],
                          ids=["at-the-float32-bound", "one-unit-past-it"])
 def test_large_fields_match_the_per_spin_loop_on_both_sides_of_the_float32_bound(excess,
-                                                                                 float32):
-    model = large_field_model(excess)
+                                                                                 float32, n):
+    model = large_field_model(excess, n)
     assert (model.terms[0].dtype == np.float32) == float32
     config = SaConfig(16, 50, seed=8)
     bits, e = sa_solve(model, config)

@@ -629,6 +629,7 @@ def test_bad_ndar_values_fail_before_the_baselines(tmp_path, capsys, monkeypatch
     ("qaoa", "sampler.gammas = 0.1\nsampler.betas = 0.1,0.2", "sampler.gammas", 2),
     ("classical-bernoulli", "sa.beta_min = 0", "sa.beta_min", 2),
     ("classical-bernoulli", "sa.beta_min = 20", "sa.beta_min", 2),
+    ("classical-bernoulli", "sa.beta_max = inf", "sa.beta_min/max", 2),
     ("qaoa", "sampler.grid_steps = 0", "sampler.grid_steps", 2),
     ("classical-bernoulli", "sampler.grid_steps = 0", "sampler.grid_steps", 2),
     ("classical-bernoulli", "sampler.grid_steps = 1000", "sampler.grid_steps", 3),

@@ -436,6 +436,7 @@ _INVALID = {
     "sa.reads": ["0"],
     "sa.sweeps": ["0", str(SA_SWEEPS_CAP + 1)],
     "sa.beta_min": ["0", "20"],
+    "sa.beta_max": ["inf"],
     "sa.seed": ["-1"],
     "runs": ["0", str(RUNS_CAP + 1)],
 }
